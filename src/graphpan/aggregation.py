@@ -8,7 +8,9 @@ averaged.
 Global branch: per-pattern incoming-weight totals form a compact node
 descriptor matrix B (columns scaled by learned scalars); the row-L1
 normalised similarity B @ B.T drives one propagation that keeps only the
-deepest layer output.
+deepest layer output.  B has at most seven columns and B @ B.T is
+nonnegative, so the similarity is applied in factored form and the (n, n)
+matrix is never built.
 
 Fusion weighs the two branches per node with learned importance: a score
 q . tanh(W h + b) for each branch output, softmax-normalised over the two
@@ -197,16 +199,39 @@ def build_global_pattern_matrix(ps: PatternSet, beta) -> object:
     return ad.concatenate(cols, axis=1)
 
 
-def global_similarity(B) -> object:
-    """Row-L1-normalised B @ B.T; all-zero rows stay zero."""
-    s = B @ ad.transpose(B)
-    r = ad.sum(ad.absolute(s), axis=1, keepdims=True)
-    live = (ad.value(r) > 0.0).astype(ad.value(r).dtype)
-    return (s / (r * live + (1.0 - live))) * live
+@dataclass
+class GlobalOperator:
+    """The global propagation operator A = diag(1/r) B B^T, held as its two
+    (n, m) factors: A = left @ right.T.  ``A @ U`` costs O(n m d) and never
+    forms the (n, n) matrix."""
+
+    left: object
+    right: object
+
+    def __matmul__(self, U):
+        return self.left @ (ad.transpose(self.right) @ U)
+
+
+def global_similarity(B) -> GlobalOperator:
+    """Row-L1-normalised B @ B.T, in factored form; all-zero rows stay zero.
+
+    Every column of B is one pattern's nonnegative incoming-weight totals
+    scaled by its beta, so it has one sign and B @ B.T = sum_m beta_m^2
+    t_m t_m^T is nonnegative entrywise.  The row-L1 norms are then
+    r = B (B^T 1), and r_i > 0 exactly when row i of B is nonzero.  A column
+    that mixes signs breaks the identity and raises ValueError.
+    """
+    b = ad.value(B)
+    if np.any((b > 0).any(axis=0) & (b < 0).any(axis=0)):
+        raise ValueError("a column of the global pattern matrix mixes signs")
+    r = B @ ad.transpose(ad.sum(B, axis=0, keepdims=True))  # (n, 1)
+    zero = (ad.value(r) == 0.0).astype(b.dtype)
+    return GlobalOperator(left=B / (r + zero), right=B)
 
 
 def aggregate_global(A, U, w_global) -> object:
-    """One dense propagation; only the deepest layer output is kept."""
+    """One propagation through A (a :class:`GlobalOperator` or a plain
+    matrix); only the deepest layer output is kept."""
     h = A @ U
     for wg in w_global:
         h = h @ wg

@@ -9,12 +9,15 @@ Conventions baked in here and relied on elsewhere:
   * piecewise-linear kinks (abs at 0, clip at its bounds, maximum at ties)
     take subgradient 0,
   * discrete choices are made on detached values and are never part of the
-    tape.
+    tape,
+  * a Python scalar operand takes the other operand's dtype, so a float32
+    computation stays float32 end to end.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
 
 
 class Tensor:
@@ -156,6 +159,15 @@ def detach(x):
     return value(x)
 
 
+def _operand(x):
+    """Array of a Tensor or array-like.  A Python scalar stays a Python
+    scalar, so it takes the other operand's dtype (NumPy's weak scalar
+    promotion) rather than promoting float32 to float64."""
+    if isinstance(x, Tensor):
+        return x.data
+    return x if isinstance(x, (int, float)) else np.asarray(x)
+
+
 def _unbroadcast(g, shape):
     """Sum gradient ``g`` down to ``shape`` (reverse of numpy broadcasting)."""
     if g.shape == shape:
@@ -172,11 +184,11 @@ def _unbroadcast(g, shape):
 def add(a, b):
     if not (isinstance(a, Tensor) or isinstance(b, Tensor)):
         return np.add(a, b)
-    da, db = value(a), value(b)
+    da, db = _operand(a), _operand(b)
     out = da + db
 
     def vjp(g):
-        return _unbroadcast(g, da.shape), _unbroadcast(g, db.shape)
+        return _unbroadcast(g, np.shape(da)), _unbroadcast(g, np.shape(db))
 
     return Tensor(out, (a, b), vjp)
 
@@ -184,11 +196,11 @@ def add(a, b):
 def subtract(a, b):
     if not (isinstance(a, Tensor) or isinstance(b, Tensor)):
         return np.subtract(a, b)
-    da, db = value(a), value(b)
+    da, db = _operand(a), _operand(b)
     out = da - db
 
     def vjp(g):
-        return _unbroadcast(g, da.shape), _unbroadcast(-g, db.shape)
+        return _unbroadcast(g, np.shape(da)), _unbroadcast(-g, np.shape(db))
 
     return Tensor(out, (a, b), vjp)
 
@@ -196,11 +208,11 @@ def subtract(a, b):
 def multiply(a, b):
     if not (isinstance(a, Tensor) or isinstance(b, Tensor)):
         return np.multiply(a, b)
-    da, db = value(a), value(b)
+    da, db = _operand(a), _operand(b)
     out = da * db
 
     def vjp(g):
-        return _unbroadcast(g * db, da.shape), _unbroadcast(g * da, db.shape)
+        return _unbroadcast(g * db, np.shape(da)), _unbroadcast(g * da, np.shape(db))
 
     return Tensor(out, (a, b), vjp)
 
@@ -208,12 +220,12 @@ def multiply(a, b):
 def divide(a, b):
     if not (isinstance(a, Tensor) or isinstance(b, Tensor)):
         return np.divide(a, b)
-    da, db = value(a), value(b)
+    da, db = _operand(a), _operand(b)
     out = da / db
 
     def vjp(g):
-        ga = _unbroadcast(g / db, da.shape)
-        gb = _unbroadcast(-g * da / (db * db), db.shape)
+        ga = _unbroadcast(g / db, np.shape(da))
+        gb = _unbroadcast(-g * da / (db * db), np.shape(db))
         return ga, gb
 
     return Tensor(out, (a, b), vjp)
@@ -370,8 +382,13 @@ def take(a, idx):
     out = da[idx]
 
     def vjp(g):
+        if isinstance(idx, np.ndarray) and idx.ndim == 1 and idx.dtype.kind in "iu":
+            return (_segment_sum(len(da), idx % len(da), g),)
         z = np.zeros_like(da)
-        np.add.at(z, idx, g)
+        if isinstance(idx, (slice, int, np.integer)):
+            z[idx] = g  # every element is selected at most once
+        else:
+            np.add.at(z, idx, g)
         return (z,)
 
     return Tensor(out, (a,), vjp)
@@ -393,18 +410,51 @@ def index_add(n, idx, vals):
 def _segment_sum(n, idx, vals):
     if vals.ndim == 1:
         return np.bincount(idx, weights=vals, minlength=n).astype(vals.dtype)
-    # sort + reduceat is much faster than np.add.at for wide rows
-    order = np.argsort(idx, kind="stable")
-    si = idx[order]
-    sv = vals[order]
-    out = np.zeros((n,) + vals.shape[1:], dtype=vals.dtype)
-    if len(si) == 0:
+    # a 0/1 (n, E) CSR matrix times the rows: one pass over the data, several
+    # times faster than np.add.at or sort + reduceat for wide rows
+    e = len(idx)
+    ones = np.ones(e, dtype=vals.dtype)
+    m = sparse.csr_matrix((ones, (idx, np.arange(e))), shape=(n, e))
+    flat = vals.reshape(e, int(np.prod(vals.shape[1:])))
+    return np.asarray(m @ flat).reshape((n,) + vals.shape[1:])
+
+
+_NCE_BLOCK = 256  # logit rows held at once by info_nce
+
+
+def info_nce(a, b, tau):
+    """mean_i [logsumexp_j(a_i . b_j / tau) - a_i . b_i / tau] as one node.
+
+    The (n, n) logits are never held: rows are processed ``_NCE_BLOCK`` at a
+    time with a per-row max.  Each block holds whole rows of
+    P = softmax(a b^T / tau), so on the tape the same pass accumulates the
+    gradients (P b - b) / (n tau) for a and (P^T a - a) / (n tau) for b;
+    they are kept as two arrays shaped like a and b, and the backward only
+    scales them.
+    """
+    da, db = value(a), value(b)
+    n = da.shape[0]
+    taped = isinstance(a, Tensor) or isinstance(b, Tensor)
+    lse = np.empty(n, dtype=np.result_type(da, db))
+    if taped:
+        pb, pta = np.empty_like(da), np.zeros_like(db)  # P b and P^T a
+    for i in range(0, n, _NCE_BLOCK):
+        rows = slice(i, i + _NCE_BLOCK)
+        s = da[rows] @ db.T
+        s /= tau
+        m = s.max(axis=1, keepdims=True)
+        s -= m
+        np.exp(s, out=s)
+        z = s.sum(axis=1, keepdims=True)
+        lse[rows] = (np.log(z) + m)[:, 0]
+        if taped:
+            s /= z
+            pb[rows] = s @ db
+            pta += s.T @ da[rows]
+    pos = np.einsum("ij,ij->i", da, db) / tau
+    out = np.mean(lse - pos)
+    if not taped:
         return out
-    starts = np.flatnonzero(np.r_[True, si[1:] != si[:-1]])
-    out[si[starts]] = np.add.reduceat(sv, starts, axis=0)
-    return out
-
-
-def max_detached(a, axis=None, keepdims=False):
-    """Max of the underlying values, returned as a constant (no gradient)."""
-    return np.max(value(a), axis=axis, keepdims=keepdims)
+    scale = 1.0 / (n * tau)
+    ga, gb = (pb - db) * scale, (pta - da) * scale
+    return Tensor(out, (a, b), lambda g: (ga * g, gb * g))

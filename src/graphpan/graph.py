@@ -106,15 +106,14 @@ def knn_select(feats: np.ndarray, k: int):
     sims = unit @ unit.T
     np.fill_diagonal(sims, -np.inf)
     kk = min(k, m - 1)
-    src = np.empty((m, kk), dtype=np.int64)
-    cols = np.arange(m)
-    for i in range(m):
-        order = np.lexsort((cols, -sims[i]))
-        src[i] = order[:kk]
-    dst = np.repeat(np.arange(m, dtype=np.int64), kk)
-    src = src.reshape(-1)
-    order = np.lexsort((src, dst))
-    return src[order], dst[order]
+    # every j above a row's kk-th largest similarity is picked, and ties at
+    # that threshold are filled from the lowest index j
+    kth = -np.partition(-sims, kk - 1, axis=1)[:, kk - 1:kk]
+    above, tied = sims > kth, sims == kth
+    need = kk - above.sum(axis=1, keepdims=True)
+    picked = above | (tied & (np.cumsum(tied, axis=1) <= need))
+    dst, src = np.nonzero(picked)  # row-major, so sorted by (dst, src)
+    return src, dst
 
 
 def knn_edges(feats, k: int):

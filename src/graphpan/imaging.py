@@ -22,14 +22,18 @@ _MAX_DIM = 1 << 24  # per-axis sanity bound for headers
 BANDS = 4  # multispectral band count used throughout
 
 
-class ImageFormatError(ValueError):
-    """Raised for malformed image files; carries the byte offset at fault."""
+class FormatError(ValueError):
+    """Raised for malformed files; carries the byte offset at fault."""
 
     def __init__(self, message, offset=None):
         if offset is not None:
             message = f"{message} (byte offset {offset})"
         super().__init__(message)
         self.offset = offset
+
+
+class ImageFormatError(FormatError):
+    """Raised for malformed image files."""
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from .aggregation import ModelParams, importance_shapes, run_pipeline
 from .config import TrainConfig
-from .imaging import BANDS, Image, ScenePair, degrade_image
+from .imaging import BANDS, FormatError, Image, ScenePair, degrade_image
 from .patterns import MAX_PATTERNS
 
 CHECKPOINT_MAGIC = b"HSSN"
@@ -58,23 +58,19 @@ def _unit_rows(x):
 def contrastive_loss(h_local, h_global, tau: float):
     """Alignment of matching local/global rows against all other rows.
 
-    Cosine similarities over zero-norm-safe unit rows, temperature tau,
-    numerically stabilised by subtracting the detached row maximum.  Rows
-    are compared by direction only, so scaling a row by a positive factor
-    leaves the value unchanged.
+    Cosine similarities over zero-norm-safe unit rows, temperature tau; the
+    logits, their row-wise log-sum-exp and the positive pairs form one tape
+    node (:func:`autodiff.info_nce`) that works in row blocks, so no (n, n)
+    array is held in the forward or the backward pass.  Rows are compared by
+    direction only, so scaling a row by a positive factor leaves the value
+    unchanged.
     """
     n = ad.value(h_local).shape[0]
     if n < 2:
         raise ValueError("contrastive loss needs at least 2 nodes")
     if tau <= 0:
         raise ValueError("tau must be positive")
-    a = _unit_rows(h_local)
-    b = _unit_rows(h_global)
-    s = (a @ ad.transpose(b)) / tau
-    m = ad.max_detached(s, axis=1, keepdims=True)
-    lse = ad.log(ad.sum(ad.exp(s - m), axis=1)) + m.reshape(-1)
-    pos = s[np.arange(n), np.arange(n)]
-    return ad.mean(lse - pos)
+    return ad.info_nce(_unit_rows(h_local), _unit_rows(h_global), tau)
 
 
 def kindwise_contrastive_loss(h_local, h_global, tau: float, n_pan: int):
@@ -302,33 +298,52 @@ def save_checkpoint(path, params: ModelParams, cfg: TrainConfig):
             f.write(np.ascontiguousarray(arr).tobytes())
 
 
+class CheckpointFormatError(FormatError):
+    """Raised for malformed checkpoint files."""
+
+
 def load_checkpoint(path):
-    """Returns (ModelParams, TrainConfig-with-model-fields)."""
+    """Returns (ModelParams, TrainConfig-with-model-fields).  A malformed or
+    truncated file raises :class:`CheckpointFormatError`."""
     blob = Path(path).read_bytes()
     if blob[:4] != CHECKPOINT_MAGIC:
-        raise ValueError("bad checkpoint magic")
-    version, n_blocks = struct.unpack("<II", blob[4:12])
+        raise CheckpointFormatError("bad checkpoint magic", offset=0)
+
+    def unpack(fmt, pos, what):
+        end = pos + struct.calcsize(fmt)
+        if end > len(blob):
+            raise CheckpointFormatError(f"truncated checkpoint {what}", offset=len(blob))
+        return struct.unpack_from(fmt, blob, pos), end
+
+    (version, n_blocks), pos = unpack("<II", 4, "header")
     if version != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
-    pos = 12
+        raise CheckpointFormatError(f"unsupported checkpoint version {version}", offset=4)
     raw_blocks = {}
     for _ in range(n_blocks):
-        (nlen,) = struct.unpack("<I", blob[pos : pos + 4])
-        pos += 4
-        name = blob[pos : pos + nlen].decode("utf-8")
-        pos += nlen
-        a, b, c = struct.unpack("<III", blob[pos : pos + 12])
-        pos += 12
+        (nlen,), pos = unpack("<I", pos, "block name length")
+        (raw,), pos = unpack(f"{nlen}s", pos, "block name")
+        name = raw.decode("utf-8")
+        (a, b, c), pos = unpack("<III", pos, f"block {name!r} dims")
         count = a * b * c
         arr = np.frombuffer(blob[pos : pos + 4 * count], dtype="<f4")
         if arr.size != count:
-            raise ValueError("truncated checkpoint block")
+            raise CheckpointFormatError(f"truncated checkpoint block {name!r}", offset=len(blob))
+        raw_blocks[name] = (arr.reshape(a, b, c), pos)
         pos += 4 * count
-        raw_blocks[name] = (arr, (a, b, c))
 
-    if "_config" not in raw_blocks:
-        raise ValueError("checkpoint missing _config block")
-    meta = raw_blocks["_config"][0]
+    def block(name, shape):
+        if name not in raw_blocks:
+            raise CheckpointFormatError(f"checkpoint missing block {name!r}", offset=pos)
+        arr, start = raw_blocks[name]
+        sub = arr[tuple(slice(0, s) for s in shape)]
+        if sub.size != np.prod(shape):
+            raise CheckpointFormatError(
+                f"checkpoint block {name!r} of dims {arr.shape} is smaller than {shape}",
+                offset=start,
+            )
+        return sub.reshape(shape).copy()
+
+    meta = block("_config", (7,))
     cfg = TrainConfig(
         patch=int(meta[0]),
         stride=int(meta[1]),
@@ -338,10 +353,6 @@ def load_checkpoint(path):
         tau=float(meta[5]),
         gamma=float(meta[6]),
     )
-
-    def block(name, shape):
-        arr, dims = raw_blocks[name]
-        return arr.reshape(dims)[tuple(slice(0, s) for s in shape)].reshape(shape).copy()
 
     p2 = cfg.patch * cfg.patch
     params = ModelParams(

@@ -173,39 +173,85 @@ class TestGlobalPatternMatrix:
         assert ps.masks() == sorted(ps.masks())
 
 
+def densify(op):
+    """The (n, n) matrix a factored global operator stands for."""
+    return ad.value(op.left) @ ad.value(op.right).T
+
+
+def dense_global_similarity(B):
+    """Row-L1-normalised B @ B.T built as an (n, n) tape value, zero rows
+    kept zero: the oracle for the factored form."""
+    s = B @ ad.transpose(B)
+    r = ad.sum(ad.absolute(s), axis=1, keepdims=True)
+    live = (ad.value(r) > 0.0).astype(ad.value(r).dtype)
+    return (s / (r * live + (1.0 - live))) * live
+
+
 class TestGlobalSimilarity:
     def test_identical_rows_uniform(self):
         B = np.tile([1.0, 2.0], (5, 1))
-        A = ad.value(global_similarity(B))
+        A = densify(global_similarity(B))
         np.testing.assert_allclose(A, np.full((5, 5), 1.0 / 5.0), atol=1e-12)
 
     def test_orthogonal_signatures_identity(self):
-        A = ad.value(global_similarity(np.eye(4)))
+        A = densify(global_similarity(np.eye(4)))
         np.testing.assert_allclose(A, np.eye(4), atol=1e-12)
 
     def test_zero_rows_stay_zero(self):
         B = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 2.0]])
-        A = ad.value(global_similarity(B))
+        A = densify(global_similarity(B))
         np.testing.assert_array_equal(A[1], np.zeros(3))
 
     def test_dense_oracle(self):
         rng = np.random.default_rng(14)
-        B = rng.normal(size=(8, 3))
-        A = ad.value(global_similarity(B))
+        # one sign per column, a negative beta included
+        B = np.abs(rng.normal(size=(8, 3))) * np.array([1.0, -2.0, 0.5])
+        A = densify(global_similarity(B))
         S = B @ B.T
         want = S / np.abs(S).sum(axis=1, keepdims=True)
         np.testing.assert_allclose(A, want, rtol=1e-6, atol=1e-12)
+        # a column that mixes signs is outside the factored identity
+        with pytest.raises(ValueError, match="mixes signs"):
+            global_similarity(rng.normal(size=(8, 3)))
 
     def test_row_l1_norms(self):
         rng = np.random.default_rng(15)
         B = np.abs(rng.normal(size=(7, 3)))  # nonnegative signatures
-        A = ad.value(global_similarity(B))
+        A = densify(global_similarity(B))
         np.testing.assert_allclose(np.abs(A).sum(axis=1), 1.0, atol=1e-9)
-        # signed case: row sums of absolutes still 1 for nonzero rows
+        # signed columns: rejected rather than normalised
         B2 = rng.normal(size=(7, 3))
-        A2 = ad.value(global_similarity(B2))
-        norms = np.abs(A2).sum(axis=1)
-        assert np.all((np.abs(norms - 1.0) < 1e-9) | (norms == 0.0))
+        with pytest.raises(ValueError, match="mixes signs"):
+            global_similarity(B2)
+
+    def test_factored_matches_dense_on_scene(self):
+        """Values and gradients of the global branch against the dense
+        B @ B.T oracle, float64, on the seed-0 64 px scene with a negative
+        beta and some all-zero rows of B."""
+        cfg = TrainConfig(precision="high")
+        params = ModelParams.init(cfg, seed=0).astype(np.float64)
+        out = run_pipeline(synth_scene(0, size=64), params, cfg)
+        ps, U0 = out.patterns, ad.value(out.graph.U)
+        n, d = U0.shape
+        rng = np.random.default_rng(0)
+        beta0 = np.array([1.3, -0.7, 0.9, 1.0, 1.0, 1.0, 1.0])
+        keep = (np.arange(n) % 7 != 3).astype(np.float64)[:, None]
+        probe = rng.normal(size=(n, d))
+
+        def run(similarity):
+            beta = ad.Tensor(beta0.copy())
+            U = ad.Tensor(U0.copy())
+            ws = [ad.Tensor(w.copy()) for w in params.w_global]
+            B = build_global_pattern_matrix(ps, beta) * keep
+            h = aggregate_global(similarity(B), U, ws)
+            (h * probe).sum().backward()
+            return [h.data, beta.grad, U.grad] + [w.grad for w in ws]
+
+        got = run(global_similarity)
+        want = run(dense_global_similarity)
+        assert np.all(got[0][keep[:, 0] == 0.0] == 0.0)
+        for g, w in zip(got, want):
+            assert np.abs(g - w).max() <= 1e-10 * np.abs(w).max()
 
 
 class TestAggregateGlobal:

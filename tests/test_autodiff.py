@@ -95,6 +95,16 @@ class TestElementwise:
         # scalar-array broadcast
         check_op(lambda t: ((t * 3.0 + 1.0) * U23).sum(), X23)
 
+    def test_python_scalars_keep_float32(self):
+        x = X23.astype(np.float32)
+        for f in (lambda t: t * 0.5, lambda t: 0.5 * t, lambda t: t + 1.0,
+                  lambda t: 1 - t, lambda t: t / 3.0, lambda t: 2.0 / (t + 5.0)):
+            t = Tensor(x.copy())
+            out = f(t)
+            assert out.dtype == np.float32
+            out.sum().backward()
+            assert t.grad.dtype == np.float32
+
 
 class TestKinks:
     def test_abs_subgradient_zero_at_zero(self):
@@ -164,6 +174,11 @@ class TestReductionsIndexing:
         idx = np.array([3, 0, 0, 2])
         u = RNG.normal(size=(4, 3))
         check_op(lambda t: (t[idx] * u).sum(), x)
+        check_op(lambda t: (t[np.array([-1, 0, -1, 2])] * u).sum(), x)
+        # basic indices select each element once
+        check_op(lambda t: (t[1:3] * u[:2]).sum(), x)
+        check_op(lambda t: (t[2] * u[0]).sum(), x)
+        check_op(lambda t: (t[np.int64(-1)] * u[1]).sum(), x)
 
     def test_concatenate_mixed_parts(self):
         a = RNG.normal(size=(2, 2))
@@ -195,6 +210,84 @@ class TestReductionsIndexing:
         np.testing.assert_allclose(vals.grad, u[idx])
 
 
+def dense_info_nce(a, b, tau):
+    """InfoNCE through the (n, n) logits, composed from the elementwise ops:
+    the oracle for the fused node."""
+    n = len(ad.value(a))
+    s = (a @ ad.transpose(b)) / tau
+    m = np.max(ad.value(s), axis=1, keepdims=True)
+    lse = ad.log(ad.sum(ad.exp(s - m), axis=1)) + m.reshape(-1)
+    return ad.mean(lse - s[np.arange(n), np.arange(n)])
+
+
+class TestInfoNce:
+    N = 2 * ad._NCE_BLOCK + 37  # two full row blocks and a partial one
+
+    def inputs(self, seed, n=None):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(n or self.N, 5))
+        b = a + 0.5 * rng.normal(size=a.shape)
+        unit = lambda x: x / np.linalg.norm(x, axis=1, keepdims=True)  # noqa: E731
+        return unit(a), unit(b)
+
+    @pytest.mark.parametrize("tau", [0.5, 1e-3])
+    def test_matches_dense_oracle(self, tau):
+        a0, b0 = self.inputs(0)
+        grads = []
+        for fn in (ad.info_nce, dense_info_nce):
+            a, b = Tensor(a0.copy()), Tensor(b0.copy())
+            out = fn(a, b, tau)
+            out.backward()
+            grads.append((out.item(), a.grad, b.grad))
+        (v, ga, gb), (wv, wa, wb) = grads
+        assert v == pytest.approx(wv, rel=1e-12)
+        np.testing.assert_allclose(ga, wa, rtol=1e-9, atol=1e-12 * np.abs(wa).max())
+        np.testing.assert_allclose(gb, wb, rtol=1e-9, atol=1e-12 * np.abs(wb).max())
+        assert float(ad.info_nce(a0, b0, tau)) == v
+
+    @pytest.mark.parametrize("tau", [0.5, 1e-3])
+    def test_directional_fd(self, tau):
+        a0, b0 = self.inputs(1)
+        a, b = Tensor(a0.copy()), Tensor(b0.copy())
+        ad.info_nce(a, b, tau).backward()
+        rng = np.random.default_rng(2)
+        eps = 1e-4 * tau
+        for _ in range(3):
+            va, vb = rng.normal(size=a0.shape), rng.normal(size=b0.shape)
+            fd = (
+                float(ad.info_nce(a0 + eps * va, b0 + eps * vb, tau))
+                - float(ad.info_nce(a0 - eps * va, b0 - eps * vb, tau))
+            ) / (2.0 * eps)
+            an = float(np.sum(a.grad * va) + np.sum(b.grad * vb))
+            assert an == pytest.approx(fd, rel=1e-5, abs=1e-8)
+
+    def test_coordinate_fd_small(self):
+        a0, b0 = self.inputs(3, n=6)
+        check_op(lambda t: ad.info_nce(t, b0, 0.5), a0)
+        check_op(lambda t: ad.info_nce(a0, t, 0.5), b0)
+
+    def test_float32_gradients_stay_float32(self):
+        a0, b0 = self.inputs(4)
+        a, b = Tensor(a0.astype(np.float32)), Tensor(b0.astype(np.float32))
+        out = ad.info_nce(a, b, 0.5)
+        out.backward()
+        assert out.dtype == a.grad.dtype == b.grad.dtype == np.float32
+
+    def test_memory_is_row_blocked(self):
+        import tracemalloc
+
+        n = 3000
+        a0, b0 = self.inputs(5, n=n)
+        a, b = Tensor(a0), Tensor(b0)
+        tracemalloc.start()
+        try:
+            ad.info_nce(a, b, 0.5).backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 4  # a quarter of one (n, n) float64 array
+
+
 class TestTapeMechanics:
     def test_diamond_reuse_accumulates(self):
         x = Tensor(np.array(3.0))
@@ -218,15 +311,9 @@ class TestTapeMechanics:
         # ops on plain arrays return plain arrays, untaped
         assert not ad.is_tensor(ad.add(X23, X23))
         assert not ad.is_tensor(ad.absolute(X23))
-        assert isinstance(ad.max_detached(Tensor(X23)), (float, np.floating, np.ndarray))
+        assert not ad.is_tensor(ad.info_nce(X23, U23, 0.5))
         np.testing.assert_array_equal(ad.value(Tensor(X23)), X23)
         np.testing.assert_array_equal(ad.detach(X23), X23)
-
-    def test_max_detached_is_constant(self):
-        x = Tensor(np.array([1.0, 5.0]))
-        m = ad.max_detached(x, axis=0, keepdims=True)
-        assert not ad.is_tensor(m)
-        assert m.item() == 5.0
 
 
 @settings(max_examples=25, deadline=None)

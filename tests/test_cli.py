@@ -156,6 +156,19 @@ class TestEval:
         code = main(["eval", "--checkpoint", str(workdir["ckpt"]), "--data", str(tmp_path)])
         assert code == 1
 
+    def test_truncated_checkpoint_exit_1(self, workdir, tmp_path):
+        cut = tmp_path / "cut.hssn"
+        cut.write_bytes(workdir["ckpt"].read_bytes()[:30])
+        done = subprocess.run(
+            [sys.executable, "-m", "graphpan.cli", "eval", "--checkpoint", str(cut),
+             "--data", str(workdir["data"])],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        assert done.stderr.startswith("error: truncated checkpoint")
+        assert "byte offset 30" in done.stderr
+
 
 class TestInfer:
     def test_outputs(self, workdir, tmp_path):

@@ -135,14 +135,21 @@ class TestKnnSelect:
         keys = list(zip(dst.tolist(), src.tolist()))
         assert keys == sorted(keys)
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(
         st.integers(min_value=2, max_value=10),
         st.integers(min_value=1, max_value=10),
         st.integers(min_value=0, max_value=2**31 - 1),
+        st.sampled_from(["normal", "rounded", "pooled"]),
     )
-    def test_property_matches_oracle(self, m, k, seed):
-        feats = np.random.default_rng(seed).normal(size=(m, 3))
+    def test_property_matches_oracle(self, m, k, seed, kind):
+        rng = np.random.default_rng(seed)
+        feats = rng.normal(size=(m, 3))
+        if kind == "rounded":
+            feats = np.round(feats, 1)
+        elif kind == "pooled":  # repeated rows and zero rows: ties everywhere
+            pool = np.vstack([rng.normal(size=(2, 3)), np.zeros((1, 3))])
+            feats = pool[rng.integers(0, 3, size=m)]
         src, dst = knn_select(feats, k)
         osrc, odst = knn_oracle(feats, k)
         np.testing.assert_array_equal(src, osrc)

@@ -17,6 +17,7 @@ from graphpan.imaging import BANDS, Image, ScenePair, degrade_image
 from graphpan.training import (
     CHECKPOINT_MAGIC,
     AdamState,
+    CheckpointFormatError,
     LossBreakdown,
     TrainingDiverged,
     ablation_table,
@@ -224,6 +225,16 @@ class TestLossComposition:
             lhs = g2[name] - g0[name]
             rhs = 2.0 * (g1[name] - g0[name])
             np.testing.assert_allclose(lhs, rhs, rtol=1e-6, atol=1e-12)
+
+
+    @pytest.mark.parametrize("precision", ["standard", "high"])
+    def test_gradients_keep_parameter_dtype(self, precision):
+        scene = toy_scene(0)
+        cfg = toy_config(gamma=0.01, precision=precision)
+        params = ModelParams.init(cfg, seed=1, zero_recon=False)
+        bd, grads = backward(scene, params, cfg)
+        assert {g.dtype for g in grads.values()} == {np.dtype(cfg.dtype)}
+        assert bd.total == pytest.approx(scene_loss(scene, params, cfg)[2], rel=1e-5)
 
 
 class TestFiniteDifferences:
@@ -451,6 +462,42 @@ class TestCheckpoints:
         path.write_bytes(blob[:-10])
         with pytest.raises(ValueError):
             load_checkpoint(path)
+
+
+    @pytest.mark.parametrize("cut", [6, 14, 30])
+    def test_truncated_file_rejected_with_offset(self, tmp_path, cut):
+        # inside the header, a block's name length and a block's dims
+        cfg = toy_config()
+        path = tmp_path / "t.hssn"
+        save_checkpoint(path, ModelParams.init(cfg, seed=0), cfg)
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(CheckpointFormatError, match="truncated") as err:
+            load_checkpoint(path)
+        assert isinstance(err.value, ValueError)
+        assert err.value.offset == cut
+        assert f"byte offset {cut}" in str(err.value)
+
+    def test_missing_block_rejected_with_offset(self, tmp_path):
+        meta = np.array([4, 4, 8, 2, 1, 0.5, 0.01], dtype="<f4")
+        name = b"_config"
+        blob = CHECKPOINT_MAGIC + struct.pack("<II", 1, 1)
+        blob += struct.pack("<I", len(name)) + name + struct.pack("<III", 7, 1, 1) + meta.tobytes()
+        path = tmp_path / "m.hssn"
+        path.write_bytes(blob)
+        with pytest.raises(CheckpointFormatError, match="missing block 'w_pan'") as err:
+            load_checkpoint(path)
+        assert err.value.offset == len(blob)
+
+    def test_undersized_block_rejected(self, tmp_path):
+        meta = np.array([4, 4, 8, 2, 1, 0.5, 0.01], dtype="<f4")
+        name = b"_config"
+        blob = CHECKPOINT_MAGIC + struct.pack("<II", 1, 1)
+        blob += struct.pack("<I", len(name)) + name + struct.pack("<III", 3, 1, 1) + meta[:3].tobytes()
+        path = tmp_path / "s.hssn"
+        path.write_bytes(blob)
+        with pytest.raises(CheckpointFormatError, match="smaller than") as err:
+            load_checkpoint(path)
+        assert err.value.offset == len(blob) - 12
 
 
 class TestTrainLoop:

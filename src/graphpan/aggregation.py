@@ -32,7 +32,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .config import TrainConfig
-from .graph import HetGraph, build_graph, embed_patches
+from .graph import HetGraph, band_node, build_graph, embed_patches
 from .imaging import BANDS, Image, PatchGrid, ScenePair, extract_patches, upsample_bicubic
 from .patterns import MAX_PATTERNS, PatternSet, generate_patterns
 
@@ -40,16 +40,37 @@ _DEGREE_FLOOR = 1e-12
 _INIT_PATTERNS = 3  # disjoint relation supports give three singleton patterns
 
 
+def param_layout(cfg: TrainConfig) -> dict:
+    """The learned arrays, written once: for each :class:`ModelParams` field,
+    in field order, a (shape, init) pair, or a list of pairs for a list
+    field.  ``init`` is "glorot", "recon" (uniform in [-0.02, 0.02), or
+    zeros for a zero head) or a constant fill value.
+
+    The importance group is [W, b, q] of :func:`weigh_branches`; the
+    scorer's hidden width 2d is, at the default d = 64, the 128 of HAN's
+    semantic attention, and q = 0 weighs both branches 1/2.
+    """
+    d, p2 = cfg.d, cfg.patch * cfg.patch
+    return {
+        "w_pan": ((d, p2), "glorot"),
+        "w_band": [((d, p2), "glorot")] * BANDS,
+        "alpha": ((MAX_PATTERNS,), 1.0 / _INIT_PATTERNS),
+        "beta": ((MAX_PATTERNS,), 1.0),
+        "w_local": [((d, d), "glorot")] * cfg.layers,
+        "w_global": [((d, d), "glorot")] * cfg.layers,
+        "recon": [((p2, 2 * d), "recon")] * BANDS,
+        "importance": [((2 * d, d), "glorot"), ((2 * d,), 0.0), ((2 * d, 1), 0.0)],
+    }
+
+
 @dataclass
 class ModelParams:
-    """All learned arrays.  Scalar groups alpha/beta hold one slot per
-    possible relation-subset bitmask; slot m-1 belongs to mask m.  The
-    importance group is [W, b, q] of the per-node branch weighting, shaped
-    by :func:`importance_shapes` (see :func:`weigh_branches`); q = 0 weighs
-    both branches 1/2.
+    """All learned arrays, laid out by :func:`param_layout`.  Scalar groups
+    alpha/beta hold one slot per possible relation-subset bitmask; slot m-1
+    belongs to mask m.
 
-    Field order fixes the order of :meth:`named_arrays`; a list field
-    contributes one entry per element."""
+    Field order fixes the order of :meth:`named_arrays` and of the random
+    draws in :meth:`init`; a list field contributes one entry per element."""
 
     w_pan: object
     w_band: list
@@ -61,36 +82,31 @@ class ModelParams:
     importance: list
 
     @staticmethod
+    def build(cfg: TrainConfig, make) -> "ModelParams":
+        """Every array of the layout from ``make(name, shape, init)``, called
+        in :meth:`named_arrays` order."""
+        return ModelParams(**{
+            f: [make(f"{f}_{i}", *e) for i, e in enumerate(spec)]
+            if isinstance(spec, list) else make(f, *spec)
+            for f, spec in param_layout(cfg).items()
+        })
+
+    @staticmethod
     def init(cfg: TrainConfig, seed: int | None = None, zero_recon: bool = True) -> "ModelParams":
         rng = np.random.default_rng(cfg.seed if seed is None else seed)
         dt = cfg.dtype
-        p2 = cfg.patch * cfg.patch
 
-        def glorot(shape):
-            bound = np.sqrt(6.0 / (shape[0] + shape[1]))
-            return rng.uniform(-bound, bound, size=shape).astype(dt)
+        def draw(_name, shape, init):
+            if init == "glorot":
+                bound = np.sqrt(6.0 / (shape[0] + shape[1]))
+                return rng.uniform(-bound, bound, size=shape).astype(dt)
+            if init == "recon":
+                if zero_recon:
+                    return np.zeros(shape, dtype=dt)
+                return rng.uniform(-0.02, 0.02, size=shape).astype(dt)
+            return np.full(shape, init, dtype=dt)
 
-        recon_scale = 0.0 if zero_recon else 0.02
-        # keyword arguments evaluate in order: the importance group is drawn
-        # last, so every other initial value is independent of it
-        return ModelParams(
-            w_pan=glorot((cfg.d, p2)),
-            w_band=[glorot((cfg.d, p2)) for _ in range(BANDS)],
-            alpha=np.full(MAX_PATTERNS, 1.0 / _INIT_PATTERNS, dtype=dt),
-            beta=np.ones(MAX_PATTERNS, dtype=dt),
-            w_local=[glorot((cfg.d, cfg.d)) for _ in range(cfg.layers)],
-            w_global=[glorot((cfg.d, cfg.d)) for _ in range(cfg.layers)],
-            recon=[
-                rng.uniform(-recon_scale, recon_scale, size=(p2, 2 * cfg.d)).astype(dt)
-                if recon_scale
-                else np.zeros((p2, 2 * cfg.d), dtype=dt)
-                for _ in range(BANDS)
-            ],
-            importance=[
-                glorot(shape) if i == 0 else np.zeros(shape, dtype=dt)
-                for i, shape in enumerate(importance_shapes(cfg.d))
-            ],
-        )
+        return ModelParams.build(cfg, draw)
 
     def named_arrays(self):
         """Stable (name, array) list; names double as checkpoint block ids.
@@ -128,13 +144,6 @@ class ModelParams:
         tensors = {name: ad.Tensor(arr) for name, arr in self.named_arrays()}
         ordered = iter(tensors.values())
         return self._map(lambda _: next(ordered)), tensors
-
-
-def importance_shapes(d: int) -> list:
-    """Shapes of the importance group [W, b, q] for feature width d.  The
-    scorer's hidden width is 2d, which at the default d = 64 is the 128 of
-    HAN's semantic attention."""
-    return [(2 * d, d), (2 * d,), (2 * d, 1)]
 
 
 @dataclass
@@ -275,8 +284,7 @@ def reconstruct(H, grid: PatchGrid, recon, lrms_up: Image):
     bands = []
     flat_idx = idx.reshape(-1)
     for b in range(BANDS):
-        band_rows = n + BANDS * np.arange(n) + b
-        z = ad.concatenate([h_pan, H[band_rows]], axis=1)  # (n, 2d)
+        z = ad.concatenate([h_pan, H[band_node(np.arange(n), b, n)]], axis=1)  # (n, 2d)
         blocks = z @ ad.transpose(recon[b])  # (n, p*p)
         summed = ad.index_add(hw, flat_idx, ad.reshape(blocks, (-1,)))
         residual = summed / counts.astype(dtype)
@@ -288,7 +296,7 @@ def reconstruct(H, grid: PatchGrid, recon, lrms_up: Image):
 
 @dataclass
 class PipelineOutput:
-    fused: object  # (h, w, bands) array or tensor
+    fused: object  # (h, w, bands) array or tensor; an Image from forward()
     repr: NodeRepr
     graph: HetGraph
     patterns: PatternSet
@@ -342,23 +350,8 @@ def run_pipeline(
     )
 
 
-@dataclass
-class ForwardResult:
-    fused: Image
-    repr: NodeRepr
-    graph: HetGraph
-    patterns: PatternSet
-    lrms_up: Image
-
-
-def forward(scene: ScenePair, params: ModelParams, cfg: TrainConfig) -> ForwardResult:
-    """Inference-mode pass returning the fused image."""
+def forward(scene: ScenePair, params: ModelParams, cfg: TrainConfig) -> PipelineOutput:
+    """Inference-mode pass; ``fused`` is returned as an :class:`Image`."""
     out = run_pipeline(scene, params, cfg)
-    fused = Image.from_array(ad.value(out.fused))
-    return ForwardResult(
-        fused=fused,
-        repr=out.repr,
-        graph=out.graph,
-        patterns=out.patterns,
-        lrms_up=out.lrms_up,
-    )
+    out.fused = Image.from_array(ad.value(out.fused))
+    return out

@@ -6,8 +6,7 @@ Tensors and returns the matching kind, so numerical code can be written once
 and run both as a plain forward pass and under differentiation.
 
 Conventions baked in here and relied on elsewhere:
-  * piecewise-linear kinks (abs at 0, clip at its bounds, maximum at ties)
-    take subgradient 0,
+  * piecewise-linear kinks (abs at 0, clip at its bounds) take subgradient 0,
   * discrete choices are made on detached values and are never part of the
     tape,
   * a Python scalar operand takes the other operand's dtype, so a float32
@@ -105,9 +104,6 @@ class Tensor:
     def __neg__(self):
         return negative(self)
 
-    def __pow__(self, p):
-        return power(self, p)
-
     def __getitem__(self, idx):
         return take(self, idx)
 
@@ -146,17 +142,9 @@ def _topo_order(root):
     return order
 
 
-def is_tensor(x):
-    return isinstance(x, Tensor)
-
-
 def value(x):
     """Plain ndarray view of a Tensor or array-like (no tape link)."""
     return x.data if isinstance(x, Tensor) else np.asarray(x)
-
-
-def detach(x):
-    return value(x)
 
 
 def _operand(x):
@@ -237,19 +225,6 @@ def negative(a):
     return Tensor(-a.data, (a,), lambda g: (-g,))
 
 
-def power(a, p):
-    """Elementwise power with a plain (non-differentiated) exponent."""
-    if not isinstance(a, Tensor):
-        return np.power(a, p)
-    da = a.data
-    out = da ** p
-
-    def vjp(g):
-        return (g * p * da ** (p - 1),)
-
-    return Tensor(out, (a,), vjp)
-
-
 def matmul(a, b):
     if not (isinstance(a, Tensor) or isinstance(b, Tensor)):
         return np.matmul(a, b)
@@ -327,15 +302,6 @@ def log(a):
         return np.log(a)
     da = a.data
     return Tensor(np.log(da), (a,), lambda g: (g / da,))
-
-
-def maximum(a, lo):
-    """Elementwise max against a plain bound; subgradient 0 at ties."""
-    if not isinstance(a, Tensor):
-        return np.maximum(a, lo)
-    da = a.data
-    mask = (da > lo).astype(da.dtype)
-    return Tensor(np.maximum(da, lo), (a,), lambda g: (g * mask,))
 
 
 def clip(a, lo, hi):

@@ -1,8 +1,9 @@
 """Command-line interface.
 
-Subcommands: synth, train, eval, infer, patterns-dump, grad-check,
+Subcommands: synth, train, eval, infer, patterns-dump, grad-check, ablate,
 analyze-priors, bench.  Exit codes: 0 success, 1 validation/input error,
-2 failed numeric check or diverged training.
+2 failed numeric check (grad-check tolerance, ablate direction) or diverged
+training.
 
 Configuration merges three layers: built-in defaults, then an optional
 ``key = value`` config file (# comments), then explicit command-line flags.
@@ -27,13 +28,14 @@ from .aggregation import (
     global_similarity,
     run_pipeline,
 )
-from .config import TrainConfig
+from .config import ABLATION_MODES, TrainConfig
 from .graph import random_multiplex_graph
 from .imaging import Image, ScenePair, synth_scene, write_hsif, write_ppm
 from .metrics import full_reference, no_reference, prior_analysis
 from .patterns import generate_patterns, mask_label
 from .training import (
     TrainingDiverged,
+    ablation_table,
     grad_check,
     load_checkpoint,
     toy_config,
@@ -223,6 +225,27 @@ def cmd_grad_check(args) -> int:
     return 0 if ok else 2
 
 
+def cmd_ablate(args) -> int:
+    """Train every branch mode on one synthetic scene; the fused model must
+    end within 5% of its best single branch."""
+    if args.tail < 1:
+        raise CliError("--tail must be positive")
+    scene = synth_scene(args.seed, size=args.size)
+    rows = ablation_table([scene], TrainConfig(), iters=args.iters, tail=args.tail)
+    print(f"{'mode':<12} {'final_l1':>10} {'final_total':>12}")
+    for r in rows:
+        print(f"{r['mode']:<12} {r['final_l1']:>10.6f} {r['final_total']:>12.6f}")
+    l1 = {r["mode"]: r["final_l1"] for r in rows}
+    best = min(l1["local-only"], l1["global-only"])
+    gate = best * 1.05
+    ok = l1["full"] <= gate
+    print(
+        f"full {l1['full']:.6f} vs best single branch {best:.6f} "
+        f"(need <= {gate:.6f}): {'pass' if ok else 'fail'}"
+    )
+    return 0 if ok else 2
+
+
 def cmd_analyze_priors(args) -> int:
     sums, counts = {}, {}
     for i in range(args.count):
@@ -371,8 +394,15 @@ def build_parser() -> _Parser:
     s.add_argument("--tol", type=float, default=1e-4)
     s.add_argument("--max-coords", type=int, default=None)
     s.add_argument("--gamma", type=float, default=0.01)
-    s.add_argument("--ablate", choices=("full", "local-only", "global-only"), default="full")
+    s.add_argument("--ablate", choices=ABLATION_MODES, default="full")
     s.set_defaults(func=cmd_grad_check)
+
+    s = sub.add_parser("ablate", help="train each branch mode and check the fused model's direction")
+    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--size", type=int, default=64)
+    s.add_argument("--iters", type=int, default=500)
+    s.add_argument("--tail", type=int, default=25, help="iterations averaged for the final loss")
+    s.set_defaults(func=cmd_ablate)
 
     s = sub.add_parser("analyze-priors", help="histogram-transport table over synthetic scenes")
     s.add_argument("--count", type=int, default=10)

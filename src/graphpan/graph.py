@@ -1,8 +1,9 @@
 """Heterogeneous spatial-spectral patch graph.
 
-Nodes: N pan-patch nodes (ids 0..N-1) and 4N band-patch nodes, where band b
-of patch i gets id N + 4*i + b.  Three weighted directed relations connect
-them; an entry with row i, column j is an edge j -> i (rows receive):
+Nodes: N pan-patch nodes (ids 0..N-1) and 4N band-patch nodes after them,
+patch by patch; :func:`band_node` gives the id of band b of patch i.  Three
+weighted directed relations connect them; an entry with row i, column j is
+an edge j -> i (rows receive):
 
   1. pan -> pan: k nearest neighbours by cosine similarity of pan features,
   2. band -> band: per-band k nearest neighbours of band features,
@@ -22,20 +23,13 @@ import numpy as np
 from . import autodiff as ad
 from .imaging import BANDS, PatchGrid
 
-N_NODE_KINDS = 2
 N_RELATIONS = 3
 
 
-def pan_node(i):
-    return i
-
-
 def band_node(i, b, n_patches):
+    """Node id of band b of patch i (scalars or broadcasting int arrays);
+    pan node i has id i."""
     return n_patches + BANDS * i + b
-
-
-def node_kind(idx, n_patches):
-    return "pan" if idx < n_patches else "band"
 
 
 @dataclass
@@ -44,7 +38,6 @@ class GraphStructure:
     sorted by (dst, src)."""
 
     n_patches: int
-    k: int
     edges: tuple  # three (src, dst) pairs
     n_nodes: int = -1
 
@@ -128,7 +121,7 @@ def edge_weights(feats, src, dst):
     return ad.clip(cosine_rows(feats[dst], feats[src]), 0.0, 1.0)
 
 
-def cosine_rows(a, b, _zero=0.0):
+def cosine_rows(a, b):
     """Row-wise cosine similarity; rows with zero norm give similarity 0."""
     num = ad.sum(a * b, axis=1)
     qa = ad.sum(a * a, axis=1)
@@ -158,22 +151,22 @@ def build_structure(pan_feats, band_feats, k: int) -> GraphStructure:
     srcs, dsts = [], []
     for b, yb in enumerate(band_feats):
         sb, db = knn_select(ad.value(yb), k)
-        srcs.append(n + BANDS * sb + b)
-        dsts.append(n + BANDS * db + b)
+        srcs.append(band_node(sb, b, n))
+        dsts.append(band_node(db, b, n))
     s2 = np.concatenate(srcs) if srcs else np.empty(0, np.int64)
     d2 = np.concatenate(dsts) if dsts else np.empty(0, np.int64)
     o2 = np.lexsort((s2, d2))
     s2, d2 = s2[o2], d2[o2]
 
     i = np.arange(n, dtype=np.int64)
-    band_ids = (n + BANDS * i[:, None] + np.arange(BANDS)[None, :]).reshape(-1)
+    band_ids = band_node(i[:, None], np.arange(BANDS)[None, :], n).reshape(-1)
     pan_ids = np.repeat(i, BANDS)
     s3 = np.concatenate([band_ids, pan_ids])
     d3 = np.concatenate([pan_ids, band_ids])
     o3 = np.lexsort((s3, d3))
     s3, d3 = s3[o3], d3[o3]
 
-    return GraphStructure(n_patches=n, k=k, edges=((s1, d1), (s2, d2), (s3, d3)))
+    return GraphStructure(n_patches=n, edges=((s1, d1), (s2, d2), (s3, d3)))
 
 
 def build_graph(pan_feats, band_feats, k: int, structure: GraphStructure | None = None) -> HetGraph:
@@ -192,11 +185,6 @@ def build_graph(pan_feats, band_feats, k: int, structure: GraphStructure | None 
     return HetGraph(structure=structure, weights=weights, U=U)
 
 
-def incoming_degrees(g: HetGraph, r: int) -> np.ndarray:
-    src, dst, _ = g.relation(r)
-    return np.bincount(dst, minlength=g.n_nodes)
-
-
 def random_multiplex_graph(n_nodes: int, density: float, seed: int) -> HetGraph:
     """Synthetic 3-relation graph for tests and benchmarks: each ordered
     off-diagonal pair enters each relation independently with ``density``,
@@ -211,5 +199,5 @@ def random_multiplex_graph(n_nodes: int, density: float, seed: int) -> HetGraph:
         order = np.lexsort((src, dst))
         edges.append((src[order].astype(np.int64), dst[order].astype(np.int64)))
         weights.append(w[order])
-    structure = GraphStructure(n_patches=0, k=0, edges=tuple(edges), n_nodes=n_nodes)
+    structure = GraphStructure(n_patches=0, edges=tuple(edges), n_nodes=n_nodes)
     return HetGraph(structure=structure, weights=weights, U=np.zeros((n_nodes, 1)))

@@ -271,17 +271,14 @@ def prior_analysis(scene: ScenePair, bins: int = 64):
     gt_h = [intensity_histogram(scene.gt.data[:, :, b], bins) for b in range(scene.gt.channels)]
     lr_h = [intensity_histogram(lrms_up.data[:, :, b], bins) for b in range(lrms_up.channels)]
 
-    rows = []
-    for b, gh in enumerate(gt_h):
-        e = histogram_emd(pan_h, gh)
-        rows.append((f"pan_vs_gt_b{b + 1}", e, 1.0 / (1.0 + e)))
-    for b, (lh, gh) in enumerate(zip(lr_h, gt_h)):
-        e = histogram_emd(lh, gh)
-        rows.append((f"lrms_vs_gt_b{b + 1}", e, 1.0 / (1.0 + e)))
-    for b in range(len(lr_h) - 1):
-        e = histogram_emd(lr_h[b], lr_h[b + 1])
-        rows.append((f"lrms_b{b + 1}_vs_b{b + 2}", e, 1.0 / (1.0 + e)))
-    for b in range(len(gt_h) - 1):
-        e = histogram_emd(gt_h[b], gt_h[b + 1])
-        rows.append((f"gt_b{b + 1}_vs_b{b + 2}", e, 1.0 / (1.0 + e)))
-    return rows
+    families = (
+        ("pan_vs_gt_b{0}", [pan_h] * len(gt_h), gt_h),
+        ("lrms_vs_gt_b{0}", lr_h, gt_h),
+        ("lrms_b{0}_vs_b{1}", lr_h[:-1], lr_h[1:]),
+        ("gt_b{0}_vs_b{1}", gt_h[:-1], gt_h[1:]),
+    )
+    return [
+        (label.format(b + 1, b + 2), histogram_emd(h1, h2), prior_coefficient(h1, h2))
+        for label, left, right in families
+        for b, (h1, h2) in enumerate(zip(left, right))
+    ]

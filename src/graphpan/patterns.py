@@ -48,10 +48,6 @@ class RelationPattern:
     def nnz(self):
         return len(self.rows)
 
-    @property
-    def subset(self):
-        return subset_of_mask(self.mask)
-
     def to_dense(self, n):
         m = np.zeros((n, n), dtype=ad.value(self.vals).dtype)
         m[self.rows, self.cols] = ad.value(self.vals)

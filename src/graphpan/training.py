@@ -11,6 +11,7 @@ graph topology frozen at the baseline) serves as the correctness oracle.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,10 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .aggregation import ModelParams, importance_shapes, run_pipeline
-from .config import TrainConfig
+from .aggregation import ModelParams, run_pipeline
+from .config import ABLATION_MODES, TrainConfig
 from .imaging import BANDS, FormatError, Image, ScenePair, degrade_image
-from .patterns import MAX_PATTERNS
 
 CHECKPOINT_MAGIC = b"HSSN"
 CHECKPOINT_VERSION = 1
@@ -271,21 +271,51 @@ def lr_schedule(cfg: TrainConfig, iteration: int) -> float:
 # checkpoints: magic HSSN, version u32, block count u32, then named blocks
 # (name length u32, utf-8 name, three u32 dims, float32 little-endian payload)
 
+# the TrainConfig fields of the _config block, in order; ablate is stored as
+# its index in ABLATION_MODES, and a block without it (the first seven
+# fields only, as written before ablate was stored) loads as "full"
+CONFIG_FIELDS = ("patch", "stride", "d", "layers", "k", "tau", "gamma", "ablate")
+_LEGACY_CONFIG_LEN = 7
+
 
 def _dims3(shape):
     dims = list(shape) + [1, 1, 1]
     if len(shape) > 3:
         raise ValueError("checkpoint blocks are at most 3-D")
-    return dims[:3]
+    return tuple(dims[:3])
+
+
+def _encode_config(cfg: TrainConfig) -> np.ndarray:
+    return np.array(
+        [ABLATION_MODES.index(cfg.ablate) if f == "ablate" else getattr(cfg, f)
+         for f in CONFIG_FIELDS],
+        dtype=np.float32,
+    )
+
+
+def _decode_config(meta) -> TrainConfig:
+    """Inverse of :func:`_encode_config`; raises ValueError for a value
+    that is not a valid config."""
+    types = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
+    kw = {}
+    for name, v in zip(CONFIG_FIELDS, meta.tolist()):
+        if not np.isfinite(v):
+            raise ValueError(f"{name} is {v}")
+        if name == "ablate" or types[name] == "int":
+            if v != int(v):
+                raise ValueError(f"{name} {v} is not an integer")
+            v = int(v)
+        if name == "ablate":
+            if not 0 <= v < len(ABLATION_MODES):
+                raise ValueError(f"unknown ablation mode index {v}")
+            v = ABLATION_MODES[v]
+        kw[name] = v
+    return TrainConfig(**kw).validate()
 
 
 def save_checkpoint(path, params: ModelParams, cfg: TrainConfig):
     blocks = list(params.named_arrays())
-    meta = np.array(
-        [cfg.patch, cfg.stride, cfg.d, cfg.layers, cfg.k, cfg.tau, cfg.gamma],
-        dtype=np.float32,
-    )
-    blocks.append(("_config", meta))
+    blocks.append(("_config", _encode_config(cfg)))
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<II", CHECKPOINT_VERSION, len(blocks)))
@@ -304,7 +334,9 @@ class CheckpointFormatError(FormatError):
 
 def load_checkpoint(path):
     """Returns (ModelParams, TrainConfig-with-model-fields).  A malformed or
-    truncated file raises :class:`CheckpointFormatError`."""
+    truncated file, a block whose dims differ from the model's layout, or a
+    ``_config`` block that is not a valid config raises
+    :class:`CheckpointFormatError`."""
     blob = Path(path).read_bytes()
     if blob[:4] != CHECKPOINT_MAGIC:
         raise CheckpointFormatError("bad checkpoint magic", offset=0)
@@ -323,55 +355,42 @@ def load_checkpoint(path):
         (nlen,), pos = unpack("<I", pos, "block name length")
         (raw,), pos = unpack(f"{nlen}s", pos, "block name")
         name = raw.decode("utf-8")
-        (a, b, c), pos = unpack("<III", pos, f"block {name!r} dims")
-        count = a * b * c
+        dims, pos = unpack("<III", pos, f"block {name!r} dims")
+        count = int(np.prod(dims))
         arr = np.frombuffer(blob[pos : pos + 4 * count], dtype="<f4")
         if arr.size != count:
             raise CheckpointFormatError(f"truncated checkpoint block {name!r}", offset=len(blob))
-        raw_blocks[name] = (arr.reshape(a, b, c), pos)
+        raw_blocks[name] = (arr, dims, pos)
         pos += 4 * count
 
-    def block(name, shape):
+    def block(name, *shapes):
+        """The block's array in the first of ``shapes`` its dims match."""
         if name not in raw_blocks:
             raise CheckpointFormatError(f"checkpoint missing block {name!r}", offset=pos)
-        arr, start = raw_blocks[name]
-        sub = arr[tuple(slice(0, s) for s in shape)]
-        if sub.size != np.prod(shape):
-            raise CheckpointFormatError(
-                f"checkpoint block {name!r} of dims {arr.shape} is smaller than {shape}",
-                offset=start,
-            )
-        return sub.reshape(shape).copy()
+        arr, dims, start = raw_blocks[name]
+        for shape in shapes:
+            if dims == _dims3(shape):
+                return arr.reshape(shape).copy(), start
+        want = shapes[-1]
+        rel = "is smaller than" if arr.size < np.prod(want) else "does not match"
+        raise CheckpointFormatError(
+            f"checkpoint block {name!r} of dims {dims} {rel} {want}", offset=start
+        )
 
-    meta = block("_config", (7,))
-    cfg = TrainConfig(
-        patch=int(meta[0]),
-        stride=int(meta[1]),
-        d=int(meta[2]),
-        layers=int(meta[3]),
-        k=int(meta[4]),
-        tau=float(meta[5]),
-        gamma=float(meta[6]),
-    )
+    meta, start = block("_config", (_LEGACY_CONFIG_LEN,), (len(CONFIG_FIELDS),))
+    try:
+        cfg = _decode_config(meta)
+    except (ValueError, OverflowError) as e:
+        raise CheckpointFormatError(f"bad checkpoint _config: {e}", offset=start) from None
 
-    p2 = cfg.patch * cfg.patch
-    params = ModelParams(
-        w_pan=block("w_pan", (cfg.d, p2)),
-        w_band=[block(f"w_band_{b}", (cfg.d, p2)) for b in range(BANDS)],
-        alpha=block("alpha", (MAX_PATTERNS,)),
-        beta=block("beta", (MAX_PATTERNS,)),
-        w_local=[block(f"w_local_{i}", (cfg.d, cfg.d)) for i in range(cfg.layers)],
-        w_global=[block(f"w_global_{i}", (cfg.d, cfg.d)) for i in range(cfg.layers)],
-        recon=[block(f"recon_{b}", (p2, 2 * cfg.d)) for b in range(BANDS)],
+    def load(name, shape, _init):
         # checkpoints written before the importance group existed load it
         # all-zero, which reproduces the plain-mean fusion exactly
-        importance=[
-            block(f"importance_{i}", shape) if "importance_0" in raw_blocks
-            else np.zeros(shape, dtype=np.float32)
-            for i, shape in enumerate(importance_shapes(cfg.d))
-        ],
-    )
-    return params, cfg
+        if name.startswith("importance_") and "importance_0" not in raw_blocks:
+            return np.zeros(shape, dtype=np.float32)
+        return block(name, shape)[0]
+
+    return ModelParams.build(cfg, load), cfg
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +487,7 @@ def ablation_table(dataset, cfg: TrainConfig, iters=None, tail=25):
     """Train once per branch mode and report closing L1 (mean over the last
     ``tail`` iterations).  Returns rows [{mode, final_l1, final_total}]."""
     rows = []
-    for mode in ("full", "local-only", "global-only"):
+    for mode in ABLATION_MODES:
         mcfg = cfg.replace(ablate=mode)
         if iters is not None:
             mcfg = mcfg.replace(iters=iters)

@@ -6,6 +6,8 @@ normalisation for the local branch; row-L1-normalised B B^T for the global
 branch), plus hand-computed miniature cases.
 """
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from graphpan.aggregation import (
     forward,
     fuse,
     global_similarity,
-    importance_shapes,
+    param_layout,
     reconstruct,
     run_pipeline,
     weigh_branches,
@@ -308,7 +310,8 @@ class TestFuse:
 
 class TestWeighBranches:
     def _importance(self, rng, d, q_scale=1.0):
-        w, b, q = (rng.normal(size=shape) for shape in importance_shapes(d))
+        layout = param_layout(TrainConfig(d=d))["importance"]
+        w, b, q = (rng.normal(size=shape) for shape, _ in layout)
         return [w, b, q_scale * q]
 
     def test_neutral_q_returns_branches_unchanged(self):
@@ -464,6 +467,18 @@ class TestModelParams:
         np.testing.assert_array_equal(b, 0.0)
         np.testing.assert_array_equal(q, 0.0)
 
+    def test_layout_follows_fields(self):
+        cfg = TrainConfig(d=8, patch=4, layers=3)
+        layout = param_layout(cfg)
+        assert list(layout) == [f.name for f in fields(ModelParams)]
+        shapes = [
+            shape
+            for spec in layout.values()
+            for shape, _ in (spec if isinstance(spec, list) else [spec])
+        ]
+        p = ModelParams.init(cfg, seed=0)
+        assert [a.shape for _, a in p.named_arrays()] == shapes
+
     def test_importance_drawn_last(self):
         # the importance group is drawn after every other group, so the
         # other initial values are what the same seed gave before it existed
@@ -508,7 +523,7 @@ class TestModelParams:
     def test_to_tensors_shares_values(self):
         p = ModelParams.init(TrainConfig(d=8, patch=4), seed=0, zero_recon=False)
         tp, tensors = p.to_tensors()
-        assert ad.is_tensor(tp.w_pan)
+        assert isinstance(tp.w_pan, ad.Tensor)
         np.testing.assert_array_equal(tensors["w_pan"].data, p.w_pan)
         assert set(tensors) == {n for n, _ in p.named_arrays()}
 

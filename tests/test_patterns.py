@@ -39,7 +39,7 @@ def make_graph(n, rel_edges):
         order = np.lexsort((src, dst))
         edges.append((src[order], dst[order]))
         weights.append(w[order])
-    structure = GraphStructure(n_patches=0, k=0, edges=tuple(edges), n_nodes=n)
+    structure = GraphStructure(n_patches=0, edges=tuple(edges), n_nodes=n)
     return HetGraph(structure=structure, weights=weights, U=np.zeros((n, 1)))
 
 

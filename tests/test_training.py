@@ -16,6 +16,7 @@ from graphpan.config import TrainConfig
 from graphpan.imaging import BANDS, Image, ScenePair, degrade_image
 from graphpan.training import (
     CHECKPOINT_MAGIC,
+    CONFIG_FIELDS,
     AdamState,
     CheckpointFormatError,
     LossBreakdown,
@@ -364,6 +365,21 @@ class TestLrSchedule:
         assert all(b <= a for a, b in zip(vals, vals[1:]))
 
 
+def write_blocks(path, blocks):
+    """Write (name, array) blocks in the .hssn layout; returns each block's
+    payload offset."""
+    blob = CHECKPOINT_MAGIC + struct.pack("<II", 1, len(blocks))
+    offsets = {}
+    for name, arr in blocks:
+        arr = np.asarray(arr, dtype="<f4")
+        dims = list(arr.shape) + [1] * (3 - arr.ndim)
+        blob += struct.pack("<I", len(name)) + name.encode() + struct.pack("<III", *dims)
+        offsets[name] = len(blob)
+        blob += arr.tobytes()
+    path.write_bytes(blob)
+    return offsets
+
+
 class TestCheckpoints:
     def test_round_trip(self, tmp_path):
         cfg = toy_config(gamma=0.02, tau=0.7)
@@ -415,14 +431,8 @@ class TestCheckpoints:
         meta = np.array([4, 4, 8, 2, 1, 0.7, 0.02], dtype="<f4")
         blocks = [(n, a) for n, a in params.named_arrays() if not n.startswith("importance")]
         blocks.append(("_config", meta))
-        blob = CHECKPOINT_MAGIC + struct.pack("<II", 1, len(blocks))
-        for name, arr in blocks:
-            arr = np.asarray(arr, dtype="<f4")
-            dims = list(arr.shape) + [1] * (3 - arr.ndim)
-            blob += struct.pack("<I", len(name)) + name.encode()
-            blob += struct.pack("<III", *dims) + arr.tobytes()
         path = tmp_path / "old.hssn"
-        path.write_bytes(blob)
+        write_blocks(path, blocks)
         back, bcfg = load_checkpoint(path)
         w, b, q = back.importance
         assert w.shape == (16, 8) and b.shape == (16,) and q.shape == (16, 1)
@@ -438,6 +448,66 @@ class TestCheckpoints:
         np.testing.assert_array_equal(
             ad.value(full.repr.h), (ad.value(loc.repr.h) + ad.value(glo.repr.h)) / 2.0
         )
+
+    @pytest.mark.parametrize("mode", ["full", "local-only", "global-only"])
+    def test_round_trip_keeps_ablation_mode(self, tmp_path, mode):
+        cfg = TrainConfig(patch=4, stride=4, d=8, layers=1, k=1, ablate=mode)
+        params = ModelParams.init(cfg, seed=5, zero_recon=False)
+        path = tmp_path / "ck.hssn"
+        save_checkpoint(path, params, cfg)
+        back, bcfg = load_checkpoint(path)
+        assert bcfg.ablate == mode
+        scene = toy_scene(0)
+        np.testing.assert_array_equal(
+            ad.value(run_pipeline(scene, back, bcfg).fused),
+            ad.value(run_pipeline(scene, params, cfg).fused),
+        )
+
+    def test_seven_entry_config_loads_as_full(self, tmp_path):
+        # the _config block as written before ablate was stored
+        cfg = toy_config(gamma=0.02, tau=0.7)
+        params = ModelParams.init(cfg, seed=5, zero_recon=False)
+        blocks = params.named_arrays() + [("_config", [4, 4, 8, 2, 1, 0.7, 0.02])]
+        write_blocks(tmp_path / "old.hssn", blocks)
+        back, bcfg = load_checkpoint(tmp_path / "old.hssn")
+        assert bcfg.ablate == "full"
+        assert (bcfg.patch, bcfg.stride, bcfg.d, bcfg.layers, bcfg.k) == (4, 4, 8, 2, 1)
+        for (n1, a1), (n2, a2) in zip(params.named_arrays(), back.named_arrays()):
+            assert n1 == n2
+            np.testing.assert_array_equal(np.asarray(a1, dtype=np.float32), a2)
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("tau", 0.0, "tau must be positive"),
+        ("layers", 0.0, "must be positive"),
+        ("stride", 8.0, "stride <= patch"),
+        ("gamma", float("nan"), "gamma is nan"),
+        ("k", 1.5, "not an integer"),
+        ("ablate", 3.0, "unknown ablation mode"),
+    ])
+    def test_invalid_config_rejected_with_offset(self, tmp_path, field, value, message):
+        cfg = toy_config()
+        params = ModelParams.init(cfg, seed=0)
+        meta = [4, 4, 8, 2, 1, 0.5, 0.01, 0]
+        meta[CONFIG_FIELDS.index(field)] = value
+        path = tmp_path / "c.hssn"
+        offsets = write_blocks(path, params.named_arrays() + [("_config", meta)])
+        with pytest.raises(CheckpointFormatError, match=message) as err:
+            load_checkpoint(path)
+        assert err.value.offset == offsets["_config"]
+
+    @pytest.mark.parametrize("name,shape", [("w_pan", (8, 17)), ("alpha", (8,)), ("w_local_0", (8, 4))])
+    def test_block_dims_must_match_exactly(self, tmp_path, name, shape):
+        # a larger block used to be cut silently; any mismatch now raises
+        cfg = toy_config()
+        params = ModelParams.init(cfg, seed=0)
+        blocks = [
+            (n, np.zeros(shape) if n == name else a) for n, a in params.named_arrays()
+        ] + [("_config", [4, 4, 8, 2, 1, 0.5, 0.01, 0])]
+        path = tmp_path / "b.hssn"
+        offsets = write_blocks(path, blocks)
+        with pytest.raises(CheckpointFormatError, match=f"block '{name}' of dims") as err:
+            load_checkpoint(path)
+        assert err.value.offset == offsets[name]
 
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "bad.hssn"

@@ -1,7 +1,8 @@
 """Model parameters and the graph aggregation / reconstruction pipeline.
 
 Local branch: patterns are combined with learned scalars, symmetrised,
-self-looped and degree-normalised; node attributes propagate through a
+self-looped and degree-normalised (applied straight from the pattern
+entries, see :func:`aggregate_local`); node attributes propagate through a
 stack of linear layers (no activations) and the per-depth outputs are
 averaged.
 
@@ -158,15 +159,17 @@ class NodeRepr:
     h: object
 
 
-def _coalesce(n, rows, cols, vals):
-    keys = rows * n + cols
-    uniq, inv = np.unique(keys, return_inverse=True)
-    summed = ad.index_add(len(uniq), inv, vals)
-    return uniq // n, uniq % n, summed
-
-
 def aggregate_local(ps: PatternSet, U, alpha, w_local) -> object:
-    """Pattern-weighted local propagation with depth averaging."""
+    """Pattern-weighted local propagation with depth averaging.
+
+    With A the alpha-scaled pattern entries, the operator is
+    D^{-1/2} (A/2 + A^T/2 + I) D^{-1/2}, whose degrees are
+    deg = A 1/2 + A^T 1/2 + 1.  It is applied as
+    D^{-1/2} (A V/2 + A^T V/2 + V) with V = D^{-1/2} U: one scatter along
+    the entry rows and one along the columns.  Every step is linear in the
+    entries, so entries that share a (row, col) need no merging.  A node of
+    degree at most the floor is dropped (its rows and columns are zero).
+    """
     if len(ps) == 0:
         raise ValueError("empty pattern set")
     n = ps.n_nodes
@@ -174,21 +177,14 @@ def aggregate_local(ps: PatternSet, U, alpha, w_local) -> object:
     cols = np.concatenate([p.cols for p in ps])
     vals = ad.concatenate([p.vals * alpha[p.mask - 1] for p in ps], axis=0)
 
-    # symmetrise, add self-loops, coalesce duplicates
-    dtype = ad.value(vals).dtype
-    sym_rows = np.concatenate([rows, cols, np.arange(n)])
-    sym_cols = np.concatenate([cols, rows, np.arange(n)])
-    sym_vals = ad.concatenate([vals * 0.5, vals * 0.5, np.ones(n, dtype=dtype)], axis=0)
-    crows, ccols, cvals = _coalesce(n, sym_rows, sym_cols, sym_vals)
-
-    # symmetric degree normalisation with a floor against non-positive rows
-    deg = ad.index_add(n, crows, cvals)
+    deg = (ad.index_add(n, rows, vals) + ad.index_add(n, cols, vals)) * 0.5 + 1.0
+    dtype = ad.value(deg).dtype
     live = (ad.value(deg) > _DEGREE_FLOOR).astype(dtype)
-    dinv = live / ad.sqrt(deg * live + (1.0 - live))
-    w = cvals * dinv[crows] * dinv[ccols]
-
-    au = ad.index_add(n, crows, ad.reshape(w, (-1, 1)) * U[ccols])
-    h = au
+    dinv = ad.reshape(live / ad.sqrt(deg * live + (1.0 - live)), (n, 1))
+    v = dinv * U
+    e = ad.reshape(vals, (-1, 1))
+    av = ad.index_add(n, rows, e * v[cols]) + ad.index_add(n, cols, e * v[rows])
+    h = dinv * (av * 0.5 + v)
     acc = None
     for wl in w_local:
         h = h @ wl

@@ -165,7 +165,7 @@ def cmd_eval(args) -> int:
 
 def cmd_infer(args) -> int:
     params, mcfg = load_checkpoint(args.checkpoint)
-    scene = ScenePair.load(args.scene, scale=args.scale)
+    scene = ScenePair.load(args.scene)
     fused = forward(scene, params, mcfg).fused
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -374,7 +374,6 @@ def build_parser() -> _Parser:
     s.add_argument("--checkpoint", required=True)
     s.add_argument("--scene", required=True)
     s.add_argument("--out", required=True)
-    s.add_argument("--scale", type=int, default=4)
     s.set_defaults(func=cmd_infer)
 
     s = sub.add_parser("patterns-dump", help="dump relations and patterns")

@@ -35,9 +35,6 @@ class TrainConfig:
     decay_every: int = 3000
     iters: int = 30000
     batch: int = 4
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     # run control
     seed: int = 0
@@ -49,6 +46,9 @@ class TrainConfig:
         return np.float64 if self.precision == "high" else np.float32
 
     def validate(self):
+        for f in dataclasses.fields(self):
+            if f.type == "float" and not np.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if self.patch < 1 or self.stride < 1 or self.stride > self.patch:
             raise ValueError("need 1 <= stride <= patch")
         if self.d < 1 or self.layers < 1 or self.k < 1:
@@ -65,10 +65,6 @@ class TrainConfig:
             raise ValueError(f"unknown precision {self.precision!r}")
         if self.ablate not in ABLATION_MODES:
             raise ValueError(f"unknown ablation mode {self.ablate!r}")
-        if not (0 <= self.adam_beta1 < 1 and 0 <= self.adam_beta2 < 1):
-            raise ValueError("adam betas must lie in [0, 1)")
-        if self.adam_eps <= 0:
-            raise ValueError("adam_eps must be positive")
         return self
 
     def replace(self, **kw) -> "TrainConfig":

@@ -9,9 +9,11 @@ an edge j -> i (rows receive):
   2. band -> band: per-band k nearest neighbours of band features,
   3. band <-> pan within the same patch, both directions.
 
-Edge weights are cosine similarities clamped to [0, 1].  Neighbour selection
-happens on detached feature values; weights are recomputed through the ops
-layer so gradients flow into the embeddings while the topology stays fixed.
+Edge weights are cosine similarities clamped to [0, 1], taken as dot
+products of the endpoints' unit rows (:func:`unit_rows` of U, computed
+once).  Neighbour selection happens on detached feature values; weights are
+recomputed through the ops layer so gradients flow into the embeddings while
+the topology stays fixed.
 """
 
 from __future__ import annotations
@@ -83,6 +85,14 @@ def embed_patches(pan_grid: PatchGrid, band_grids, w_pan, w_band):
     return xp, ys
 
 
+def unit_rows(x):
+    """Rows scaled to unit L2 norm; a zero row stays zero and passes no
+    gradient.  Plain arrays in, plain arrays out; tensors are taped."""
+    q = ad.sum(x * x, axis=1, keepdims=True)
+    keep = (ad.value(q) > 0.0).astype(ad.value(q).dtype)
+    return x / ad.sqrt(q * keep + (1.0 - keep)) * keep
+
+
 def knn_select(feats: np.ndarray, k: int):
     """Pick the k highest-cosine distinct neighbours j != i for each i.
 
@@ -90,12 +100,10 @@ def knn_select(feats: np.ndarray, k: int):
     treated as similarity 0 to everything.  Returns (src, dst) arrays sorted
     by (dst, src).
     """
-    f = np.asarray(feats, dtype=np.float64)
-    m = f.shape[0]
+    unit = unit_rows(np.asarray(feats, dtype=np.float64))
+    m = unit.shape[0]
     if m < 2:
         return np.empty(0, np.int64), np.empty(0, np.int64)
-    norms = np.linalg.norm(f, axis=1, keepdims=True)
-    unit = np.divide(f, norms, out=np.zeros_like(f), where=norms > 0)
     sims = unit @ unit.T
     np.fill_diagonal(sims, -np.inf)
     kk = min(k, m - 1)
@@ -109,29 +117,10 @@ def knn_select(feats: np.ndarray, k: int):
     return src, dst
 
 
-def knn_edges(feats, k: int):
-    """k-NN relation over one feature set: (src, dst, clamped cosine weights)."""
-    src, dst = knn_select(ad.value(feats), k)
-    w = edge_weights(feats, src, dst)
-    return src, dst, w
-
-
-def edge_weights(feats, src, dst):
-    """Clamped cosine similarity between endpoint rows (differentiable)."""
-    return ad.clip(cosine_rows(feats[dst], feats[src]), 0.0, 1.0)
-
-
-def cosine_rows(a, b):
-    """Row-wise cosine similarity; rows with zero norm give similarity 0."""
-    num = ad.sum(a * b, axis=1)
-    qa = ad.sum(a * a, axis=1)
-    qb = ad.sum(b * b, axis=1)
-    keep = (ad.value(qa) > 0.0) & (ad.value(qb) > 0.0)
-    keepf = keep.astype(ad.value(qa).dtype)
-    dead = 1.0 - keepf
-    na = ad.sqrt(qa * keepf + dead)
-    nb = ad.sqrt(qb * keepf + dead)
-    return (num / (na * nb)) * keepf
+def edge_weights(unit, src, dst):
+    """Clamped cosine similarity of each edge's endpoints, given the rows of
+    :func:`unit_rows` (differentiable)."""
+    return ad.clip(ad.sum(unit[dst] * unit[src], axis=1), 0.0, 1.0)
 
 
 def _stack_node_attributes(pan_feats, band_feats):
@@ -179,9 +168,8 @@ def build_graph(pan_feats, band_feats, k: int, structure: GraphStructure | None 
     if structure is None:
         structure = build_structure(pan_feats, band_feats, k)
     U = _stack_node_attributes(pan_feats, band_feats)
-    weights = []
-    for src, dst in structure.edges:
-        weights.append(edge_weights(U, src, dst))
+    unit = unit_rows(U)
+    weights = [edge_weights(unit, src, dst) for src, dst in structure.edges]
     return HetGraph(structure=structure, weights=weights, U=U)
 
 

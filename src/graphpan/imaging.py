@@ -146,8 +146,8 @@ def _read_netpbm(path, magic: bytes, channels: int) -> Image:
     blob = Path(path).read_bytes()
     if blob[:2] != magic:
         raise ImageFormatError(f"bad {magic.decode()} magic", offset=0)
-    # header: magic, width, height, maxval as whitespace-separated tokens,
-    # with optional '#' comments
+    # header: magic, width, height, maxval as whitespace-separated decimal
+    # tokens, with optional '#' comments
     tokens, pos = [], 2
     while len(tokens) < 3:
         if pos >= len(blob):
@@ -162,11 +162,17 @@ def _read_netpbm(path, magic: bytes, channels: int) -> Image:
             start = pos
             while pos < len(blob) and not blob[pos : pos + 1].isspace():
                 pos += 1
-            tokens.append(blob[start:pos])
+            token = blob[start:pos]
+            if not token.isdigit():
+                raise ImageFormatError(f"non-numeric netpbm header field {token!r}", offset=start)
+            tokens.append((int(token), start))
     pos += 1  # single whitespace after maxval
-    w, h, maxval = (int(t) for t in tokens)
+    (w, w_at), (h, h_at), (maxval, maxval_at) = tokens
+    for size, at in ((w, w_at), (h, h_at)):
+        if not 0 < size <= _MAX_DIM:
+            raise ImageFormatError(f"bad netpbm dimension {size}", offset=at)
     if maxval != 255:
-        raise ImageFormatError(f"unsupported maxval {maxval}", offset=2)
+        raise ImageFormatError(f"unsupported maxval {maxval}", offset=maxval_at)
     need = pos + h * w * channels
     if len(blob) < need:
         raise ImageFormatError("truncated netpbm payload", offset=len(blob))
@@ -241,13 +247,15 @@ class ScenePair:
             write_hsif(folder / "gt.hsif", self.gt)
 
     @staticmethod
-    def load(folder, scale=4, need_gt=False) -> "ScenePair":
+    def load(folder, need_gt=False) -> "ScenePair":
+        """Read a scene directory; the scale is pan height / lrms height,
+        and :meth:`validate` checks it on both axes."""
         folder = Path(folder)
         pan = read_hsif(folder / "pan.hsif")
         lrms = read_hsif(folder / "lrms.hsif")
         gt_path = folder / "gt.hsif"
         gt = read_hsif(gt_path) if (gt_path.exists() or need_gt) else None
-        return ScenePair(pan, lrms, gt, scale).validate()
+        return ScenePair(pan, lrms, gt, pan.height // lrms.height).validate()
 
 
 def gaussian_blur(data: np.ndarray, sigma: float) -> np.ndarray:

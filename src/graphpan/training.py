@@ -21,12 +21,18 @@ import numpy as np
 from . import autodiff as ad
 from .aggregation import ModelParams, run_pipeline
 from .config import ABLATION_MODES, TrainConfig
+from .graph import unit_rows
 from .imaging import BANDS, FormatError, Image, ScenePair, degrade_image
 
 CHECKPOINT_MAGIC = b"HSSN"
 CHECKPOINT_VERSION = 1
 
 _REL_FLOOR = 1e-6  # relative-error denominators never drop below this
+
+# Adam's moment decay rates and denominator offset
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class TrainingDiverged(RuntimeError):
@@ -48,13 +54,6 @@ def l1_loss(fused, gt):
     return ad.mean(ad.absolute(fused - gt))
 
 
-def _unit_rows(x):
-    q = ad.sum(x * x, axis=1, keepdims=True)
-    keep = (ad.value(q) > 0.0).astype(ad.value(q).dtype)
-    norm = ad.sqrt(q * keep + (1.0 - keep))
-    return (x / norm) * keep
-
-
 def contrastive_loss(h_local, h_global, tau: float):
     """Alignment of matching local/global rows against all other rows.
 
@@ -70,7 +69,7 @@ def contrastive_loss(h_local, h_global, tau: float):
         raise ValueError("contrastive loss needs at least 2 nodes")
     if tau <= 0:
         raise ValueError("tau must be positive")
-    return ad.info_nce(_unit_rows(h_local), _unit_rows(h_global), tau)
+    return ad.info_nce(unit_rows(h_local), unit_rows(h_global), tau)
 
 
 def kindwise_contrastive_loss(h_local, h_global, tau: float, n_pan: int):
@@ -244,9 +243,9 @@ class AdamState:
         )
 
 
-def adam_step(params: ModelParams, grads: dict, state: AdamState, lr: float, cfg: TrainConfig):
+def adam_step(params: ModelParams, grads: dict, state: AdamState, lr: float):
     """Bias-corrected Adam update, in place."""
-    b1, b2, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps
+    b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     state.t += 1
     c1 = 1.0 - b1 ** state.t
     c2 = 1.0 - b2 ** state.t
@@ -353,14 +352,16 @@ def load_checkpoint(path):
     raw_blocks = {}
     for _ in range(n_blocks):
         (nlen,), pos = unpack("<I", pos, "block name length")
-        (raw,), pos = unpack(f"{nlen}s", pos, "block name")
-        name = raw.decode("utf-8")
-        dims, pos = unpack("<III", pos, f"block {name!r} dims")
-        count = int(np.prod(dims))
-        arr = np.frombuffer(blob[pos : pos + 4 * count], dtype="<f4")
-        if arr.size != count:
+        (raw,), end = unpack(f"{nlen}s", pos, "block name")
+        try:
+            name = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointFormatError("checkpoint block name is not utf-8", offset=pos) from None
+        dims, pos = unpack("<III", end, f"block {name!r} dims")
+        count = dims[0] * dims[1] * dims[2]
+        if pos + 4 * count > len(blob):
             raise CheckpointFormatError(f"truncated checkpoint block {name!r}", offset=len(blob))
-        raw_blocks[name] = (arr, dims, pos)
+        raw_blocks[name] = (np.frombuffer(blob, dtype="<f4", count=count, offset=pos), dims, pos)
         pos += 4 * count
 
     def block(name, *shapes):
@@ -470,7 +471,7 @@ def train(dataset, cfg: TrainConfig, out_dir=None, progress=None):
             )
         last_good = params.copy()
 
-        adam_step(params, mean_grads, state, lr, cfg)
+        adam_step(params, mean_grads, state, lr)
         logs.append(bd)
         if progress is not None:
             progress(it, bd)

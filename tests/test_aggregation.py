@@ -108,6 +108,21 @@ class TestAggregateLocal:
             want = local_oracle(ps, U, alpha, chain)
             np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-9)
 
+    def test_shared_entries_need_no_merging(self):
+        # (2, 1) sits in two patterns, (1, 2) is its reverse, (3, 3) is on
+        # the diagonal, and node 4 has no entries at all
+        n, d = 5, 3
+        ps = PatternSet(n, [
+            RelationPattern(1, np.array([1, 2, 3]), np.array([2, 1, 3]), np.array([0.4, 0.7, 0.9])),
+            RelationPattern(4, np.array([0, 2]), np.array([3, 1]), np.array([0.2, 0.5])),
+        ])
+        rng = np.random.default_rng(10)
+        U = rng.normal(size=(n, d))
+        alpha = rng.uniform(0.5, 1.5, size=7)
+        chain = [rng.normal(size=(d, d)) for _ in range(2)]
+        got = ad.value(aggregate_local(ps, U, alpha, chain))
+        np.testing.assert_allclose(got, local_oracle(ps, U, alpha, chain), rtol=1e-12, atol=1e-14)
+
     def test_depth_averaging_exact(self):
         rng = np.random.default_rng(4)
         n, d = 8, 3

@@ -4,9 +4,11 @@ A session-scoped fixture synthesises a tiny dataset and trains a 12-iteration
 checkpoint once; the eval/infer tests reuse it.
 """
 
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +18,18 @@ from graphpan.cli import bench_scaling, main, merge_config, parse_config_file
 from graphpan.config import TrainConfig
 from graphpan.imaging import ScenePair, read_hsif, read_ppm, synth_scene
 from graphpan.metrics import full_reference
-from graphpan.training import save_checkpoint
+from graphpan.training import load_checkpoint, save_checkpoint
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+def run_cli(*argv):
+    """``python -m graphpan.cli`` in a child process importing this checkout."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "graphpan.cli", *map(str, argv)],
+        capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path),
+    )
+
 
 FAST_TRAIN = [
     "--patch", "4", "--stride", "4", "--d", "8", "--layers", "1",
@@ -118,6 +131,15 @@ class TestConfigMerging:
         p.write_text("warp_factor = 9\n")
         assert main(["train", "--data", "x", "--out", "y", "--config", str(p)]) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["train", "--data", "x", "--out", "y"],
+        ["grad-check", "--max-coords", "2"],
+    ])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_gamma_exit_1(self, argv, value, capsys):
+        assert main(argv + ["--gamma", value]) == 1
+        assert capsys.readouterr().err == "error: gamma must be finite\n"
+
     def test_invalid_value_exit_1(self, tmp_path, capsys):
         data = tmp_path / "d"
         main(["synth", "--out", str(data), "--size", "16"])
@@ -181,15 +203,34 @@ class TestEval:
     def test_truncated_checkpoint_exit_1(self, workdir, tmp_path):
         cut = tmp_path / "cut.hssn"
         cut.write_bytes(workdir["ckpt"].read_bytes()[:30])
-        done = subprocess.run(
-            [sys.executable, "-m", "graphpan.cli", "eval", "--checkpoint", str(cut),
-             "--data", str(workdir["data"])],
-            capture_output=True, text=True, timeout=120,
-        )
+        done = run_cli("eval", "--checkpoint", cut, "--data", workdir["data"])
         assert done.returncode == 1
         assert "Traceback" not in done.stderr
         assert done.stderr.startswith("error: truncated checkpoint")
         assert "byte offset 30" in done.stderr
+
+    def test_corrupted_checkpoint_exit_1(self, workdir, tmp_path):
+        blob = bytearray(workdir["ckpt"].read_bytes())
+        blob[17] = 0xFF  # inside the first block's name
+        bad = tmp_path / "bad.hssn"
+        bad.write_bytes(bytes(blob))
+        done = run_cli("eval", "--checkpoint", bad, "--data", workdir["data"])
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        assert done.stderr.startswith("error: checkpoint block name is not utf-8")
+
+    def test_scale_two_scenes(self, workdir, tmp_path, capsys):
+        data = tmp_path / "s2"
+        assert main(["synth", "--out", str(data), "--size", "16", "--scale", "2"]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(workdir["ckpt"]), "--data", str(data)]) == 0
+        ergas = float(capsys.readouterr().out.strip().splitlines()[1].split(",")[4])
+        scene = ScenePair.load(data / "scene_000", need_gt=True)
+        assert scene.lrms.data.shape == (8, 8, 4)
+        params, cfg = load_checkpoint(workdir["ckpt"])
+        fused = forward(scene, params, cfg).fused
+        assert ergas == pytest.approx(full_reference(fused, scene.gt, scale=2).ergas, abs=1e-6)
+        assert ergas != pytest.approx(full_reference(fused, scene.gt, scale=4).ergas, abs=1e-6)
 
 
 class TestInfer:
@@ -316,10 +357,6 @@ class TestParsing:
         assert main(["transmogrify"]) == 1
 
     def test_console_script_installed(self, tmp_path):
-        proc = subprocess.run(
-            [sys.executable, "-m", "graphpan.cli", "synth", "--out",
-             str(tmp_path / "s"), "--size", "16"],
-            capture_output=True, text=True,
-        )
+        proc = run_cli("synth", "--out", tmp_path / "s", "--size", "16")
         assert proc.returncode == 0
         assert (tmp_path / "s" / "scene_000" / "pan.hsif").exists()

@@ -1,9 +1,11 @@
 """Multiplex patch-graph construction.
 
 Neighbour selection is checked against a brute-force per-row oracle, edge
-weights against a scalar cosine loop, and the node layout / relation typing
-against hand-enumerable 2-patch cases.
+weights (dot products of unit rows) against a scalar cosine loop, and the
+node layout / relation typing against hand-enumerable 2-patch cases.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,11 +18,11 @@ from graphpan.graph import (
     band_node,
     build_graph,
     build_structure,
-    cosine_rows,
     edge_weights,
     embed_patches,
     knn_select,
     random_multiplex_graph,
+    unit_rows,
 )
 from graphpan.imaging import BANDS, Image, extract_patches
 
@@ -93,26 +95,26 @@ class TestKnnSelect:
     def test_identical_vectors_weight_one(self):
         feats = np.array([[0.3, 0.4], [0.3, 0.4], [5.0, 0.0]])
         src, dst = knn_select(feats, 1)
-        w = ad.value(edge_weights(feats, src, dst))
+        w = ad.value(edge_weights(unit_rows(feats), src, dst))
         picked = {d: (s, wi) for s, d, wi in zip(src, dst, w)}
         assert picked[0][0] == 1
         assert picked[0][1] == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_norm_row_similarity_zero(self):
         feats = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        w = ad.value(edge_weights(feats, np.array([0, 1]), np.array([1, 2])))
+        w = ad.value(edge_weights(unit_rows(feats), np.array([0, 1]), np.array([1, 2])))
         assert w[0] == 0.0
         assert w[1] == 0.0  # orthogonal rows
 
     def test_orthogonal_rows_weight_zero(self):
         feats = np.eye(3)
         src, dst = knn_select(feats, 2)
-        w = ad.value(edge_weights(feats, src, dst))
+        w = ad.value(edge_weights(unit_rows(feats), src, dst))
         np.testing.assert_allclose(w, 0.0, atol=1e-12)
 
     def test_negative_cosine_clamped(self):
         feats = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        w = ad.value(edge_weights(feats, np.array([1]), np.array([0])))
+        w = ad.value(edge_weights(unit_rows(feats), np.array([1]), np.array([0])))
         assert w[0] == 0.0
 
     def test_k_clipped_to_m_minus_1(self):
@@ -130,14 +132,15 @@ class TestKnnSelect:
         keys = list(zip(dst.tolist(), src.tolist()))
         assert keys == sorted(keys)
 
-    @settings(max_examples=60, deadline=None)
-    @given(
+    DRAWS = (
         st.integers(min_value=2, max_value=10),
         st.integers(min_value=1, max_value=10),
         st.integers(min_value=0, max_value=2**31 - 1),
         st.sampled_from(["normal", "integer", "rounded", "pooled"]),
     )
-    def test_property_matches_oracle(self, m, k, seed, kind):
+
+    @staticmethod
+    def _draw_feats(m, seed, kind):
         rng = np.random.default_rng(seed)
         feats = rng.normal(size=(m, 3))
         if kind == "integer":  # cosines that tie exactly
@@ -147,34 +150,59 @@ class TestKnnSelect:
         elif kind == "pooled":  # repeated rows and zero rows: ties everywhere
             pool = np.vstack([rng.normal(size=(2, 3)), np.zeros((1, 3))])
             feats = pool[rng.integers(0, 3, size=m)]
+        return feats
+
+    @settings(max_examples=60, deadline=None)
+    @given(*DRAWS)
+    def test_property_matches_oracle(self, m, k, seed, kind):
+        feats = self._draw_feats(m, seed, kind)
         src, dst = knn_select(feats, k)
         osrc, odst = knn_oracle(feats, k)
         np.testing.assert_array_equal(src, osrc)
         np.testing.assert_array_equal(dst, odst)
 
+    @settings(max_examples=60, deadline=None)
+    @given(*DRAWS)
+    def test_property_matches_norm_divide(self, m, k, seed, kind):
+        # unit_rows gives the same bits as norm-and-divide, so the picks
+        # equal those of knn_select normalising with np.linalg.norm
+        feats = self._draw_feats(m, seed, kind)
+
+        def norm_divide(f):
+            norms = np.linalg.norm(f, axis=1, keepdims=True)
+            return np.divide(f, norms, out=np.zeros_like(f), where=norms > 0)
+
+        np.testing.assert_array_equal(unit_rows(feats), norm_divide(feats))
+        with mock.patch("graphpan.graph.unit_rows", norm_divide):
+            want = knn_select(feats, k)
+        for got, w in zip(knn_select(feats, k), want):
+            np.testing.assert_array_equal(got, w)
+
 
 class TestCosineRows:
     def test_scalar_loop_oracle(self):
         rng = np.random.default_rng(4)
-        a, b = rng.normal(size=(6, 5)), rng.normal(size=(6, 5))
-        got = ad.value(cosine_rows(a, b))
-        for i in range(6):
-            want = a[i] @ b[i] / (np.linalg.norm(a[i]) * np.linalg.norm(b[i]))
-            assert got[i] == pytest.approx(want, rel=1e-12)
+        feats = rng.normal(size=(6, 5))
+        src, dst = np.array([1, 2, 3, 0, 5, 4]), np.array([0, 0, 1, 2, 4, 5])
+        got = ad.value(edge_weights(unit_rows(feats), src, dst))
+        for w, a, b in zip(got, feats[dst], feats[src]):
+            want = a @ b / (np.linalg.norm(a) * np.linalg.norm(b))
+            assert w == pytest.approx(max(0.0, want), rel=1e-12)
 
     def test_gradient_flows(self):
         rng = np.random.default_rng(5)
         a = ad.Tensor(rng.normal(size=(3, 4)))
-        out = ad.sum(cosine_rows(a, rng.normal(size=(3, 4))))
+        out = ad.sum(edge_weights(unit_rows(a), np.array([1, 2, 0]), np.array([0, 1, 2])))
         out.backward()
         assert a.grad is not None and np.all(np.isfinite(a.grad))
 
     def test_zero_row_zero_gradient(self):
         a = ad.Tensor(np.array([[0.0, 0.0], [1.0, 2.0]]))
-        b = np.array([[1.0, 1.0], [1.0, 1.0]])
-        out = ad.sum(cosine_rows(a, b))
+        out = ad.sum(unit_rows(a) * np.array([[1.0, 1.0], [1.0, 1.0]]))
         out.backward()
+        np.testing.assert_array_equal(ad.value(unit_rows(a))[0], [0.0, 0.0])
         np.testing.assert_array_equal(a.grad[0], [0.0, 0.0])
+        assert np.all(np.isfinite(a.grad))
 
 
 class TestBuildGraph:

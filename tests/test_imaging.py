@@ -188,6 +188,21 @@ class TestNetpbm:
             read_pgm(p)
         assert e.value.offset == 0
 
+    @pytest.mark.parametrize("header,field,offset", [
+        (b"P5\n-2 2\n255\n", b"-2", 3),
+        (b"P5\n0 2\n255\n", b"0", 3),
+        (b"P5\n2 ab\n255\n", b"ab", 5),
+        (b"P5\n2 2\nxx\n", b"xx", 7),
+        (b"P5\n2 99999999999\n255\n", b"99999999999", 5),
+    ])
+    def test_bad_header_field_offset(self, tmp_path, header, field, offset):
+        p = tmp_path / "h.pgm"
+        p.write_bytes(header + b"\x00" * 4)
+        with pytest.raises(ImageFormatError) as e:
+            read_pgm(p)
+        assert e.value.offset == offset
+        assert header[offset:offset + len(field)] == field
+
     def test_dispatch_by_extension(self, tmp_path):
         img = Image.constant(2, 2, 1, 0.5)
         p = tmp_path / "x.pgm"
@@ -197,6 +212,65 @@ class TestNetpbm:
             write_image(tmp_path / "x.tiff", img)
         with pytest.raises(ValueError):
             read_image(tmp_path / "x.tiff")
+
+
+class TestCorruptFiles:
+    """Truncated files, flipped bytes and wrong header dims: reading either
+    succeeds or raises ImageFormatError, nothing else."""
+
+    @staticmethod
+    def _read_or_format_error(path, blob):
+        path.write_bytes(blob)
+        try:
+            read_image(path)
+        except ImageFormatError as e:
+            assert e.offset is not None and 0 <= e.offset <= len(blob)
+
+    @staticmethod
+    def _valid(path):
+        img = Image.from_array(np.random.default_rng(0).random((3, 5, 3)))
+        if path.suffix == ".pgm":
+            img = img.band(0)
+        write_image(path, img)
+        return path.read_bytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([".hsif", ".pgm", ".ppm"]), st.data())
+    def test_truncated(self, tmp_path_factory, ext, data):
+        path = tmp_path_factory.mktemp("cut") / f"x{ext}"
+        blob = self._valid(path)
+        cut = data.draw(st.integers(min_value=0, max_value=len(blob) - 1))
+        self._read_or_format_error(path, blob[:cut])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from([".hsif", ".pgm", ".ppm"]), st.data())
+    def test_flipped_bytes(self, tmp_path_factory, ext, data):
+        path = tmp_path_factory.mktemp("flip") / f"x{ext}"
+        blob = bytearray(self._valid(path))
+        # half the flips land in the header or the first samples
+        where = st.one_of(st.integers(0, 20), st.integers(0, len(blob) - 1))
+        for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+            blob[data.draw(where)] ^= data.draw(st.integers(min_value=1, max_value=255))
+        self._read_or_format_error(path, bytes(blob))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(min_value=0, max_value=2**32 - 1), min_size=3, max_size=3))
+    def test_hsif_wrong_dims(self, tmp_path_factory, dims):
+        path = tmp_path_factory.mktemp("dims") / "x.hsif"
+        blob = self._valid(path)
+        self._read_or_format_error(path, blob[:4] + struct.pack("<III", *dims) + blob[16:])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([".pgm", ".ppm"]),
+        st.integers(min_value=-3, max_value=2**40),
+        st.integers(min_value=-3, max_value=2**40),
+    )
+    def test_netpbm_wrong_dims(self, tmp_path_factory, ext, width, height):
+        path = tmp_path_factory.mktemp("dims") / f"x{ext}"
+        blob = self._valid(path)
+        payload = blob[blob.index(b"255\n") + 4:]
+        self._read_or_format_error(path, blob[:2] + b"\n%d %d\n255\n" % (width, height) + payload)
 
 
 class TestDegradation:
@@ -378,6 +452,17 @@ class TestScenePair:
         ScenePair(pair.pan, pair.lrms).save(tmp_path / "s")
         back = ScenePair.load(tmp_path / "s")
         assert back.gt is None
+
+    @pytest.mark.parametrize("scale", [1, 2, 4])
+    def test_load_derives_scale(self, tmp_path, scale):
+        synth_scene(0, size=32, scale=scale).save(tmp_path / "s")
+        assert ScenePair.load(tmp_path / "s").scale == scale
+
+    def test_load_rejects_non_integer_ratio(self, tmp_path):
+        write_hsif(tmp_path / "pan.hsif", Image.constant(12, 12, 1, 0.5))
+        write_hsif(tmp_path / "lrms.hsif", Image.constant(5, 6, BANDS, 0.5))
+        with pytest.raises(ValueError, match="scale x lrms size"):
+            ScenePair.load(tmp_path)
 
     def test_validate_rejects_bad_pairs(self):
         pan = Image.constant(16, 16, 1, 0.5)

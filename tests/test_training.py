@@ -5,16 +5,20 @@ finite differences, Adam to its t=1 closed form and long-run fixed point,
 and the checkpoint format to a byte-level layout check.
 """
 
+import dataclasses
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import graphpan.autodiff as ad
 from graphpan.aggregation import ModelParams, run_pipeline
 from graphpan.config import TrainConfig
 from graphpan.imaging import BANDS, Image, ScenePair, degrade_image
 from graphpan.training import (
+    ADAM_EPS,
     CHECKPOINT_MAGIC,
     CONFIG_FIELDS,
     AdamState,
@@ -315,7 +319,7 @@ class TestAdam:
         cfg, params, state = self._setup()
         before = params.w_pan.copy()
         grads = {n: np.zeros_like(a) for n, a in params.named_arrays()}
-        adam_step(params, grads, state, lr=1e-2, cfg=cfg)
+        adam_step(params, grads, state, lr=1e-2)
         np.testing.assert_array_equal(params.w_pan, before)
         assert state.t == 1
 
@@ -325,10 +329,10 @@ class TestAdam:
         rng = np.random.default_rng(1)
         grads = {n: rng.normal(size=a.shape).astype(a.dtype) for n, a in params.named_arrays()}
         lr = 1e-3
-        adam_step(params, grads, state, lr=lr, cfg=cfg)
+        adam_step(params, grads, state, lr=lr)
         for name, arr in params.named_arrays():
             g = grads[name]
-            want = before[name] - lr * g / (np.abs(g) + cfg.adam_eps)
+            want = before[name] - lr * g / (np.abs(g) + ADAM_EPS)
             np.testing.assert_allclose(arr, want, rtol=1e-5, atol=1e-7)
 
     def test_constant_gradient_displacement(self):
@@ -340,7 +344,7 @@ class TestAdam:
         start = params.alpha.copy()
         steps = 1000
         for _ in range(steps):
-            adam_step(params, grads, state, lr=1e-3, cfg=cfg)
+            adam_step(params, grads, state, lr=1e-3)
         displacement = start - params.alpha
         np.testing.assert_allclose(displacement, steps * 1e-3, rtol=0.02)
 
@@ -547,6 +551,17 @@ class TestCheckpoints:
         assert err.value.offset == cut
         assert f"byte offset {cut}" in str(err.value)
 
+    def test_non_utf8_block_name_rejected_with_offset(self, tmp_path):
+        cfg = toy_config()
+        path = tmp_path / "u.hssn"
+        save_checkpoint(path, ModelParams.init(cfg, seed=0), cfg)
+        blob = bytearray(path.read_bytes())
+        blob[16] = 0xFF  # first byte of the first block's name
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointFormatError, match="not utf-8") as err:
+            load_checkpoint(path)
+        assert err.value.offset == 16
+
     def test_missing_block_rejected_with_offset(self, tmp_path):
         meta = np.array([4, 4, 8, 2, 1, 0.5, 0.01], dtype="<f4")
         name = b"_config"
@@ -683,6 +698,70 @@ class TestToyFixtures:
         assert cfg.patch == 4 and cfg.d == 8 and cfg.k == 1
         assert cfg.precision == "high"
         assert cfg.gamma == 0.5 and cfg.iters == 7
+
+
+class TestCorruptCheckpoints:
+    """Truncated files, flipped bytes and wrong block dims: loading either
+    succeeds or raises CheckpointFormatError, nothing else."""
+
+    @staticmethod
+    def _valid(path):
+        cfg = toy_config()
+        params = ModelParams.init(cfg, seed=0, zero_recon=False)
+        meta = [4, 4, 8, 2, 1, 0.5, 0.01, 0]
+        offsets = write_blocks(path, params.named_arrays() + [("_config", meta)])
+        return path.read_bytes(), offsets
+
+    @staticmethod
+    def _load_or_format_error(path, blob):
+        path.write_bytes(blob)
+        try:
+            load_checkpoint(path)
+        except CheckpointFormatError as e:
+            assert e.offset is not None and 0 <= e.offset <= len(blob)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_truncated(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("cut") / "x.hssn"
+        blob, _ = self._valid(path)
+        cut = data.draw(st.integers(min_value=0, max_value=len(blob) - 1))
+        self._load_or_format_error(path, blob[:cut])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_flipped_bytes(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("flip") / "x.hssn"
+        blob, offsets = self._valid(path)
+        blob = bytearray(blob)
+        # flips land anywhere, in a block header or in the _config payload
+        heads = [at - 12 - len(name) - 4 for name, at in offsets.items()]
+        where = st.one_of(
+            st.integers(0, len(blob) - 1),
+            st.sampled_from(heads).flatmap(lambda h: st.integers(h, h + 20)),
+            st.integers(offsets["_config"], len(blob) - 1),
+        )
+        for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+            blob[data.draw(where)] ^= data.draw(st.integers(min_value=1, max_value=255))
+        self._load_or_format_error(path, bytes(blob))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.lists(st.integers(min_value=0, max_value=2**32 - 1), min_size=3, max_size=3))
+    def test_wrong_block_dims(self, tmp_path_factory, data, dims):
+        path = tmp_path_factory.mktemp("dims") / "x.hssn"
+        blob, offsets = self._valid(path)
+        at = offsets[data.draw(st.sampled_from(sorted(offsets)))] - 12
+        self._load_or_format_error(path, blob[:at] + struct.pack("<III", *dims) + blob[at + 12:])
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "field", [f.name for f in dataclasses.fields(TrainConfig) if f.type == "float"]
+    )
+    def test_non_finite_float_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            TrainConfig(**{field: value}).validate()
 
 
 class TestAblationTable:

@@ -319,21 +319,16 @@ def run_pipeline(
     g = build_graph(xp, ys, cfg.k, structure=structure)
     ps = generate_patterns(g)
 
-    if cfg.ablate == "local-only":
-        h_local = aggregate_local(ps, g.U, params.alpha, params.w_local)
-        h_global = h_local
-        h = h_local
-    elif cfg.ablate == "global-only":
+    branches = []  # the surviving branches, local first
+    if cfg.ablate != "global-only":
+        branches.append(aggregate_local(ps, g.U, params.alpha, params.w_local))
+    if cfg.ablate != "local-only":
         B = build_global_pattern_matrix(ps, params.beta)
-        h_global = aggregate_global(global_similarity(B), g.U, params.w_global)
-        h_local = h_global
-        h = h_global
-    else:
-        h_local = aggregate_local(ps, g.U, params.alpha, params.w_local)
-        B = build_global_pattern_matrix(ps, params.beta)
-        h_global = aggregate_global(global_similarity(B), g.U, params.w_global)
-        h_local, h_global = weigh_branches(h_local, h_global, params.importance)
-        h = fuse(h_local, h_global)
+        branches.append(aggregate_global(global_similarity(B), g.U, params.w_global))
+    if len(branches) == 2:
+        branches = weigh_branches(*branches, params.importance)
+    h_local, h_global = branches[0], branches[-1]
+    h = fuse(h_local, h_global) if len(branches) == 2 else h_local
 
     fused = reconstruct(h, pan_grid, params.recon, lrms_up)
     return PipelineOutput(

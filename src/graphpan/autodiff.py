@@ -34,20 +34,8 @@ class Tensor:
         self._vjp = vjp
 
     @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def ndim(self):
-        return self.data.ndim
-
-    @property
     def dtype(self):
         return self.data.dtype
-
-    @property
-    def size(self):
-        return self.data.size
 
     @property
     def T(self):
@@ -283,25 +271,11 @@ def sqrt(a):
     return Tensor(out_data, (a,), vjp)
 
 
-def exp(a):
-    if not isinstance(a, Tensor):
-        return np.exp(a)
-    out_data = np.exp(a.data)
-    return Tensor(out_data, (a,), lambda g: (g * out_data,))
-
-
 def tanh(a):
     if not isinstance(a, Tensor):
         return np.tanh(a)
     out_data = np.tanh(a.data)
     return Tensor(out_data, (a,), lambda g: (g * (1.0 - out_data * out_data),))
-
-
-def log(a):
-    if not isinstance(a, Tensor):
-        return np.log(a)
-    da = a.data
-    return Tensor(np.log(da), (a,), lambda g: (g / da,))
 
 
 def clip(a, lo, hi):

@@ -15,6 +15,7 @@ import argparse
 import csv
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -151,11 +152,7 @@ def cmd_eval(args) -> int:
         rows.append([d.name] + [f"{v:.6f}" for v in rep.as_row()])
     mean = np.mean([[float(v) for v in r[1:]] for r in rows], axis=0)
     rows.append(["mean"] + [f"{v:.6f}" for v in mean])
-    header = (
-        ["scene", "psnr", "ssim", "sam", "ergas", "scc"]
-        if args.mode == "reduced"
-        else ["scene", "d_lambda", "d_s", "qnr"]
-    )
+    header = ["scene"] + [f.name for f in fields(rep)]
     for r in [header] + rows:
         print(",".join(str(v) for v in r))
     if args.out:
@@ -209,6 +206,11 @@ def cmd_patterns_dump(args) -> int:
 
 
 def cmd_grad_check(args) -> int:
+    for flag, v in (("--eps", args.eps), ("--tol", args.tol)):
+        if not 0.0 < v < np.inf:
+            raise CliError(f"{flag} must be finite and positive, got {v}")
+    if args.max_coords is not None and args.max_coords < 1:
+        raise CliError(f"--max-coords must be at least 1, got {args.max_coords}")
     scene = toy_scene(seed=args.scene_seed)
     cfg = toy_config(gamma=args.gamma, ablate=args.ablate)
     params = ModelParams.init(cfg, seed=args.param_seed, zero_recon=False)
@@ -271,8 +273,9 @@ def cmd_analyze_priors(args) -> int:
     return 0
 
 
-def _time_call(fn, min_time=0.05, best_of=3):
+def _time_call(fn):
     """Per-call seconds: adaptive repetitions, best of a few trials."""
+    min_time, best_of = 0.05, 3
     reps = 1
     while True:
         t0 = time.perf_counter()
@@ -291,12 +294,13 @@ def _time_call(fn, min_time=0.05, best_of=3):
     return best
 
 
-def bench_scaling(sizes=(100, 200, 400, 800), d=32, degree=8, seed=0):
+def bench_scaling(sizes=(100, 200, 400, 800), d=32, seed=0):
     """Time pattern generation and global aggregation on random multiplex
-    graphs; returns (rows, fitted log-log exponents)."""
+    graphs of expected in-degree 8 per relation; returns (rows, fitted
+    log-log exponents)."""
     rows = []
     for n in sizes:
-        g = random_multiplex_graph(n, density=min(1.0, degree / n), seed=seed)
+        g = random_multiplex_graph(n, density=min(1.0, 8 / n), seed=seed)
         rng = np.random.default_rng(seed + 1)
         u = rng.standard_normal((n, d))
         beta = np.ones(7)

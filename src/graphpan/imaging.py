@@ -260,13 +260,11 @@ class ScenePair:
 
 def gaussian_blur(data: np.ndarray, sigma: float) -> np.ndarray:
     """Isotropic Gaussian blur, kernel radius ceil(3 sigma), edge-repeating
-    reflective borders.  Operates per channel in float64."""
-    out = np.empty_like(data, dtype=np.float64)
-    for c in range(data.shape[2]):
-        out[:, :, c] = ndimage.gaussian_filter(
-            data[:, :, c].astype(np.float64), sigma=sigma, mode="reflect", truncate=3.0
-        )
-    return out
+    reflective borders.  Operates per channel (sigma 0 on the channel axis)
+    in float64."""
+    return ndimage.gaussian_filter(
+        data.astype(np.float64), sigma=(sigma, sigma, 0), mode="reflect", truncate=3.0
+    )
 
 
 def degrade_image(img: Image, scale: int) -> Image:
@@ -339,6 +337,15 @@ def upsample_bicubic(img: Image, scale: int) -> Image:
 # overlapping patch bookkeeping
 
 
+def _windows(raster: np.ndarray, patch: int, stride: int) -> np.ndarray:
+    """The (rows * cols, patch*patch*c) windows of an (h, w, c) raster, one
+    row per window in row-major window order, pixels channel-last."""
+    win = np.lib.stride_tricks.sliding_window_view(raster, (patch, patch), axis=(0, 1))
+    win = win[::stride, ::stride]  # (rows, cols, c, p, p)
+    win = np.transpose(win, (0, 1, 3, 4, 2))  # channel-last within the window
+    return win.reshape(win.shape[0] * win.shape[1], -1)
+
+
 @dataclass
 class PatchGrid:
     """Sliding-window decomposition of an image.
@@ -363,17 +370,10 @@ class PatchGrid:
 
     @cached_property
     def pixel_indices(self) -> np.ndarray:
-        """(n_patches, patch*patch*channels) flat indices into the raster."""
-        p, c = self.patch, self.channels
-        r0 = np.arange(self.rows) * self.stride
-        c0 = np.arange(self.cols) * self.stride
-        rr = (r0[:, None] + np.arange(p)[None, :]).reshape(-1)  # rows*p
-        cc = (c0[:, None] + np.arange(p)[None, :]).reshape(-1)  # cols*p
-        rr = rr.reshape(self.rows, 1, p, 1)
-        cc = cc.reshape(1, self.cols, 1, p)
-        flat = (rr * self.width + cc) * c  # (rows, cols, p, p)
-        flat = flat[..., None] + np.arange(c)
-        return flat.reshape(self.n_patches, p * p * c)
+        """(n_patches, patch*patch*channels) flat indices into the raster:
+        the windows of an index raster, laid out as ``patches``."""
+        shape = (self.height, self.width, self.channels)
+        return _windows(np.arange(np.prod(shape)).reshape(shape), self.patch, self.stride)
 
     @cached_property
     def coverage_counts(self) -> np.ndarray:
@@ -392,25 +392,8 @@ def extract_patches(img: Image, patch: int, stride: int) -> PatchGrid:
         raise ValueError("patch larger than image")
     rows = (h - patch) // stride + 1
     cols = (w - patch) // stride + 1
-    win = np.lib.stride_tricks.sliding_window_view(img.data, (patch, patch), axis=(0, 1))
-    win = win[::stride, ::stride]  # (rows, cols, c, p, p)
-    win = np.transpose(win, (0, 1, 3, 4, 2))  # channel-last within the window
-    patches = win.reshape(rows * cols, patch * patch * c).astype(np.float32)
+    patches = _windows(img.data, patch, stride).astype(np.float32)
     return PatchGrid(patch, stride, rows, cols, h, w, c, patches)
-
-
-def reassemble_patches(grid: PatchGrid, patch_values: np.ndarray | None = None) -> Image:
-    """Overlap-average patches back to an image (uncovered cells become 0)."""
-    vals = grid.patches if patch_values is None else np.asarray(patch_values)
-    if vals.shape != grid.patches.shape:
-        raise ValueError(f"patch_values shape {vals.shape} != {grid.patches.shape}")
-    total = np.bincount(
-        grid.pixel_indices.reshape(-1),
-        weights=vals.reshape(-1).astype(np.float64),
-        minlength=grid.height * grid.width * grid.channels,
-    )
-    avg = total / np.maximum(grid.coverage_counts, 1)
-    return Image.from_array(avg.reshape(grid.height, grid.width, grid.channels))
 
 
 # ---------------------------------------------------------------------------

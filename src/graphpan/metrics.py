@@ -11,7 +11,7 @@ All computations run in float64 on the [0, 1] value range.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.signal import convolve2d
@@ -27,26 +27,27 @@ _Q_BLOCK = 32
 _EPS = 1e-12
 
 
+class _Report:
+    def as_row(self):
+        """The values in field order; the field names are the columns of
+        ``graphpan eval``."""
+        return [getattr(self, f.name) for f in fields(self)]
+
+
 @dataclass
-class MetricReport:
+class MetricReport(_Report):
     psnr: float
     ssim: float
     sam: float
     ergas: float
     scc: float
 
-    def as_row(self):
-        return [self.psnr, self.ssim, self.sam, self.ergas, self.scc]
-
 
 @dataclass
-class NoRefReport:
+class NoRefReport(_Report):
     d_lambda: float
     d_s: float
     qnr: float
-
-    def as_row(self):
-        return [self.d_lambda, self.d_s, self.qnr]
 
 
 def _check_pair(a: Image, b: Image):
@@ -202,7 +203,7 @@ def q_index(x: np.ndarray, y: np.ndarray, block: int = _Q_BLOCK) -> float:
     return float(np.mean(q))
 
 
-def d_lambda(fused: Image, lrms: Image, p: int = 1) -> float:
+def d_lambda(fused: Image, lrms: Image) -> float:
     """Spectral distortion: inter-band q-index drift between fused output
     and the low-res input, mean over distinct band pairs."""
     terms = []
@@ -210,11 +211,11 @@ def d_lambda(fused: Image, lrms: Image, p: int = 1) -> float:
         for b2 in range(b1 + 1, fused.channels):
             qf = q_index(fused.data[:, :, b1], fused.data[:, :, b2])
             ql = q_index(lrms.data[:, :, b1], lrms.data[:, :, b2])
-            terms.append(abs(qf - ql) ** p)
-    return float(np.clip(np.mean(terms) ** (1.0 / p), 0.0, 1.0))
+            terms.append(abs(qf - ql))
+    return float(np.clip(np.mean(terms), 0.0, 1.0))
 
 
-def d_s(fused: Image, pan: Image, lrms: Image, scale: int = 4, q: int = 1) -> float:
+def d_s(fused: Image, pan: Image, lrms: Image, scale: int = 4) -> float:
     """Spatial distortion: band-vs-pan q-index drift, the low-res side using
     a pan degraded by the same blur-and-decimate operator as the inputs."""
     pan_lr = degrade_image(pan, scale)
@@ -222,8 +223,8 @@ def d_s(fused: Image, pan: Image, lrms: Image, scale: int = 4, q: int = 1) -> fl
     for b in range(fused.channels):
         qh = q_index(fused.data[:, :, b], pan.data[:, :, 0])
         ql = q_index(lrms.data[:, :, b], pan_lr.data[:, :, 0])
-        terms.append(abs(qh - ql) ** q)
-    return float(np.clip(np.mean(terms) ** (1.0 / q), 0.0, 1.0))
+        terms.append(abs(qh - ql))
+    return float(np.clip(np.mean(terms), 0.0, 1.0))
 
 
 def no_reference(fused: Image, pan: Image, lrms: Image, scale: int = 4) -> NoRefReport:

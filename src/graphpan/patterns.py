@@ -22,8 +22,6 @@ from .graph import HetGraph, N_RELATIONS
 
 MAX_PATTERNS = (1 << N_RELATIONS) - 1
 
-_ORACLE_NODE_LIMIT = 10_000
-
 
 def subset_of_mask(mask: int) -> tuple:
     """Bitmask -> sorted tuple of 1-based relation ids, e.g. 5 -> (1, 3)."""
@@ -48,11 +46,6 @@ class RelationPattern:
     def nnz(self):
         return len(self.rows)
 
-    def to_dense(self, n):
-        m = np.zeros((n, n), dtype=ad.value(self.vals).dtype)
-        m[self.rows, self.cols] = ad.value(self.vals)
-        return m
-
 
 @dataclass
 class PatternSet:
@@ -64,15 +57,6 @@ class PatternSet:
 
     def __len__(self):
         return len(self.patterns)
-
-    def masks(self):
-        return [p.mask for p in self.patterns]
-
-    def get(self, mask: int) -> RelationPattern | None:
-        for p in self.patterns:
-            if p.mask == mask:
-                return p
-        return None
 
 
 def generate_patterns(g: HetGraph) -> PatternSet:
@@ -108,48 +92,3 @@ def generate_patterns(g: HetGraph) -> PatternSet:
         )
     return PatternSet(n_nodes=n, patterns=out)
 
-
-def pattern_oracle(g: HetGraph) -> PatternSet:
-    """Independent dense reference: materialise each relation as an (n, n)
-    presence/value pair and classify every ordered pair by direct membership
-    tests.  Quadratic in nodes; guarded for desk-scale graphs only."""
-    n = g.n_nodes
-    if n > _ORACLE_NODE_LIMIT:
-        raise ValueError(f"oracle limited to {_ORACLE_NODE_LIMIT} nodes, got {n}")
-    present = np.zeros((N_RELATIONS, n, n), dtype=bool)
-    dense = np.zeros((N_RELATIONS, n, n), dtype=np.float64)
-    for r in range(1, N_RELATIONS + 1):
-        src, dst, w = g.relation(r)
-        present[r - 1, dst, src] = True
-        dense[r - 1, dst, src] = ad.value(w)
-
-    out = []
-    for mask in range(1, MAX_PATTERNS + 1):
-        inside = [r for r in range(N_RELATIONS) if mask >> r & 1]
-        outside = [r for r in range(N_RELATIONS) if not mask >> r & 1]
-        hit = np.ones((n, n), dtype=bool)
-        for r in inside:
-            hit &= present[r]
-        for r in outside:
-            hit &= ~present[r]
-        pairs = np.argwhere(hit)
-        if pairs.size == 0:
-            continue
-        rows, cols = pairs[:, 0], pairs[:, 1]
-        vals = dense[inside][:, rows, cols].mean(axis=0)
-        out.append(RelationPattern(mask=mask, rows=rows, cols=cols, vals=vals))
-    return PatternSet(n_nodes=n, patterns=out)
-
-
-def patterns_allclose(a: PatternSet, b: PatternSet, tol: float = 1e-9) -> bool:
-    """Same masks, identical supports, weights equal within tol."""
-    if a.n_nodes != b.n_nodes or a.masks() != b.masks():
-        return False
-    for pa, pb in zip(a.patterns, b.patterns):
-        if not (
-            np.array_equal(pa.rows, pb.rows)
-            and np.array_equal(pa.cols, pb.cols)
-            and np.allclose(ad.value(pa.vals), ad.value(pb.vals), rtol=0.0, atol=tol)
-        ):
-            return False
-    return True

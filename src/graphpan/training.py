@@ -185,7 +185,8 @@ def grad_check(scene, params, cfg, eps=1e-4, max_coords=None, seed=0):
 
     Returns {parameter group: max relative error}; relative error uses
     |a - b| / max(|a|, |b|, 1e-6) so near-zero gradients compare at an
-    absolute scale.
+    absolute scale.  A NaN error is kept as the group's maximum, so it fails
+    every tolerance.
     """
     cfg = cfg.replace(precision="high")
     params = params.astype(np.float64)
@@ -200,8 +201,7 @@ def grad_check(scene, params, cfg, eps=1e-4, max_coords=None, seed=0):
             fd = finite_diff_grad(scene, params, cfg, name, idx, eps, structure)
             an = float(grads[name][idx])
             rel = abs(fd - an) / max(abs(fd), abs(an), _REL_FLOOR)
-            if rel > worst[group]:
-                worst[group] = rel
+            worst[group] = float(np.maximum(worst[group], rel))
     return worst
 
 
@@ -333,9 +333,9 @@ class CheckpointFormatError(FormatError):
 
 def load_checkpoint(path):
     """Returns (ModelParams, TrainConfig-with-model-fields).  A malformed or
-    truncated file, a block whose dims differ from the model's layout, or a
-    ``_config`` block that is not a valid config raises
-    :class:`CheckpointFormatError`."""
+    truncated file, a block whose dims differ from the model's layout, a
+    parameter block holding a NaN or inf, or a ``_config`` block that is not
+    a valid config raises :class:`CheckpointFormatError`."""
     blob = Path(path).read_bytes()
     if blob[:4] != CHECKPOINT_MAGIC:
         raise CheckpointFormatError("bad checkpoint magic", offset=0)
@@ -381,6 +381,10 @@ def load_checkpoint(path):
     meta, start = block("_config", (_LEGACY_CONFIG_LEN,), (len(CONFIG_FIELDS),))
     try:
         cfg = _decode_config(meta)
+        # bounds the layout's per-layer lists by the file size; a smaller
+        # count that the file cannot hold is reported as a missing block
+        if cfg.layers > len(blob):
+            raise ValueError(f"layers {cfg.layers} is more than the file's {len(blob)} bytes")
     except (ValueError, OverflowError) as e:
         raise CheckpointFormatError(f"bad checkpoint _config: {e}", offset=start) from None
 
@@ -389,7 +393,13 @@ def load_checkpoint(path):
         # all-zero, which reproduces the plain-mean fusion exactly
         if name.startswith("importance_") and "importance_0" not in raw_blocks:
             return np.zeros(shape, dtype=np.float32)
-        return block(name, shape)[0]
+        arr, start = block(name, shape)
+        bad = np.flatnonzero(~np.isfinite(arr))
+        if bad.size:
+            raise CheckpointFormatError(
+                f"non-finite sample in checkpoint block {name!r}", offset=start + 4 * int(bad[0])
+            )
+        return arr
 
     return ModelParams.build(cfg, load), cfg
 

@@ -1,0 +1,120 @@
+"""Reference implementations that only the tests call.
+
+Each one is written independently of the code path it checks: patterns by
+dense membership tests over every ordered node pair, overlap averaging by a
+bincount over the grid's pixel indices, and exp/log as plain tape ops for the
+dense InfoNCE and composite-expression oracles.
+"""
+
+import numpy as np
+
+import graphpan.autodiff as ad
+from graphpan.graph import N_RELATIONS
+from graphpan.imaging import Image, PatchGrid
+from graphpan.patterns import MAX_PATTERNS, PatternSet, RelationPattern
+
+ORACLE_NODE_LIMIT = 10_000
+
+
+# ---------------------------------------------------------------------------
+# tape ops
+
+
+def exp(a):
+    if not isinstance(a, ad.Tensor):
+        return np.exp(a)
+    out_data = np.exp(a.data)
+    return ad.Tensor(out_data, (a,), lambda g: (g * out_data,))
+
+
+def log(a):
+    if not isinstance(a, ad.Tensor):
+        return np.log(a)
+    da = a.data
+    return ad.Tensor(np.log(da), (a,), lambda g: (g / da,))
+
+
+# ---------------------------------------------------------------------------
+# relation patterns
+
+
+def to_dense(p: RelationPattern, n):
+    """The (n, n) matrix holding one pattern's entries."""
+    m = np.zeros((n, n), dtype=ad.value(p.vals).dtype)
+    m[p.rows, p.cols] = ad.value(p.vals)
+    return m
+
+
+def masks(ps: PatternSet):
+    return [p.mask for p in ps]
+
+
+def get(ps: PatternSet, mask: int) -> RelationPattern | None:
+    for p in ps:
+        if p.mask == mask:
+            return p
+    return None
+
+
+def pattern_oracle(g) -> PatternSet:
+    """Independent dense reference: materialise each relation as an (n, n)
+    presence/value pair and classify every ordered pair by direct membership
+    tests.  Quadratic in nodes; guarded for desk-scale graphs only."""
+    n = g.n_nodes
+    if n > ORACLE_NODE_LIMIT:
+        raise ValueError(f"oracle limited to {ORACLE_NODE_LIMIT} nodes, got {n}")
+    present = np.zeros((N_RELATIONS, n, n), dtype=bool)
+    dense = np.zeros((N_RELATIONS, n, n), dtype=np.float64)
+    for r in range(1, N_RELATIONS + 1):
+        src, dst, w = g.relation(r)
+        present[r - 1, dst, src] = True
+        dense[r - 1, dst, src] = ad.value(w)
+
+    out = []
+    for mask in range(1, MAX_PATTERNS + 1):
+        inside = [r for r in range(N_RELATIONS) if mask >> r & 1]
+        outside = [r for r in range(N_RELATIONS) if not mask >> r & 1]
+        hit = np.ones((n, n), dtype=bool)
+        for r in inside:
+            hit &= present[r]
+        for r in outside:
+            hit &= ~present[r]
+        pairs = np.argwhere(hit)
+        if pairs.size == 0:
+            continue
+        rows, cols = pairs[:, 0], pairs[:, 1]
+        vals = dense[inside][:, rows, cols].mean(axis=0)
+        out.append(RelationPattern(mask=mask, rows=rows, cols=cols, vals=vals))
+    return PatternSet(n_nodes=n, patterns=out)
+
+
+def patterns_allclose(a: PatternSet, b: PatternSet, tol: float = 1e-9) -> bool:
+    """Same masks, identical supports, weights equal within tol."""
+    if a.n_nodes != b.n_nodes or masks(a) != masks(b):
+        return False
+    for pa, pb in zip(a.patterns, b.patterns):
+        if not (
+            np.array_equal(pa.rows, pb.rows)
+            and np.array_equal(pa.cols, pb.cols)
+            and np.allclose(ad.value(pa.vals), ad.value(pb.vals), rtol=0.0, atol=tol)
+        ):
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# patches
+
+
+def reassemble_patches(grid: PatchGrid, patch_values: np.ndarray | None = None) -> Image:
+    """Overlap-average patches back to an image (uncovered cells become 0)."""
+    vals = grid.patches if patch_values is None else np.asarray(patch_values)
+    if vals.shape != grid.patches.shape:
+        raise ValueError(f"patch_values shape {vals.shape} != {grid.patches.shape}")
+    total = np.bincount(
+        grid.pixel_indices.reshape(-1),
+        weights=vals.reshape(-1).astype(np.float64),
+        minlength=grid.height * grid.width * grid.channels,
+    )
+    avg = total / np.maximum(grid.coverage_counts, 1)
+    return Image.from_array(avg.reshape(grid.height, grid.width, grid.channels))

@@ -27,7 +27,7 @@ from graphpan.metrics import (
     scc,
     ssim,
 )
-from graphpan.patterns import generate_patterns, pattern_oracle, patterns_allclose
+from graphpan.patterns import generate_patterns
 from graphpan.training import (
     ablation_table,
     contrastive_loss,
@@ -40,6 +40,7 @@ from graphpan.training import (
 )
 
 from conftest import record_acceptance_line
+from oracles import pattern_oracle, patterns_allclose
 
 
 def _record(num, name, ok, detail):

@@ -30,6 +30,8 @@ from graphpan.graph import random_multiplex_graph
 from graphpan.imaging import BANDS, Image, extract_patches, synth_scene, upsample_bicubic
 from graphpan.patterns import PatternSet, RelationPattern, generate_patterns
 
+from oracles import masks, to_dense
+
 
 # ---------------------------------------------------------------------------
 # dense oracles
@@ -39,7 +41,7 @@ def local_oracle(ps, U, alpha, w_chain):
     n = ps.n_nodes
     M = np.zeros((n, n))
     for p in ps:
-        M += alpha[p.mask - 1] * p.to_dense(n)
+        M += alpha[p.mask - 1] * to_dense(p, n)
     sym = (M + M.T) / 2.0 + np.eye(n)
     deg = sym.sum(axis=1)
     dinv = np.where(deg > 1e-12, 1.0 / np.sqrt(np.where(deg > 1e-12, deg, 1.0)), 0.0)
@@ -56,7 +58,7 @@ def global_oracle(ps, U, beta, w_chain):
     n = ps.n_nodes
     B = np.zeros((n, len(ps)))
     for m, p in enumerate(ps):
-        B[:, m] = beta[p.mask - 1] * p.to_dense(n).sum(axis=1)
+        B[:, m] = beta[p.mask - 1] * to_dense(p, n).sum(axis=1)
     S = B @ B.T
     r = np.abs(S).sum(axis=1)
     A = np.where(r[:, None] > 0, S / np.where(r[:, None] > 0, r[:, None], 1.0), 0.0)
@@ -182,12 +184,12 @@ class TestGlobalPatternMatrix:
         B = ad.value(build_global_pattern_matrix(ps, beta))
         assert B.shape == (10, len(ps))
         for m, p in enumerate(ps):
-            want = beta[p.mask - 1] * p.to_dense(10).sum(axis=1)
+            want = beta[p.mask - 1] * to_dense(p, 10).sum(axis=1)
             np.testing.assert_allclose(B[:, m], want, rtol=1e-9, atol=1e-12)
 
     def test_columns_in_ascending_mask_order(self):
         ps = random_patternset(10, seed=13)
-        assert ps.masks() == sorted(ps.masks())
+        assert masks(ps) == sorted(masks(ps))
 
 
 def densify(op):

@@ -162,16 +162,20 @@ class TestEval:
         per_scene = [list(map(float, ln.split(",")[1:])) for ln in lines[1:-1]]
         mean_row = list(map(float, lines[-1].split(",")[1:]))
         np.testing.assert_allclose(mean_row, np.mean(per_scene, axis=0), atol=1e-6)
-        assert out_csv.read_text().strip().splitlines()[0] == "scene,psnr,ssim,sam,ergas,scc"
+        assert out_csv.read_bytes().startswith(b"scene,psnr,ssim,sam,ergas,scc\r\n")
+        assert out_csv.read_text().splitlines() == lines
 
-    def test_full_mode_header(self, workdir, capsys):
+    def test_full_mode_header(self, workdir, tmp_path, capsys):
+        out_csv = tmp_path / "eval.csv"
         code = main([
             "eval", "--checkpoint", str(workdir["ckpt"]),
-            "--data", str(workdir["data"]), "--mode", "full",
+            "--data", str(workdir["data"]), "--mode", "full", "--out", str(out_csv),
         ])
         assert code == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "scene,d_lambda,d_s,qnr"
+        assert out_csv.read_bytes().startswith(b"scene,d_lambda,d_s,qnr\r\n")
+        assert out_csv.read_text().splitlines() == lines
         dl, ds, qnr = map(float, lines[1].split(",")[1:])
         assert qnr == pytest.approx((1 - dl) * (1 - ds), abs=1e-5)
 
@@ -218,6 +222,19 @@ class TestEval:
         assert done.returncode == 1
         assert "Traceback" not in done.stderr
         assert done.stderr.startswith("error: checkpoint block name is not utf-8")
+
+    def test_non_finite_checkpoint_exit_1(self, workdir, tmp_path):
+        params, cfg = load_checkpoint(workdir["ckpt"])
+        params.recon[1][0, 0] = np.nan
+        bad = tmp_path / "nan.hssn"
+        save_checkpoint(bad, params, cfg)
+        blob = bad.read_bytes()
+        payload = blob.index(b"recon_1") + len(b"recon_1") + 12  # after the three dims
+        done = run_cli("eval", "--checkpoint", bad, "--data", workdir["data"])
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        assert done.stderr.startswith("error: non-finite sample in checkpoint block 'recon_1'")
+        assert f"byte offset {payload})" in done.stderr
 
     def test_scale_two_scenes(self, workdir, tmp_path, capsys):
         data = tmp_path / "s2"
@@ -301,6 +318,17 @@ class TestGradCheck:
         code = main(["grad-check", "--max-coords", "2", "--tol", "1e-15"])
         assert code == 2
         assert "fail" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--max-coords", "0"), ("--max-coords", "-3"), ("--eps", "0"), ("--eps", "nan"),
+        ("--eps", "inf"), ("--tol", "nan"), ("--tol", "-0.5"),
+    ])
+    def test_bad_flags_exit_1(self, flag, value, capsys):
+        assert main(["grad-check", flag, value]) == 1
+        captured = capsys.readouterr()
+        rule = "at least 1" if flag == "--max-coords" else "finite and positive"
+        assert captured.err.startswith(f"error: {flag} must be {rule}, got ")
+        assert captured.out == ""
 
 
 class TestAblate:

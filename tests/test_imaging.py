@@ -25,7 +25,6 @@ from graphpan.imaging import (
     read_image,
     read_pgm,
     read_ppm,
-    reassemble_patches,
     synth_scene,
     upsample_bicubic,
     wald_degrade,
@@ -34,6 +33,8 @@ from graphpan.imaging import (
     write_pgm,
     write_ppm,
 )
+
+from oracles import reassemble_patches
 
 
 # ---------------------------------------------------------------------------

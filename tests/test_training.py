@@ -259,6 +259,14 @@ class TestFiniteDifferences:
         }
         assert max(worst.values()) <= 1e-4
 
+    def test_grad_check_keeps_nan_error(self):
+        # a NaN finite difference must fail the check, not drop out of the max
+        scene = toy_scene(0)
+        cfg = toy_config(gamma=0.01)
+        params = ModelParams.init(cfg, seed=1, zero_recon=False)
+        worst = grad_check(scene, params, cfg, eps=float("nan"), max_coords=1, seed=0)
+        assert all(np.isnan(err) for err in worst.values())
+
     def test_grad_check_active_importance(self):
         # at init q = 0 zeroes the W and b gradients; with a random group
         # every importance coordinate carries gradient from both loss terms
@@ -487,6 +495,7 @@ class TestCheckpoints:
         ("gamma", float("nan"), "gamma is nan"),
         ("k", 1.5, "not an integer"),
         ("ablate", 3.0, "unknown ablation mode"),
+        ("layers", 2.0**40, "layers 1099511627776 is more than the file's"),
     ])
     def test_invalid_config_rejected_with_offset(self, tmp_path, field, value, message):
         cfg = toy_config()
@@ -512,6 +521,21 @@ class TestCheckpoints:
         with pytest.raises(CheckpointFormatError, match=f"block '{name}' of dims") as err:
             load_checkpoint(path)
         assert err.value.offset == offsets[name]
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["w_pan", "recon_0", "importance_2"])
+    def test_non_finite_weight_rejected_with_offset(self, tmp_path, name, value):
+        cfg = toy_config()
+        params = ModelParams.init(cfg, seed=0, zero_recon=False)
+        arr = dict(params.named_arrays())[name]
+        flat = arr.reshape(-1)  # a view: writes land in params
+        flat[3] = value
+        flat[-1] = value  # a later bad sample; the first one is reported
+        path = tmp_path / "w.hssn"
+        offsets = write_blocks(path, params.named_arrays() + [("_config", [4, 4, 8, 2, 1, 0.5, 0.01, 0])])
+        with pytest.raises(CheckpointFormatError, match=f"non-finite sample in checkpoint block '{name}'") as err:
+            load_checkpoint(path)
+        assert err.value.offset == offsets[name] + 4 * 3
 
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "bad.hssn"

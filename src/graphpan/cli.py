@@ -249,6 +249,8 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_analyze_priors(args) -> int:
+    if args.count < 1:
+        raise CliError(f"--count must be at least 1, got {args.count}")
     sums, counts = {}, {}
     for i in range(args.count):
         scene = synth_scene(args.seed + i, size=args.size)

@@ -7,7 +7,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .imaging import BANDS
+from .patterns import MAX_PATTERNS
+
 ABLATION_MODES = ("full", "local-only", "global-only")
+MAX_PARAMS = 1 << 24  # learned values a model may hold: 64 MiB in float32
 
 
 @dataclass
@@ -45,6 +49,12 @@ class TrainConfig:
     def dtype(self):
         return np.float64 if self.precision == "high" else np.float32
 
+    @property
+    def param_count(self) -> int:
+        """The total size of the arrays of ``aggregation.param_layout``."""
+        d, p2 = self.d, self.patch * self.patch
+        return (1 + 3 * BANDS) * d * p2 + 2 * (self.layers + 1) * d * d + 4 * d + 2 * MAX_PATTERNS
+
     def validate(self):
         for f in dataclasses.fields(self):
             if f.type == "float" and not np.isfinite(getattr(self, f.name)):
@@ -53,6 +63,8 @@ class TrainConfig:
             raise ValueError("need 1 <= stride <= patch")
         if self.d < 1 or self.layers < 1 or self.k < 1:
             raise ValueError("d, layers and k must be positive")
+        if self.param_count > MAX_PARAMS:  # checked before any array is built
+            raise ValueError(f"the model would hold {self.param_count} parameters, more than {MAX_PARAMS}")
         if self.tau <= 0:
             raise ValueError("tau must be positive")
         if self.gamma < 0:

@@ -259,7 +259,7 @@ class ScenePair:
 
 
 def gaussian_blur(data: np.ndarray, sigma: float) -> np.ndarray:
-    """Isotropic Gaussian blur, kernel radius ceil(3 sigma), edge-repeating
+    """Isotropic Gaussian blur, kernel radius int(3 sigma + 0.5), edge-repeating
     reflective borders.  Operates per channel (sigma 0 on the channel axis)
     in float64."""
     return ndimage.gaussian_filter(
@@ -437,6 +437,8 @@ def synth_scene(seed: int, size: int = 128, scale: int = 4) -> ScenePair:
     resolution loss visibly compresses the intensity distribution of each
     low-resolution band while the pan (band mean) stays close to every band.
     """
+    if scale < 1:
+        raise ValueError("scale must be >= 1")
     if size % scale:
         raise ValueError("size must be divisible by scale")
     if size < 4 * scale:

@@ -14,14 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.signal import convolve2d
+from scipy import ndimage
 
-from .imaging import Image, ScenePair, degrade_image, upsample_bicubic
+from .imaging import Image, ScenePair, degrade_image, gaussian_blur, upsample_bicubic
 
 PSNR_CAP = 99.0
 _SSIM_C1 = 0.01**2
 _SSIM_C2 = 0.03**2
-_SSIM_WIN = 11
+_SSIM_WIN = 11  # gaussian_blur's radius at sigma 1.5 is int(3 sigma + 0.5) = 5
 _SSIM_SIGMA = 1.5
 _Q_BLOCK = 32
 _EPS = 1e-12
@@ -66,12 +66,11 @@ def psnr(fused: Image, gt: Image) -> float:
     return min(10.0 * np.log10(1.0 / mse), PSNR_CAP)
 
 
-def _gaussian_window(size, sigma):
-    half = (size - 1) / 2.0
-    x = np.arange(size) - half
-    g = np.exp(-(x**2) / (2.0 * sigma**2))
-    k = np.outer(g, g)
-    return k / k.sum()
+def _local_moments(x, y, mean):
+    """Windowed means, variances and covariance of x and y, where ``mean``
+    gives an array's windowed means."""
+    mx, my = mean(x), mean(y)
+    return mx, my, mean(x * x) - mx * mx, mean(y * y) - my * my, mean(x * y) - mx * my
 
 
 def ssim(fused: Image, gt: Image) -> float:
@@ -79,20 +78,15 @@ def ssim(fused: Image, gt: Image) -> float:
     _check_pair(fused, gt)
     if min(fused.height, fused.width) < _SSIM_WIN:
         raise ValueError(f"ssim needs images of at least {_SSIM_WIN} px")
-    win = _gaussian_window(_SSIM_WIN, _SSIM_SIGMA)
-    vals = []
-    for b in range(fused.channels):
-        x = fused.data[:, :, b].astype(np.float64)
-        y = gt.data[:, :, b].astype(np.float64)
-        mx = convolve2d(x, win, mode="valid")
-        my = convolve2d(y, win, mode="valid")
-        sxx = convolve2d(x * x, win, mode="valid") - mx * mx
-        syy = convolve2d(y * y, win, mode="valid") - my * my
-        sxy = convolve2d(x * y, win, mode="valid") - mx * my
-        num = (2.0 * mx * my + _SSIM_C1) * (2.0 * sxy + _SSIM_C2)
-        den = (mx * mx + my * my + _SSIM_C1) * (sxx + syy + _SSIM_C2)
-        vals.append(np.mean(num / den))
-    return float(np.mean(vals))
+    x = fused.data.astype(np.float64)
+    y = gt.data.astype(np.float64)
+    r = _SSIM_WIN // 2
+    mx, my, sxx, syy, sxy = _local_moments(
+        x, y, lambda a: gaussian_blur(a, _SSIM_SIGMA)[r:-r, r:-r]
+    )
+    num = (2.0 * mx * my + _SSIM_C1) * (2.0 * sxy + _SSIM_C2)
+    den = (mx * mx + my * my + _SSIM_C1) * (sxx + syy + _SSIM_C2)
+    return float(np.mean(np.mean(num / den, axis=(0, 1))))
 
 
 def sam(fused: Image, gt: Image) -> float:
@@ -127,16 +121,13 @@ def ergas(fused: Image, gt: Image, scale: int = 4) -> float:
     return float(100.0 / scale * np.sqrt(np.mean(terms)))
 
 
-_LAPLACIAN = np.array([[0.0, 1.0, 0.0], [1.0, -4.0, 1.0], [0.0, 1.0, 0.0]])
-
-
 def scc(fused: Image, gt: Image) -> float:
     """Mean per-band Pearson correlation of Laplacian-filtered images."""
     _check_pair(fused, gt)
     vals = []
     for b in range(fused.channels):
-        x = convolve2d(fused.data[:, :, b].astype(np.float64), _LAPLACIAN, mode="valid")
-        y = convolve2d(gt.data[:, :, b].astype(np.float64), _LAPLACIAN, mode="valid")
+        x = ndimage.laplace(fused.data[:, :, b].astype(np.float64))[1:-1, 1:-1]
+        y = ndimage.laplace(gt.data[:, :, b].astype(np.float64))[1:-1, 1:-1]
         a = x - x.mean()
         c = y - y.mean()
         va = np.sum(a * a)
@@ -162,18 +153,6 @@ def full_reference(fused: Image, gt: Image, scale: int = 4) -> MetricReport:
 # no-reference protocol
 
 
-def _box_sums(a: np.ndarray, block: int) -> np.ndarray:
-    """Sliding block sums over all valid positions via an integral image."""
-    integral = np.zeros((a.shape[0] + 1, a.shape[1] + 1))
-    integral[1:, 1:] = np.cumsum(np.cumsum(a, axis=0), axis=1)
-    return (
-        integral[block:, block:]
-        - integral[:-block, block:]
-        - integral[block:, :-block]
-        + integral[:-block, :-block]
-    )
-
-
 def q_index(x: np.ndarray, y: np.ndarray, block: int = _Q_BLOCK) -> float:
     """Universal image quality index averaged over sliding blocks.
 
@@ -185,12 +164,11 @@ def q_index(x: np.ndarray, y: np.ndarray, block: int = _Q_BLOCK) -> float:
     x = x.astype(np.float64)
     y = y.astype(np.float64)
     b = min(block, x.shape[0], x.shape[1])
-    n = float(b * b)
-    mx = _box_sums(x, b) / n
-    my = _box_sums(y, b) / n
-    sxx = _box_sums(x * x, b) / n - mx * mx
-    syy = _box_sums(y * y, b) / n - my * my
-    sxy = _box_sums(x * y, b) / n - mx * my
+    o = b // 2  # the window centred at i starts at i - b // 2
+    rows, cols = x.shape[0] - b + 1, x.shape[1] - b + 1
+    mx, my, sxx, syy, sxy = _local_moments(
+        x, y, lambda a: ndimage.uniform_filter(a, b)[o : o + rows, o : o + cols]
+    )
     svar = sxx + syy
     mmag = mx * mx + my * my
     q = np.ones_like(mx)

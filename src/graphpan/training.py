@@ -294,7 +294,7 @@ def _encode_config(cfg: TrainConfig) -> np.ndarray:
 
 def _decode_config(meta) -> TrainConfig:
     """Inverse of :func:`_encode_config`; raises ValueError for a value
-    that is not a valid config."""
+    that no config field can take.  The caller validates the config."""
     types = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
     kw = {}
     for name, v in zip(CONFIG_FIELDS, meta.tolist()):
@@ -309,7 +309,7 @@ def _decode_config(meta) -> TrainConfig:
                 raise ValueError(f"unknown ablation mode index {v}")
             v = ABLATION_MODES[v]
         kw[name] = v
-    return TrainConfig(**kw).validate()
+    return TrainConfig(**kw)
 
 
 def save_checkpoint(path, params: ModelParams, cfg: TrainConfig):
@@ -381,10 +381,11 @@ def load_checkpoint(path):
     meta, start = block("_config", (_LEGACY_CONFIG_LEN,), (len(CONFIG_FIELDS),))
     try:
         cfg = _decode_config(meta)
-        # bounds the layout's per-layer lists by the file size; a smaller
-        # count that the file cannot hold is reported as a missing block
+        # a count that the file cannot hold, reported before the model-size
+        # bound of validate; a smaller one is reported as a missing block
         if cfg.layers > len(blob):
             raise ValueError(f"layers {cfg.layers} is more than the file's {len(blob)} bytes")
+        cfg.validate()
     except (ValueError, OverflowError) as e:
         raise CheckpointFormatError(f"bad checkpoint _config: {e}", offset=start) from None
 

@@ -495,6 +495,7 @@ class TestModelParams:
         ]
         p = ModelParams.init(cfg, seed=0)
         assert [a.shape for _, a in p.named_arrays()] == shapes
+        assert cfg.param_count == sum(a.size for _, a in p.named_arrays())
 
     def test_importance_drawn_last(self):
         # the importance group is drawn after every other group, so the

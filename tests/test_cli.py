@@ -6,6 +6,7 @@ checkpoint once; the eval/infer tests reuse it.
 
 import os
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -21,14 +22,30 @@ from graphpan.metrics import full_reference
 from graphpan.training import load_checkpoint, save_checkpoint
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+CHILD_ADDRESS_SPACE = 1 << 30  # bytes
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
+
 
 def run_cli(*argv):
-    """``python -m graphpan.cli`` in a child process importing this checkout."""
+    """``python -m graphpan.cli`` in a child process importing this checkout.
+    The child gets 1 GiB of address space, so a runaway allocation ends in a
+    prompt MemoryError instead of exhausting the host's memory."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "graphpan.cli", *map(str, argv)],
         capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path),
+        preexec_fn=_limit_address_space,
     )
+
+
+def assert_cli_error(done, message):
+    """A child that exited 1 with ``error: <message>...`` and no traceback."""
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith(f"error: {message}")
 
 
 FAST_TRAIN = [
@@ -64,6 +81,10 @@ class TestSynth:
         want = synth_scene(8, size=16)
         np.testing.assert_array_equal(pair.gt.data, want.gt.data)
 
+    def test_zero_scale_exit_1(self, tmp_path):
+        done = run_cli("synth", "--out", tmp_path / "s", "--scale", "0")
+        assert_cli_error(done, "scale must be >= 1")
+
 
 class TestTrain:
     def test_outputs_and_progress(self, workdir, capsys):
@@ -85,6 +106,14 @@ class TestTrain:
     def test_missing_data_dir_exit_1(self, tmp_path, capsys):
         assert main(["train", "--data", str(tmp_path / "nope"), "--out", str(tmp_path / "r")]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--layers", "100000000000"), ("--layers", "30000000"), ("--d", "100000"), ("--patch", "100000"),
+    ])
+    def test_oversized_model_exit_1(self, workdir, tmp_path, flag, value):
+        done = run_cli("train", "--data", workdir["data"], "--out", tmp_path / "r", flag, value)
+        assert_cli_error(done, "the model would hold ")
+        assert not (tmp_path / "r").exists()
 
     def test_divergence_exit_2(self, tmp_path, capsys):
         data = tmp_path / "d"
@@ -208,9 +237,7 @@ class TestEval:
         cut = tmp_path / "cut.hssn"
         cut.write_bytes(workdir["ckpt"].read_bytes()[:30])
         done = run_cli("eval", "--checkpoint", cut, "--data", workdir["data"])
-        assert done.returncode == 1
-        assert "Traceback" not in done.stderr
-        assert done.stderr.startswith("error: truncated checkpoint")
+        assert_cli_error(done, "truncated checkpoint")
         assert "byte offset 30" in done.stderr
 
     def test_corrupted_checkpoint_exit_1(self, workdir, tmp_path):
@@ -219,9 +246,7 @@ class TestEval:
         bad = tmp_path / "bad.hssn"
         bad.write_bytes(bytes(blob))
         done = run_cli("eval", "--checkpoint", bad, "--data", workdir["data"])
-        assert done.returncode == 1
-        assert "Traceback" not in done.stderr
-        assert done.stderr.startswith("error: checkpoint block name is not utf-8")
+        assert_cli_error(done, "checkpoint block name is not utf-8")
 
     def test_non_finite_checkpoint_exit_1(self, workdir, tmp_path):
         params, cfg = load_checkpoint(workdir["ckpt"])
@@ -231,9 +256,7 @@ class TestEval:
         blob = bad.read_bytes()
         payload = blob.index(b"recon_1") + len(b"recon_1") + 12  # after the three dims
         done = run_cli("eval", "--checkpoint", bad, "--data", workdir["data"])
-        assert done.returncode == 1
-        assert "Traceback" not in done.stderr
-        assert done.stderr.startswith("error: non-finite sample in checkpoint block 'recon_1'")
+        assert_cli_error(done, "non-finite sample in checkpoint block 'recon_1'")
         assert f"byte offset {payload})" in done.stderr
 
     def test_scale_two_scenes(self, workdir, tmp_path, capsys):
@@ -359,6 +382,12 @@ class TestAnalyzePriors:
         assert sum(1 for ln in lines if ln.startswith("pan_vs_gt")) == 4
         assert "mean pan-vs-gt coefficient:" in out
         assert len(out_csv.read_text().strip().splitlines()) == 15
+
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_no_scenes_exit_1(self, count):
+        done = run_cli("analyze-priors", "--count", count, "--size", "16")
+        assert_cli_error(done, f"--count must be at least 1, got {count}")
+        assert done.stdout == ""
 
 
 class TestBench:

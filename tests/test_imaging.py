@@ -510,3 +510,5 @@ class TestSynthScene:
             synth_scene(0, size=30)  # not divisible by scale
         with pytest.raises(ValueError):
             synth_scene(0, size=12)  # too small
+        with pytest.raises(ValueError, match="scale must be >= 1"):
+            synth_scene(0, size=16, scale=0)

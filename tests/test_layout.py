@@ -5,10 +5,14 @@ A def counts as used when something outside its own definition refers to
 it: a bare name in the same module, a ``from .m import name`` in any module,
 or ``alias.name`` where ``alias`` came from ``from . import m``.  Dunder
 names are exempt.  Code that only the tests call belongs in
-``tests/oracles.py`` or beside its test.
+``tests/oracles.py`` or beside its test.  The package also must not load
+``scipy.signal``: its filters come from ``scipy.ndimage``.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "graphpan"
@@ -72,3 +76,16 @@ def test_audit_counts_each_kind_of_reference(tmp_path):
         "from . import a as mod\nfrom .a import by_import\n\nmod.by_alias()\n"
     )
     assert unreferenced_defs(tmp_path) == ["a.Unused", "a.recursive"]
+
+
+def test_cli_import_loads_no_scipy_signal():
+    # graphpan filters with scipy.ndimage only; scipy.signal alone took about
+    # 1 s of the package's import time
+    probe = "import sys, graphpan.cli; print('scipy.signal' in sys.modules)"
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

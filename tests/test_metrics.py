@@ -265,14 +265,21 @@ class TestQIndex:
         assert q_index(x, x) == pytest.approx(1.0, abs=1e-9)
 
     def test_loop_oracle_clamped_block(self):
+        # the block clamps to an even side (10) and to an odd one (9)
         rng = np.random.default_rng(25)
-        x, y = rng.random((10, 12)), rng.random((10, 12))
-        assert q_index(x, y) == pytest.approx(q_index_oracle(x, y, 32), rel=1e-10)
+        for shape in [(10, 12), (12, 9)]:
+            x, y = rng.random(shape), rng.random(shape)
+            assert q_index(x, y) == pytest.approx(q_index_oracle(x, y, 32), rel=1e-10)
 
     def test_loop_oracle_small_block(self):
+        # the valid windows start at offset block // 2 of the filtered
+        # image, so both parities of the block are checked
         rng = np.random.default_rng(26)
-        x, y = rng.random((9, 9)), rng.random((9, 9))
-        assert q_index(x, y, block=4) == pytest.approx(q_index_oracle(x, y, 4), rel=1e-10)
+        for shape, block in [((9, 9), 4), ((9, 11), 5)]:
+            x, y = rng.random(shape), rng.random(shape)
+            assert q_index(x, y, block=block) == pytest.approx(
+                q_index_oracle(x, y, block), rel=1e-10
+            )
 
     def test_constant_pair_luminance_only(self):
         x = np.full((6, 6), 0.4)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import graphpan.autodiff as ad
 from graphpan.aggregation import ModelParams, run_pipeline
-from graphpan.config import TrainConfig
+from graphpan.config import MAX_PARAMS, TrainConfig
 from graphpan.imaging import BANDS, Image, ScenePair, degrade_image
 from graphpan.training import (
     ADAM_EPS,
@@ -496,6 +496,7 @@ class TestCheckpoints:
         ("k", 1.5, "not an integer"),
         ("ablate", 3.0, "unknown ablation mode"),
         ("layers", 2.0**40, "layers 1099511627776 is more than the file's"),
+        ("d", 2.0**20, f"parameters, more than {MAX_PARAMS}"),
     ])
     def test_invalid_config_rejected_with_offset(self, tmp_path, field, value, message):
         cfg = toy_config()
@@ -786,6 +787,14 @@ class TestTrainConfig:
     def test_non_finite_float_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             TrainConfig(**{field: value}).validate()
+
+    def test_model_size_bound(self):
+        one = TrainConfig(layers=1)
+        per_layer = one.replace(layers=2).param_count - one.param_count
+        largest = one.replace(layers=1 + (MAX_PARAMS - one.param_count) // per_layer)
+        assert largest.validate().param_count <= MAX_PARAMS
+        with pytest.raises(ValueError, match=f"parameters, more than {MAX_PARAMS}"):
+            largest.replace(layers=largest.layers + 1).validate()
 
 
 class TestAblationTable:

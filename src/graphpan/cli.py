@@ -333,6 +333,12 @@ def bench_scaling(sizes=(100, 200, 400, 800), d=32, seed=0):
 
 def cmd_bench(args) -> int:
     sizes = tuple(int(s) for s in args.sizes.split(","))
+    if min(sizes) < 2:
+        raise CliError(f"--sizes must each be at least 2, got {args.sizes}")
+    if len(set(sizes)) < 2:
+        raise CliError(f"--sizes needs two distinct sizes to fit an exponent, got {args.sizes}")
+    if args.d < 1:
+        raise CliError(f"--d must be at least 1, got {args.d}")
     rows, exps = bench_scaling(sizes=sizes, d=args.d, seed=args.seed)
     print(f"{'n':>6} {'t_patterns_s':>14} {'t_global_s':>12}")
     for r in rows:

@@ -26,6 +26,7 @@ from . import autodiff as ad
 from .imaging import BANDS, PatchGrid
 
 N_RELATIONS = 3
+_KNN_BLOCK = 256  # similarity rows selected at once by knn_select
 
 
 def band_node(i, b, n_patches):
@@ -104,16 +105,30 @@ def knn_select(feats: np.ndarray, k: int):
     m = unit.shape[0]
     if m < 2:
         return np.empty(0, np.int64), np.empty(0, np.int64)
+    # one product, selected _KNN_BLOCK rows at a time: a row-blocked product
+    # can differ in the last bit and so pick differently on exact ties
     sims = unit @ unit.T
     np.fill_diagonal(sims, -np.inf)
     kk = min(k, m - 1)
-    # every j above a row's kk-th largest similarity is picked, and ties at
-    # that threshold are filled from the lowest index j
-    kth = -np.partition(-sims, kk - 1, axis=1)[:, kk - 1:kk]
-    above, tied = sims > kth, sims == kth
-    need = kk - above.sum(axis=1, keepdims=True)
-    picked = above | (tied & (np.cumsum(tied, axis=1) <= need))
-    dst, src = np.nonzero(picked)  # row-major, so sorted by (dst, src)
+    neg = np.empty((min(_KNN_BLOCK, m), m))
+    flat = []  # picked positions in the row-major (m, m) matrix
+    for i in range(0, m, _KNN_BLOCK):
+        s = sims[i:i + _KNN_BLOCK]
+        part = np.negative(s, out=neg[:len(s)])
+        part.partition(kk - 1, axis=1)
+        kth = -part[:, kk - 1:kk]
+        # every j at or above a row's kk-th largest similarity is picked;
+        # a row with more than kk such j fills its ties at that threshold
+        # from the lowest index j
+        picked = s >= kth
+        over = np.count_nonzero(picked, axis=1) > kk
+        if over.any():
+            so, ko = s[over], kth[over]
+            above, tied = so > ko, so == ko
+            need = kk - np.count_nonzero(above, axis=1)[:, None]
+            picked[over] = above | (tied & (np.cumsum(tied, axis=1) <= need))
+        flat.append(np.flatnonzero(picked) + i * m)
+    dst, src = np.divmod(np.concatenate(flat), m)  # ascending, so sorted by (dst, src)
     return src, dst
 
 

@@ -1,15 +1,16 @@
 """Reference implementations that only the tests call.
 
 Each one is written independently of the code path it checks: patterns by
-dense membership tests over every ordered node pair, overlap averaging by a
-bincount over the grid's pixel indices, and exp/log as plain tape ops for the
-dense InfoNCE and composite-expression oracles.
+dense membership tests over every ordered node pair, kNN picks by a
+whole-matrix selection, overlap averaging by a bincount over the grid's pixel
+indices, and exp/log as plain tape ops for the dense InfoNCE and
+composite-expression oracles.
 """
 
 import numpy as np
 
 import graphpan.autodiff as ad
-from graphpan.graph import N_RELATIONS
+from graphpan.graph import N_RELATIONS, unit_rows
 from graphpan.imaging import Image, PatchGrid
 from graphpan.patterns import MAX_PATTERNS, PatternSet, RelationPattern
 
@@ -100,6 +101,29 @@ def patterns_allclose(a: PatternSet, b: PatternSet, tol: float = 1e-9) -> bool:
         ):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# neighbour selection
+
+
+def knn_select_whole(feats, k):
+    """``graph.knn_select`` on the whole (m, m) similarity matrix at once:
+    the same product, threshold and lowest-index tie fill for every row,
+    with no row blocks and no shortcut for rows without excess ties."""
+    unit = unit_rows(np.asarray(feats, dtype=np.float64))
+    m = unit.shape[0]
+    if m < 2:
+        return np.empty(0, np.int64), np.empty(0, np.int64)
+    sims = unit @ unit.T
+    np.fill_diagonal(sims, -np.inf)
+    kk = min(k, m - 1)
+    kth = -np.partition(-sims, kk - 1, axis=1)[:, kk - 1:kk]
+    above, tied = sims > kth, sims == kth
+    need = kk - above.sum(axis=1, keepdims=True)
+    picked = above | (tied & (np.cumsum(tied, axis=1) <= need))
+    dst, src = np.nonzero(picked)
+    return src, dst
 
 
 # ---------------------------------------------------------------------------

@@ -404,6 +404,21 @@ class TestBench:
         assert all(r["t_patterns"] > 0 and r["t_global"] > 0 for r in rows)
         assert set(exps) == {"patterns", "global"}
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--sizes", "0"], "--sizes must each be at least 2, got 0"),
+            (["--sizes", "1,40"], "--sizes must each be at least 2, got 1,40"),
+            (["--sizes", "40"], "--sizes needs two distinct sizes to fit an exponent, got 40"),
+            (["--sizes", "40,40"], "--sizes needs two distinct sizes to fit an exponent, got 40,40"),
+            (["--sizes", "40,80", "--d", "0"], "--d must be at least 1, got 0"),
+        ],
+    )
+    def test_bad_flags_exit_1(self, argv, message):
+        done = run_cli("bench", *argv)
+        assert_cli_error(done, message)
+        assert done.stdout == ""
+
 
 class TestParsing:
     def test_missing_required_flag_exit_1(self, capsys):

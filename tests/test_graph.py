@@ -1,10 +1,12 @@
 """Multiplex patch-graph construction.
 
-Neighbour selection is checked against a brute-force per-row oracle, edge
+Neighbour selection is checked against a brute-force per-row oracle and, at
+sizes that span several row blocks, against the whole-matrix selection; edge
 weights (dot products of unit rows) against a scalar cosine loop, and the
 node layout / relation typing against hand-enumerable 2-patch cases.
 """
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -25,6 +27,7 @@ from graphpan.graph import (
     unit_rows,
 )
 from graphpan.imaging import BANDS, Image, extract_patches
+from oracles import knn_select_whole
 
 
 def knn_oracle(feats, k):
@@ -177,6 +180,35 @@ class TestKnnSelect:
             want = knn_select(feats, k)
         for got, w in zip(knn_select(feats, k), want):
             np.testing.assert_array_equal(got, w)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(min_value=257, max_value=800),
+        st.integers(min_value=1, max_value=12),
+        *DRAWS[2:],
+    )
+    def test_property_multi_block_matches_whole_matrix(self, m, k, seed, kind):
+        # more than one row block, so the block offset and every later
+        # block's tie fill are exercised against the one-pass selection
+        feats = self._draw_feats(m, seed, kind)
+        src, dst = knn_select(feats, k)
+        osrc, odst = knn_select_whole(feats, k)
+        np.testing.assert_array_equal(src, osrc)
+        np.testing.assert_array_equal(dst, odst)
+
+    def test_peak_memory_bounded(self):
+        # the one (m, m) product plus row-block temporaries: below 1.5 of
+        # those arrays, where a whole-matrix selection holds several
+        m = 3_000
+        feats = np.random.default_rng(11).normal(size=(m, 64))
+        knn_select(feats[:10], 8)  # first-call allocations out of the count
+        tracemalloc.start()
+        try:
+            knn_select(feats, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * m * m * 8
 
 
 class TestCosineRows:

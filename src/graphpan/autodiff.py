@@ -5,6 +5,12 @@ op below is a module-level function that accepts either plain ndarrays or
 Tensors and returns the matching kind, so numerical code can be written once
 and run both as a plain forward pass and under differentiation.
 
+Each op is written once: it computes its value from the plain arrays of its
+inputs, defines its VJP as a closure of its own (the bench trace names tape
+bytes by that closure's qualified name) and returns through ``_node``, which
+alone decides the kind.  Work only the derivative needs stays in the VJP, so
+the plain pass does none of it.
+
 Conventions baked in here and relied on elsewhere:
   * piecewise-linear kinks (abs at 0, clip at its bounds) take subgradient 0,
   * discrete choices are made on detached values and are never part of the
@@ -157,81 +163,69 @@ def _unbroadcast(g, shape):
     return g.reshape(shape)
 
 
+def _node(out, parents, vjp):
+    """``out`` as a tape node when any parent is a Tensor, else ``out``
+    itself: the one place an op decides between taped and plain."""
+    if any(isinstance(p, Tensor) for p in parents):
+        return Tensor(out, parents, vjp)
+    return out
+
+
 def add(a, b):
-    if not (isinstance(a, Tensor) or isinstance(b, Tensor)):
-        return np.add(a, b)
     da, db = _operand(a), _operand(b)
-    out = da + db
 
     def vjp(g):
         return _unbroadcast(g, np.shape(da)), _unbroadcast(g, np.shape(db))
 
-    return Tensor(out, (a, b), vjp)
+    return _node(da + db, (a, b), vjp)
 
 
 def subtract(a, b):
-    if not (isinstance(a, Tensor) or isinstance(b, Tensor)):
-        return np.subtract(a, b)
     da, db = _operand(a), _operand(b)
-    out = da - db
 
     def vjp(g):
         return _unbroadcast(g, np.shape(da)), _unbroadcast(-g, np.shape(db))
 
-    return Tensor(out, (a, b), vjp)
+    return _node(da - db, (a, b), vjp)
 
 
 def multiply(a, b):
-    if not (isinstance(a, Tensor) or isinstance(b, Tensor)):
-        return np.multiply(a, b)
     da, db = _operand(a), _operand(b)
-    out = da * db
 
     def vjp(g):
         return _unbroadcast(g * db, np.shape(da)), _unbroadcast(g * da, np.shape(db))
 
-    return Tensor(out, (a, b), vjp)
+    return _node(da * db, (a, b), vjp)
 
 
 def divide(a, b):
-    if not (isinstance(a, Tensor) or isinstance(b, Tensor)):
-        return np.divide(a, b)
     da, db = _operand(a), _operand(b)
-    out = da / db
 
     def vjp(g):
         ga = _unbroadcast(g / db, np.shape(da))
         gb = _unbroadcast(-g * da / (db * db), np.shape(db))
         return ga, gb
 
-    return Tensor(out, (a, b), vjp)
+    return _node(da / db, (a, b), vjp)
 
 
 def negative(a):
-    if not isinstance(a, Tensor):
-        return np.negative(a)
-    return Tensor(-a.data, (a,), lambda g: (-g,))
+    return _node(-value(a), (a,), lambda g: (-g,))
 
 
 def matmul(a, b):
-    if not (isinstance(a, Tensor) or isinstance(b, Tensor)):
-        return np.matmul(a, b)
     da, db = value(a), value(b)
     if da.ndim != 2 or db.ndim != 2:
         raise ValueError("matmul supports 2-D operands only")
-    out = da @ db
 
     def vjp(g):
         return g @ db.T, da.T @ g
 
-    return Tensor(out, (a, b), vjp)
+    return _node(da @ db, (a, b), vjp)
 
 
 def sum(a, axis=None, keepdims=False):
-    if not isinstance(a, Tensor):
-        return np.sum(a, axis=axis, keepdims=keepdims)
-    da = a.data
-    out = da.sum(axis=axis, keepdims=keepdims)
+    da = value(a)
 
     def vjp(g):
         if axis is None:
@@ -239,7 +233,7 @@ def sum(a, axis=None, keepdims=False):
         gg = g if keepdims else np.expand_dims(g, axis)
         return (np.broadcast_to(gg, da.shape).copy(),)
 
-    return Tensor(out, (a,), vjp)
+    return _node(da.sum(axis=axis, keepdims=keepdims), (a,), vjp)
 
 
 def mean(a, axis=None, keepdims=False):
@@ -253,73 +247,56 @@ def mean(a, axis=None, keepdims=False):
 
 def absolute(a):
     """abs with subgradient 0 at 0."""
-    if not isinstance(a, Tensor):
-        return np.abs(a)
-    da = a.data
-    sign = np.sign(da)
-    return Tensor(np.abs(da), (a,), lambda g: (g * sign,))
+    da = value(a)
+    return _node(np.abs(da), (a,), lambda g: (g * np.sign(da),))
 
 
 def sqrt(a):
-    if not isinstance(a, Tensor):
-        return np.sqrt(a)
-    out_data = np.sqrt(a.data)
+    out = np.sqrt(value(a))
 
     def vjp(g):
-        return (g / (2.0 * out_data),)
+        return (g / (2.0 * out),)
 
-    return Tensor(out_data, (a,), vjp)
+    return _node(out, (a,), vjp)
 
 
 def tanh(a):
-    if not isinstance(a, Tensor):
-        return np.tanh(a)
-    out_data = np.tanh(a.data)
-    return Tensor(out_data, (a,), lambda g: (g * (1.0 - out_data * out_data),))
+    out = np.tanh(value(a))
+    return _node(out, (a,), lambda g: (g * (1.0 - out * out),))
 
 
 def clip(a, lo, hi):
     """Clamp to [lo, hi]; subgradient 0 outside the open interval."""
-    if not isinstance(a, Tensor):
-        return np.clip(a, lo, hi)
-    da = a.data
-    mask = ((da > lo) & (da < hi)).astype(da.dtype)
-    return Tensor(np.clip(da, lo, hi), (a,), lambda g: (g * mask,))
+    da = value(a)
+
+    def vjp(g):
+        return (g * ((da > lo) & (da < hi)).astype(da.dtype),)
+
+    return _node(np.clip(da, lo, hi), (a,), vjp)
 
 
 def transpose(a):
-    if not isinstance(a, Tensor):
-        return np.asarray(a).T
-    return Tensor(a.data.T, (a,), lambda g: (g.T,))
+    return _node(value(a).T, (a,), lambda g: (g.T,))
 
 
 def reshape(a, shape):
-    if not isinstance(a, Tensor):
-        return np.reshape(a, shape)
-    da = a.data
-    return Tensor(da.reshape(shape), (a,), lambda g: (g.reshape(da.shape),))
+    da = value(a)
+    return _node(da.reshape(shape), (a,), lambda g: (g.reshape(da.shape),))
 
 
 def concatenate(parts, axis=0):
-    if not any(isinstance(p, Tensor) for p in parts):
-        return np.concatenate(parts, axis=axis)
     datas = [value(p) for p in parts]
-    out = np.concatenate(datas, axis=axis)
-    sizes = [d.shape[axis] for d in datas]
-    splits = np.cumsum(sizes)[:-1]
 
     def vjp(g):
+        splits = np.cumsum([d.shape[axis] for d in datas])[:-1]
         return tuple(np.split(g, splits, axis=axis))
 
-    return Tensor(out, tuple(parts), vjp)
+    return _node(np.concatenate(datas, axis=axis), tuple(parts), vjp)
 
 
 def take(a, idx):
     """Indexing/gather; gradient scatter-adds into the source."""
-    if not isinstance(a, Tensor):
-        return np.asarray(a)[idx]
-    da = a.data
-    out = da[idx]
+    da = value(a)
 
     def vjp(g):
         if isinstance(idx, np.ndarray) and idx.ndim == 1 and idx.dtype.kind in "iu":
@@ -331,7 +308,7 @@ def take(a, idx):
             np.add.at(z, idx, g)
         return (z,)
 
-    return Tensor(out, (a,), vjp)
+    return _node(da[idx], (a,), vjp)
 
 
 def index_add(n, idx, vals):
@@ -340,11 +317,7 @@ def index_add(n, idx, vals):
     vals may be (E,) or (E, d).  Gradient is a gather back along idx.
     """
     idx = np.asarray(idx)
-    dv = value(vals)
-    out = _segment_sum(n, idx, dv)
-    if not isinstance(vals, Tensor):
-        return out
-    return Tensor(out, (vals,), lambda g: (g[idx],))
+    return _node(_segment_sum(n, idx, value(vals)), (vals,), lambda g: (g[idx],))
 
 
 def _segment_sum(n, idx, vals):
@@ -367,10 +340,9 @@ def info_nce(a, b, tau):
 
     The (n, n) logits are never held: rows are processed ``_NCE_BLOCK`` at a
     time with a per-row max.  Each block holds whole rows of
-    P = softmax(a b^T / tau), so on the tape the same pass accumulates the
-    gradients (P b - b) / (n tau) for a and (P^T a - a) / (n tau) for b;
-    they are kept as two arrays shaped like a and b, and the backward only
-    scales them.
+    P = softmax(a b^T / tau), so on the tape the same pass accumulates P b
+    and P^T a, two arrays shaped like a and b; the backward forms the
+    gradients (P b - b) / (n tau) for a and (P^T a - a) / (n tau) for b.
     """
     da, db = value(a), value(b)
     n = da.shape[0]
@@ -392,9 +364,9 @@ def info_nce(a, b, tau):
             pb[rows] = s @ db
             pta += s.T @ da[rows]
     pos = np.einsum("ij,ij->i", da, db) / tau
-    out = np.mean(lse - pos)
-    if not taped:
-        return out
-    scale = 1.0 / (n * tau)
-    ga, gb = (pb - db) * scale, (pta - da) * scale
-    return Tensor(out, (a, b), lambda g: (ga * g, gb * g))
+
+    def vjp(g):
+        scale = 1.0 / (n * tau)
+        return (pb - db) * scale * g, (pta - da) * scale * g
+
+    return _node(np.mean(lse - pos), (a, b), vjp)

@@ -104,6 +104,8 @@ def _scene_dirs(root) -> list:
 
 
 def cmd_synth(args) -> int:
+    if args.count < 1:
+        raise CliError(f"--count must be at least 1, got {args.count}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for i in range(args.count):

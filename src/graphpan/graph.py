@@ -42,11 +42,7 @@ class GraphStructure:
 
     n_patches: int
     edges: tuple  # three (src, dst) pairs
-    n_nodes: int = -1
-
-    def __post_init__(self):
-        if self.n_nodes < 0:
-            self.n_nodes = (1 + BANDS) * self.n_patches
+    n_nodes: int
 
 
 @dataclass
@@ -170,7 +166,9 @@ def build_structure(pan_feats, band_feats, k: int) -> GraphStructure:
     o3 = np.lexsort((s3, d3))
     s3, d3 = s3[o3], d3[o3]
 
-    return GraphStructure(n_patches=n, edges=((s1, d1), (s2, d2), (s3, d3)))
+    return GraphStructure(
+        n_patches=n, edges=((s1, d1), (s2, d2), (s3, d3)), n_nodes=(1 + BANDS) * n
+    )
 
 
 def build_graph(pan_feats, band_feats, k: int, structure: GraphStructure | None = None) -> HetGraph:

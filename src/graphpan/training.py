@@ -188,7 +188,6 @@ def grad_check(scene, params, cfg, eps=1e-4, max_coords=None, seed=0):
     absolute scale.  A NaN error is kept as the group's maximum, so it fails
     every tolerance.
     """
-    cfg = cfg.replace(precision="high")
     params = params.astype(np.float64)
     structure = run_pipeline(scene, params, cfg).graph.structure
     _, grads = backward(scene, params, cfg)
@@ -333,9 +332,10 @@ class CheckpointFormatError(FormatError):
 
 def load_checkpoint(path):
     """Returns (ModelParams, TrainConfig-with-model-fields).  A malformed or
-    truncated file, a block whose dims differ from the model's layout, a
-    parameter block holding a NaN or inf, or a ``_config`` block that is not
-    a valid config raises :class:`CheckpointFormatError`."""
+    truncated file, a duplicate block name, a block the layout does not
+    name, a missing block, a block whose dims differ from the model's
+    layout, a parameter block holding a NaN or inf, or a ``_config`` block
+    that is not a valid config raises :class:`CheckpointFormatError`."""
     blob = Path(path).read_bytes()
     if blob[:4] != CHECKPOINT_MAGIC:
         raise CheckpointFormatError("bad checkpoint magic", offset=0)
@@ -358,6 +358,8 @@ def load_checkpoint(path):
         except UnicodeDecodeError:
             raise CheckpointFormatError("checkpoint block name is not utf-8", offset=pos) from None
         dims, pos = unpack("<III", end, f"block {name!r} dims")
+        if name in raw_blocks:
+            raise CheckpointFormatError(f"duplicate checkpoint block {name!r}", offset=pos)
         count = dims[0] * dims[1] * dims[2]
         if pos + 4 * count > len(blob):
             raise CheckpointFormatError(f"truncated checkpoint block {name!r}", offset=len(blob))
@@ -389,10 +391,17 @@ def load_checkpoint(path):
     except (ValueError, OverflowError) as e:
         raise CheckpointFormatError(f"bad checkpoint _config: {e}", offset=start) from None
 
+    names = {name for name, _ in ModelParams.build(cfg, lambda *_: None).named_arrays()}
+    for name, (_, _, start) in raw_blocks.items():
+        if name != "_config" and name not in names:
+            raise CheckpointFormatError(f"unknown checkpoint block {name!r}", offset=start)
+    # checkpoints written before the importance group existed have none of
+    # its blocks and load it all-zero, which reproduces the plain-mean
+    # fusion exactly; a partial group is a missing block
+    legacy = not any(name.startswith("importance_") for name in raw_blocks)
+
     def load(name, shape, _init):
-        # checkpoints written before the importance group existed load it
-        # all-zero, which reproduces the plain-mean fusion exactly
-        if name.startswith("importance_") and "importance_0" not in raw_blocks:
+        if legacy and name.startswith("importance_"):
             return np.zeros(shape, dtype=np.float32)
         arr, start = block(name, shape)
         bad = np.flatnonzero(~np.isfinite(arr))

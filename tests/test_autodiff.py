@@ -304,10 +304,38 @@ class TestTapeMechanics:
             Tensor(np.ones(3)).backward()
 
     def test_plain_passthrough(self):
-        # ops on plain arrays return plain arrays, untaped
-        assert not isinstance(ad.add(X23, X23), Tensor)
-        assert not isinstance(ad.absolute(X23), Tensor)
-        assert not isinstance(ad.info_nce(X23, U23, 0.5), Tensor)
+        # every op on plain arrays returns a plain array, untaped, holding
+        # the same bits as the op on Tensors
+        pos = np.abs(X23) + 0.5
+        cases = [
+            (ad.add, (X23, U23)),
+            (ad.subtract, (X23, U23)),
+            (ad.multiply, (X23, U23)),
+            (ad.divide, (X23, pos)),
+            (ad.negative, (X23,)),
+            (lambda a, b: ad.matmul(a, ad.transpose(b)), (X23, U23)),
+            (lambda a: ad.sum(a, axis=1), (X23,)),
+            (ad.sum, (X23,)),
+            (lambda a: ad.mean(a, axis=0, keepdims=True), (X23,)),
+            (ad.mean, (X23,)),
+            (ad.absolute, (X23,)),
+            (ad.sqrt, (pos,)),
+            (ad.tanh, (X23,)),
+            (lambda a: ad.clip(a, -0.5, 0.5), (X23,)),
+            (ad.transpose, (X23,)),
+            (lambda a: ad.reshape(a, (3, 2)), (X23,)),
+            (lambda a, b: ad.concatenate([a, b], axis=1), (X23, U23)),
+            (lambda a: ad.take(a, np.array([1, 0, 1])), (X23,)),
+            (lambda a: ad.take(a, slice(1, None)), (X23,)),
+            (lambda a: ad.index_add(3, np.array([2, 0]), a), (X23,)),
+            (lambda a, b: ad.info_nce(a, b, 0.5), (X23, U23)),
+        ]
+        for op, args in cases:
+            plain = op(*args)
+            taped = op(*map(Tensor, args))
+            assert isinstance(plain, (np.ndarray, np.generic)) and isinstance(taped, Tensor)
+            assert np.asarray(plain).dtype == taped.data.dtype
+            assert np.asarray(plain).tobytes() == taped.data.tobytes()
         np.testing.assert_array_equal(ad.value(Tensor(X23)), X23)
         np.testing.assert_array_equal(ad.value(X23), X23)
 

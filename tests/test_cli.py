@@ -82,8 +82,13 @@ class TestSynth:
         np.testing.assert_array_equal(pair.gt.data, want.gt.data)
 
     def test_zero_scale_exit_1(self, tmp_path):
-        done = run_cli("synth", "--out", tmp_path / "s", "--scale", "0")
-        assert_cli_error(done, "scale must be >= 1")
+        for flag, value, message in [
+            ("--scale", "0", "scale must be >= 1"),
+            ("--count", "0", "--count must be at least 1, got 0"),
+            ("--count", "-1", "--count must be at least 1, got -1"),
+        ]:
+            done = run_cli("synth", "--out", tmp_path / "s", flag, value)
+            assert_cli_error(done, message)
 
 
 class TestTrain:

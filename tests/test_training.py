@@ -461,6 +461,36 @@ class TestCheckpoints:
             ad.value(full.repr.h), (ad.value(loc.repr.h) + ad.value(glo.repr.h)) / 2.0
         )
 
+    @pytest.mark.parametrize("edit,message,at", [
+        # one flipped byte in a name: importance_1 and _2 are still there
+        pytest.param("rename", "unknown checkpoint block 'importance_9'", "importance_9", id="rename"),
+        # the zero fill is only for a file with no importance_* block at all
+        pytest.param("drop", "checkpoint missing block 'importance_0'", None, id="drop"),
+        # a second w_pan used to replace the first one silently
+        pytest.param("duplicate", "duplicate checkpoint block 'w_pan'", "w_pan", id="duplicate"),
+        pytest.param("extra", "unknown checkpoint block 'bias'", "bias", id="extra"),
+    ])
+    def test_each_block_used_exactly_once(self, tmp_path, edit, message, at):
+        cfg = toy_config()
+        params = ModelParams.init(cfg, seed=5, zero_recon=False)
+        rng = np.random.default_rng(0)
+        params.importance = [rng.normal(size=a.shape) for a in params.importance]
+        blocks = params.named_arrays()
+        if edit == "rename":
+            blocks = [("importance_9" if n == "importance_0" else n, a) for n, a in blocks]
+        elif edit == "drop":
+            blocks = [(n, a) for n, a in blocks if n != "importance_0"]
+        elif edit == "duplicate":
+            blocks.append(("w_pan", np.zeros_like(params.w_pan)))
+        else:
+            blocks.append(("bias", np.ones(3)))
+        blocks.append(("_config", [4, 4, 8, 2, 1, 0.5, 0.01, 0]))
+        path = tmp_path / "x.hssn"
+        offsets = write_blocks(path, blocks)  # a repeated name maps to its later block
+        with pytest.raises(CheckpointFormatError, match=message) as err:
+            load_checkpoint(path)
+        assert err.value.offset == (offsets[at] if at else path.stat().st_size)
+
     @pytest.mark.parametrize("mode", ["full", "local-only", "global-only"])
     def test_round_trip_keeps_ablation_mode(self, tmp_path, mode):
         cfg = TrainConfig(patch=4, stride=4, d=8, layers=1, k=1, ablate=mode)

@@ -280,7 +280,7 @@ def reconstruct(H, grid: PatchGrid, recon, lrms_up: Image):
     bands = []
     flat_idx = idx.reshape(-1)
     for b in range(BANDS):
-        z = ad.concatenate([h_pan, H[band_node(0, b, n)::BANDS]], axis=1)  # (n, 2d)
+        z = ad.concatenate([h_pan, H[band_node(0, b, n):band_node(0, b + 1, n)]], axis=1)  # (n, 2d)
         blocks = z @ ad.transpose(recon[b])  # (n, p*p)
         summed = ad.index_add(hw, flat_idx, ad.reshape(blocks, (-1,)))
         residual = summed / counts.astype(dtype)

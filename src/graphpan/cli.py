@@ -107,7 +107,7 @@ def cmd_synth(args) -> int:
     if args.count < 1:
         raise CliError(f"--count must be at least 1, got {args.count}")
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    # save creates --out, so a size or scale that synth_scene refuses leaves nothing behind
     for i in range(args.count):
         scene = synth_scene(args.seed + i, size=args.size, scale=args.scale)
         scene.save(out / f"scene_{i:03d}")
@@ -253,17 +253,14 @@ def cmd_ablate(args) -> int:
 def cmd_analyze_priors(args) -> int:
     if args.count < 1:
         raise CliError(f"--count must be at least 1, got {args.count}")
-    sums, counts = {}, {}
-    for i in range(args.count):
-        scene = synth_scene(args.seed + i, size=args.size)
-        for name, emd, coeff in prior_analysis(scene, bins=args.bins):
-            s = sums.setdefault(name, [0.0, 0.0])
-            s[0] += emd
-            s[1] += coeff
-            counts[name] = counts.get(name, 0) + 1
+    tables = [
+        prior_analysis(synth_scene(args.seed + i, size=args.size), bins=args.bins)
+        for i in range(args.count)
+    ]  # every scene gives the same rows in the same order
+    means = np.mean([[row[1:] for row in t] for t in tables], axis=0)
     rows = [
-        [name, f"{s[0] / counts[name]:.6f}", f"{s[1] / counts[name]:.6f}"]
-        for name, s in sums.items()
+        [name, f"{emd:.6f}", f"{coeff:.6f}"]
+        for (name, _, _), (emd, coeff) in zip(tables[0], means)
     ]
     header = ["pair", "mean_emd", "mean_coefficient"]
     for r in [header] + rows:

@@ -1,7 +1,7 @@
 """Heterogeneous spatial-spectral patch graph.
 
-Nodes: N pan-patch nodes (ids 0..N-1) and 4N band-patch nodes after them,
-patch by patch; :func:`band_node` gives the id of band b of patch i.  Three
+Nodes: N pan-patch nodes (ids 0..N-1), then one block of N band-patch
+nodes per band; :func:`band_node` gives the id of band b of patch i.  Three
 weighted directed relations connect them; an entry with row i, column j is
 an edge j -> i (rows receive):
 
@@ -30,9 +30,12 @@ _KNN_BLOCK = 256  # similarity rows selected at once by knn_select
 
 
 def band_node(i, b, n_patches):
-    """Node id of band b of patch i (scalars or broadcasting int arrays);
-    pan node i has id i."""
-    return n_patches + BANDS * i + b
+    """Node id of band b of patch i (scalars or broadcasting int arrays).
+
+    The one statement of the node layout: pan node i has id i, and band b's
+    nodes are the contiguous block [(1 + b) N, (2 + b) N) after the pan block
+    and the blocks of the bands before it."""
+    return (1 + b) * n_patches + i
 
 
 @dataclass
@@ -134,37 +137,22 @@ def edge_weights(unit, src, dst):
     return ad.clip(ad.sum(unit[dst] * unit[src], axis=1), 0.0, 1.0)
 
 
-def _stack_node_attributes(pan_feats, band_feats):
-    # band rows interleave as (patch 0: bands 0..3, patch 1: bands 0..3, ...)
-    n, d = ad.value(pan_feats).shape
-    bands = ad.concatenate(band_feats, axis=1)  # (N, 4d)
-    bands = ad.reshape(bands, (BANDS * n, d))
-    return ad.concatenate([pan_feats, bands], axis=0)
-
-
 def build_structure(pan_feats, band_feats, k: int) -> GraphStructure:
     """Select graph topology from detached feature values."""
     xp = ad.value(pan_feats)
     n = xp.shape[0]
     s1, d1 = knn_select(xp, k)
 
-    srcs, dsts = [], []
-    for b, yb in enumerate(band_feats):
-        sb, db = knn_select(ad.value(yb), k)
-        srcs.append(band_node(sb, b, n))
-        dsts.append(band_node(db, b, n))
-    s2 = np.concatenate(srcs) if srcs else np.empty(0, np.int64)
-    d2 = np.concatenate(dsts) if dsts else np.empty(0, np.int64)
-    o2 = np.lexsort((s2, d2))
-    s2, d2 = s2[o2], d2[o2]
+    knn = [knn_select(ad.value(yb), k) for yb in band_feats]
+    s2 = np.concatenate([band_node(sb, b, n) for b, (sb, _) in enumerate(knn)])
+    d2 = np.concatenate([band_node(db, b, n) for b, (_, db) in enumerate(knn)])
 
+    # pan i receives from its bands in band order, then each band node from
+    # its pan node: already sorted by (dst, src)
     i = np.arange(n, dtype=np.int64)
-    band_ids = band_node(i[:, None], np.arange(BANDS)[None, :], n).reshape(-1)
-    pan_ids = np.repeat(i, BANDS)
-    s3 = np.concatenate([band_ids, pan_ids])
-    d3 = np.concatenate([pan_ids, band_ids])
-    o3 = np.lexsort((s3, d3))
-    s3, d3 = s3[o3], d3[o3]
+    band_ids = band_node(i[:, None], np.arange(BANDS)[None, :], n)  # (n, BANDS)
+    s3 = np.concatenate([band_ids.reshape(-1), np.tile(i, BANDS)])
+    d3 = np.concatenate([np.repeat(i, BANDS), band_ids.T.reshape(-1)])
 
     return GraphStructure(
         n_patches=n, edges=((s1, d1), (s2, d2), (s3, d3)), n_nodes=(1 + BANDS) * n
@@ -180,7 +168,7 @@ def build_graph(pan_feats, band_feats, k: int, structure: GraphStructure | None 
     """
     if structure is None:
         structure = build_structure(pan_feats, band_feats, k)
-    U = _stack_node_attributes(pan_feats, band_feats)
+    U = ad.concatenate([pan_feats, *band_feats], axis=0)
     unit = unit_rows(U)
     weights = [edge_weights(unit, src, dst) for src, dst in structure.edges]
     return HetGraph(structure=structure, weights=weights, U=U)

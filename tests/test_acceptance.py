@@ -6,6 +6,7 @@ the 1000-graph corpus, the 500-iteration overfit run, and the three-mode
 ablation -- are computed once in module-scoped fixtures.
 """
 
+import os
 import time
 
 import numpy as np
@@ -272,11 +273,15 @@ def test_c08_ablation_direction(ablation_rows):
     print("\n".join(table))
     full = rows[0]["final_l1"]
     best_single = min(rows[1]["final_l1"], rows[2]["final_l1"])
-    ok = full <= best_single * 1.05
+    gate = best_single * 1.05
+    ok = full <= gate
+    # the rows move with BLAS threading, so the line names the thread setting
+    threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
     _record(8, "ablation direction", ok,
             f"full {full:.6f} vs best single-branch {best_single:.6f} "
-            f"(need full <= {best_single * 1.05:.6f}); "
-            + "; ".join(f"{r['mode']} {r['final_l1']:.6f}" for r in rows))
+            f"(need full <= {gate:.6f}, margin {100 * (1 - full / gate):.2f}%); "
+            + "; ".join(f"{r['mode']} {r['final_l1']:.6f}" for r in rows)
+            + f"; OPENBLAS_NUM_THREADS={threads}")
     assert full <= best_single * 1.05, (
         "fused model does not beat its best single branch at this training "
         f"horizon: full={full:.6f}, local-only={rows[1]['final_l1']:.6f}, "

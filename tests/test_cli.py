@@ -84,11 +84,13 @@ class TestSynth:
     def test_zero_scale_exit_1(self, tmp_path):
         for flag, value, message in [
             ("--scale", "0", "scale must be >= 1"),
+            ("--size", "0", "scene too small for the requested scale"),
             ("--count", "0", "--count must be at least 1, got 0"),
             ("--count", "-1", "--count must be at least 1, got -1"),
         ]:
             done = run_cli("synth", "--out", tmp_path / "s", flag, value)
             assert_cli_error(done, message)
+            assert not (tmp_path / "s").exists()  # a refused run writes nothing
 
 
 class TestTrain:

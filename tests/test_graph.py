@@ -15,6 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphpan.autodiff as ad
+from graphpan.aggregation import ModelParams, run_pipeline
+from graphpan.config import TrainConfig
 from graphpan.graph import (
     N_RELATIONS,
     band_node,
@@ -26,7 +28,7 @@ from graphpan.graph import (
     random_multiplex_graph,
     unit_rows,
 )
-from graphpan.imaging import BANDS, Image, extract_patches
+from graphpan.imaging import BANDS, Image, extract_patches, synth_scene
 from oracles import knn_select_whole
 
 
@@ -53,9 +55,10 @@ def knn_oracle(feats, k):
 class TestNodeLayout:
     def test_id_scheme(self):
         n = 5
-        assert band_node(0, 0, n) == 5
-        assert band_node(2, 3, n) == 5 + 4 * 2 + 3
-        ids = band_node(np.arange(n)[:, None], np.arange(BANDS)[None, :], n)
+        assert band_node(0, 0, n) == n
+        assert band_node(2, 3, n) == (1 + 3) * n + 2
+        # band-major: each band is one contiguous block after the pan block
+        ids = band_node(np.arange(n)[None, :], np.arange(BANDS)[:, None], n)
         np.testing.assert_array_equal(ids.reshape(-1), np.arange(n, (1 + BANDS) * n))
 
     def test_stacked_attributes_follow_id_scheme(self):
@@ -270,9 +273,12 @@ class TestBuildGraph:
         ys = [rng.normal(size=(5, 4)) for _ in range(BANDS)]
         g = build_graph(xp, ys, k=2)
         n = g.n_patches
+        bands = np.arange(BANDS)[:, None]
+        band_of = np.full(g.n_nodes, -1)
+        band_of[band_node(np.arange(n)[None, :], bands, n)] = bands
         s2, d2 = g.structure.edges[1]
-        for a, b in zip(s2, d2):
-            assert (a - n) % BANDS == (b - n) % BANDS
+        assert len(s2) and np.all(band_of[s2] >= 0)
+        np.testing.assert_array_equal(band_of[s2], band_of[d2])
 
     def test_same_patch_relation_pairs(self):
         _, _, g = self._two_patch_graph()
@@ -285,6 +291,22 @@ class TestBuildGraph:
                 want.add((band_node(i, b, n), i))
                 want.add((i, band_node(i, b, n)))
         assert pairs == want
+
+    @staticmethod
+    def _assert_sorted_by_dst_src(structure):
+        for src, dst in structure.edges:
+            key = dst * structure.n_nodes + src
+            assert np.all(np.diff(key) > 0)
+
+    def test_edges_sorted_by_dst_src(self):
+        _, _, g = self._two_patch_graph()
+        self._assert_sorted_by_dst_src(g.structure)
+
+    @pytest.mark.parametrize("size", [64, 128])
+    def test_scene_edges_sorted_by_dst_src(self, size):
+        cfg = TrainConfig(ablate="local-only")
+        out = run_pipeline(synth_scene(0, size=size), ModelParams.init(cfg, seed=0), cfg)
+        self._assert_sorted_by_dst_src(out.graph.structure)
 
     def test_same_patch_weights_match_cosine(self):
         xp, ys, g = self._two_patch_graph()

@@ -165,10 +165,11 @@ def aggregate_local(ps: PatternSet, U, alpha, w_local) -> object:
     With A the alpha-scaled pattern entries, the operator is
     D^{-1/2} (A/2 + A^T/2 + I) D^{-1/2}, whose degrees are
     deg = A 1/2 + A^T 1/2 + 1.  It is applied as
-    D^{-1/2} (A V/2 + A^T V/2 + V) with V = D^{-1/2} U: one scatter along
-    the entry rows and one along the columns.  Every step is linear in the
-    entries, so entries that share a (row, col) need no merging.  A node of
-    degree at most the floor is dropped (its rows and columns are zero).
+    D^{-1/2} (A V/2 + A^T V/2 + V) with V = D^{-1/2} U, where A V and
+    A^T V are two sparse products (:func:`autodiff.spmm`), so the tape keeps
+    only (E,) entry vectors and no (E, d) gather.  Every step is linear in
+    the entries, so entries that share a (row, col) need no merging.  A node
+    of degree at most the floor is dropped (its rows and columns are zero).
     """
     if len(ps) == 0:
         raise ValueError("empty pattern set")
@@ -182,8 +183,7 @@ def aggregate_local(ps: PatternSet, U, alpha, w_local) -> object:
     live = (ad.value(deg) > _DEGREE_FLOOR).astype(dtype)
     dinv = ad.reshape(live / ad.sqrt(deg * live + (1.0 - live)), (n, 1))
     v = dinv * U
-    e = ad.reshape(vals, (-1, 1))
-    av = ad.index_add(n, rows, e * v[cols]) + ad.index_add(n, cols, e * v[rows])
+    av = ad.spmm(n, rows, cols, vals, v) + ad.spmm(n, cols, rows, vals, v)
     h = dinv * (av * 0.5 + v)
     acc = None
     for wl in w_local:

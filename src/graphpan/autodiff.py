@@ -11,6 +11,13 @@ bytes by that closure's qualified name) and returns through ``_node``, which
 alone decides the kind.  Work only the derivative needs stays in the VJP, so
 the plain pass does none of it.
 
+The graph ops :func:`spmm` (a sparse matrix, given as index and value
+vectors, times a dense one) and :func:`edge_dots` (one dot product per
+edge) keep only (E,) vectors and their dense operands on the tape; their
+VJPs are sparse products, and any (E, d) gather is formed a block at a time
+inside the op and dropped.  Every op that takes index arrays refuses an
+index outside the rows it addresses with ValueError.
+
 Conventions baked in here and relied on elsewhere:
   * piecewise-linear kinks (abs at 0, clip at its bounds) take subgradient 0,
   * discrete choices are made on detached values and are never part of the
@@ -314,10 +321,71 @@ def take(a, idx):
 def index_add(n, idx, vals):
     """Segment sum: out[i] = sum of vals rows whose idx == i; out has n rows.
 
-    vals may be (E,) or (E, d).  Gradient is a gather back along idx.
+    vals may be (E,) or (E, d); an index outside [0, n) raises ValueError.
+    Gradient is a gather back along idx.
     """
-    idx = np.asarray(idx)
+    idx = _indices(idx, n)
     return _node(_segment_sum(n, idx, value(vals)), (vals,), lambda g: (g[idx],))
+
+
+def spmm(n, rows, cols, vals, V):
+    """A @ V for the (n, len(V)) sparse matrix A holding vals at (rows, cols);
+    entries that share a (row, col) add.  V is 2-D.
+
+    The tape keeps only the entry vectors and V: the gradient for V is
+    A^T g, and the one for vals is the row dots sum_k g[rows, k] V[cols, k],
+    formed in the backward.
+    """
+    dv, dV = value(vals), value(V)
+    if dV.ndim != 2:
+        raise ValueError("spmm supports a 2-D right operand only")
+    rows, cols = _indices(rows, n), _indices(cols, len(dV))
+    a = sparse.csr_matrix((dv, (rows, cols)), shape=(n, len(dV)))
+
+    def vjp(g):
+        return _row_dots(g, rows, dV, cols), a.T @ g
+
+    return _node(a @ dV, (vals, V), vjp)
+
+
+def edge_dots(unit, src, dst):
+    """Per-edge dot products sum_k unit[dst, k] unit[src, k] of a 2-D array.
+
+    The (E, d) gathers are never kept: the gradient is (S + S^T) unit with
+    S the sparse matrix holding g at (dst, src).
+    """
+    du = value(unit)
+    src, dst = _indices(src, len(du)), _indices(dst, len(du))
+
+    def vjp(g):
+        s = sparse.csr_matrix((g, (dst, src)), shape=(len(du), len(du)))
+        return (s @ du + s.T @ du,)
+
+    return _node(_row_dots(du, dst, du, src), (unit,), vjp)
+
+
+def _indices(idx, n):
+    """idx as an integer array, every entry checked to lie in [0, n)."""
+    idx = np.asarray(idx)
+    if idx.size == 0:
+        return idx.astype(np.int64)
+    if idx.min() < 0 or idx.max() >= n:
+        raise ValueError(f"index out of range [0, {n})")
+    return idx
+
+
+_DOT_BLOCK = 1024  # edge rows gathered at once by _row_dots
+
+
+def _row_dots(a, ia, b, ib):
+    """out[e] = a[ia[e]] . b[ib[e]] for 2-D a and b, gathering a block of
+    rows at a time: no (E, d) array is held, and each block's gathers stay
+    in cache."""
+    out = np.empty(len(ia), dtype=np.result_type(a, b))
+    for i in range(0, len(ia), _DOT_BLOCK):
+        rows = slice(i, i + _DOT_BLOCK)
+        out[rows] = np.einsum("ij,ij->i", a[ia[rows]], b[ib[rows]])
+    return out
 
 
 def _segment_sum(n, idx, vals):

@@ -133,8 +133,9 @@ def knn_select(feats: np.ndarray, k: int):
 
 def edge_weights(unit, src, dst):
     """Clamped cosine similarity of each edge's endpoints, given the rows of
-    :func:`unit_rows` (differentiable)."""
-    return ad.clip(ad.sum(unit[dst] * unit[src], axis=1), 0.0, 1.0)
+    :func:`unit_rows` (differentiable).  One :func:`autodiff.edge_dots`
+    node, so the tape keeps an (E,) vector and no (E, d) gather."""
+    return ad.clip(ad.edge_dots(unit, src, dst), 0.0, 1.0)
 
 
 def build_structure(pan_feats, band_feats, k: int) -> GraphStructure:
@@ -183,10 +184,8 @@ def random_multiplex_graph(n_nodes: int, density: float, seed: int) -> HetGraph:
     eye = np.eye(n_nodes, dtype=bool)
     for _ in range(N_RELATIONS):
         mask = (rng.random((n_nodes, n_nodes)) < density) & ~eye
-        dst, src = np.nonzero(mask)  # row = receiver
-        w = rng.uniform(1e-6, 1.0, size=len(dst))
-        order = np.lexsort((src, dst))
-        edges.append((src[order].astype(np.int64), dst[order].astype(np.int64)))
-        weights.append(w[order])
+        dst, src = np.nonzero(mask)  # row = receiver; row-major, so sorted by (dst, src)
+        weights.append(rng.uniform(1e-6, 1.0, size=len(dst)))
+        edges.append((src.astype(np.int64), dst.astype(np.int64)))
     structure = GraphStructure(n_patches=0, edges=tuple(edges), n_nodes=n_nodes)
     return HetGraph(structure=structure, weights=weights, U=np.zeros((n_nodes, 1)))

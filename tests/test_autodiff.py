@@ -205,6 +205,109 @@ class TestReductionsIndexing:
         (ad.index_add(2, idx, vals) * u).sum().backward()
         np.testing.assert_allclose(vals.grad, u[idx])
 
+    @pytest.mark.parametrize("idx", [[5, 0], [3, 0], [-1, 0]])
+    @pytest.mark.parametrize("shape", [(2,), (2, 3)])
+    def test_index_add_rejects_out_of_range(self, idx, shape):
+        # 1-D values used to come back longer (np.bincount grows its output)
+        with pytest.raises(ValueError, match="out of range"):
+            ad.index_add(3, np.array(idx), np.ones(shape))
+
+
+def dense_matrix(n, m, rows, cols, vals):
+    """Oracle: the (n, m) matrix with vals added at (rows, cols)."""
+    a = np.zeros((n, m))
+    np.add.at(a, (rows, cols), vals)
+    return a
+
+
+class TestSparseOps:
+    """spmm and edge_dots on entries with a repeated (row, col), both
+    directions of a pair, a diagonal entry, an isolated node (4) and no
+    entries at all."""
+
+    N = 5
+    ROWS = np.array([0, 1, 1, 1, 2, 3, 0])
+    COLS = np.array([1, 0, 2, 2, 3, 3, 2])
+    EMPTY = np.array([], dtype=np.int64)
+
+    def inputs(self, seed, e=None):
+        rng = np.random.default_rng(seed)
+        e = len(self.ROWS) if e is None else e
+        return rng.normal(size=e), rng.normal(size=(self.N, 3)), rng.normal(size=(self.N, 3))
+
+    def test_spmm_matches_dense(self):
+        vals, v, _ = self.inputs(0)
+        a = dense_matrix(self.N, self.N, self.ROWS, self.COLS, vals)
+        np.testing.assert_allclose(ad.spmm(self.N, self.ROWS, self.COLS, vals, v), a @ v)
+        np.testing.assert_allclose(ad.spmm(self.N, self.COLS, self.ROWS, vals, v), a.T @ v)
+        # A need not be square: n output rows, len(V) columns
+        tall = ad.spmm(self.N + 2, self.ROWS + 2, self.COLS, vals, v)
+        np.testing.assert_allclose(tall, dense_matrix(self.N + 2, self.N, self.ROWS + 2, self.COLS, vals) @ v)
+
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_spmm_vjps_fd(self, transposed):
+        rows, cols = (self.COLS, self.ROWS) if transposed else (self.ROWS, self.COLS)
+        vals, v, u = self.inputs(1)
+        check_op(lambda t: (ad.spmm(self.N, rows, cols, t, v) * u).sum(), vals)
+        check_op(lambda t: (ad.spmm(self.N, rows, cols, vals, t) * u).sum(), v)
+        # both parents on the tape at once, and V reused downstream
+        vt, wt = Tensor(v.copy()), Tensor(vals.copy())
+        out = ((ad.spmm(self.N, rows, cols, wt, vt) + vt) * u).sum()
+        out.backward()
+        a = dense_matrix(self.N, self.N, rows, cols, vals)
+        np.testing.assert_allclose(vt.grad, a.T @ u + u)
+        np.testing.assert_allclose(wt.grad, np.sum(u[rows] * v[cols], axis=1))
+
+    def test_spmm_empty(self):
+        _, v, u = self.inputs(2)
+        vals = Tensor(np.zeros(0))
+        vt = Tensor(v.copy())
+        out = ad.spmm(self.N, self.EMPTY, self.EMPTY, vals, vt)
+        np.testing.assert_array_equal(out.data, np.zeros_like(v))
+        (out * u).sum().backward()
+        assert vals.grad.shape == (0,)
+        np.testing.assert_array_equal(vt.grad, np.zeros_like(v))
+
+    def test_edge_dots_matches_gather(self):
+        _, unit, _ = self.inputs(3)
+        got = ad.edge_dots(unit, self.COLS, self.ROWS)
+        np.testing.assert_allclose(got, np.sum(unit[self.ROWS] * unit[self.COLS], axis=1))
+        assert ad.edge_dots(unit, self.EMPTY, self.EMPTY).shape == (0,)
+
+    def test_edge_dots_vjp_fd(self):
+        w, unit, _ = self.inputs(4)
+        check_op(lambda t: (ad.edge_dots(t, self.COLS, self.ROWS) * w).sum(), unit)
+        # longer than one gather block, with every kind of repeat
+        rng = np.random.default_rng(5)
+        e = 2 * ad._DOT_BLOCK + 7
+        src, dst = rng.integers(0, self.N - 1, e), rng.integers(0, self.N - 1, e)
+        big = rng.normal(size=e)
+        check_op(lambda t: (ad.edge_dots(t, src, dst) * big).sum(), unit, rtol=1e-6, atol=1e-6)
+        ut = Tensor(unit.copy())
+        ad.sum(ad.edge_dots(ut, self.EMPTY, self.EMPTY)).backward()
+        np.testing.assert_array_equal(ut.grad, np.zeros_like(unit))
+
+    def test_float32_gradients_stay_float32(self):
+        vals, v, u = (x.astype(np.float32) for x in self.inputs(6))
+        wt, vt, ut = Tensor(vals), Tensor(v), Tensor(u)
+        out = ad.sum(ad.spmm(self.N, self.ROWS, self.COLS, wt, vt) * u) + ad.sum(ad.edge_dots(ut, self.COLS, self.ROWS))
+        out.backward()
+        assert out.dtype == wt.grad.dtype == vt.grad.dtype == ut.grad.dtype == np.float32
+
+    @pytest.mark.parametrize("bad", [5, -1])
+    def test_reject_out_of_range(self, bad):
+        vals, v, _ = self.inputs(7)
+        for which in range(2):
+            idx = [self.ROWS.copy(), self.COLS.copy()]
+            idx[which][3] = bad
+            with pytest.raises(ValueError, match="out of range"):
+                ad.spmm(self.N, *idx, vals, v)
+            with pytest.raises(ValueError, match="out of range"):
+                ad.edge_dots(v, *idx)
+        # the columns index V, whose length bounds them
+        with pytest.raises(ValueError, match="out of range"):
+            ad.spmm(self.N, self.ROWS, self.COLS, vals, v[:3])
+
 
 def dense_info_nce(a, b, tau):
     """InfoNCE through the (n, n) logits, composed from the elementwise ops:
@@ -328,6 +431,8 @@ class TestTapeMechanics:
             (lambda a: ad.take(a, np.array([1, 0, 1])), (X23,)),
             (lambda a: ad.take(a, slice(1, None)), (X23,)),
             (lambda a: ad.index_add(3, np.array([2, 0]), a), (X23,)),
+            (lambda a, b: ad.spmm(3, np.array([2, 0, 2]), np.array([1, 0, 1]), a, b), (X23[0], U23)),
+            (lambda a: ad.edge_dots(a, np.array([0, 1, 1]), np.array([1, 0, 1])), (X23,)),
             (lambda a, b: ad.info_nce(a, b, 0.5), (X23, U23)),
         ]
         for op, args in cases:

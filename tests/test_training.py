@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import graphpan.autodiff as ad
 from graphpan.aggregation import ModelParams, run_pipeline
 from graphpan.config import MAX_PARAMS, TrainConfig
-from graphpan.imaging import BANDS, Image, ScenePair, degrade_image
+from graphpan.imaging import BANDS, Image, ScenePair, degrade_image, synth_scene
 from graphpan.training import (
     ADAM_EPS,
     CHECKPOINT_MAGIC,
@@ -314,6 +314,33 @@ class TestFiniteDifferences:
         before = params.w_pan.copy()
         finite_diff_grad(scene, params, cfg, "w_pan", (1, 1), 1e-4)
         np.testing.assert_array_equal(params.w_pan, before)
+
+
+class TestTape:
+    def test_no_edge_sized_matrix_on_the_tape(self, monkeypatch):
+        # the edge weights and the local branch keep (E,) vectors only: no
+        # node of one training.backward pass is an (E, d) gather or product
+        scene = synth_scene(seed=0, size=64)
+        cfg = TrainConfig()
+        params = ModelParams.init(cfg, zero_recon=False)
+        out = run_pipeline(scene, params, cfg)
+        per_relation = [len(src) for src, _ in out.graph.structure.edges]
+        edge_counts = {*per_relation, sum(per_relation), sum(p.nnz for p in out.patterns)}
+
+        roots = []
+        real_backward = ad.Tensor.backward
+
+        def record(self):
+            roots.append(self)
+            real_backward(self)
+
+        monkeypatch.setattr(ad.Tensor, "backward", record)
+        backward(scene, params, cfg)
+        (root,) = roots
+        shapes = [t.data.shape for t in ad._topo_order(root)]
+        assert any(s[:1] == (per_relation[1],) for s in shapes)  # the edge weights are taped
+        wide = [s for s in shapes if len(s) >= 2 and s[0] in edge_counts and np.prod(s[1:]) > 1]
+        assert wide == []
 
 
 class TestAdam:

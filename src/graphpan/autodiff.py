@@ -391,13 +391,11 @@ def _row_dots(a, ia, b, ib):
 def _segment_sum(n, idx, vals):
     if vals.ndim == 1:
         return np.bincount(idx, weights=vals, minlength=n).astype(vals.dtype)
-    # a 0/1 (n, E) CSR matrix times the rows: one pass over the data, several
-    # times faster than np.add.at or sort + reduceat for wide rows
+    # the 0/1 (n, E) matrix with a 1 at (idx[e], e) times the rows
     e = len(idx)
-    ones = np.ones(e, dtype=vals.dtype)
-    m = sparse.csr_matrix((ones, (idx, np.arange(e))), shape=(n, e))
     flat = vals.reshape(e, int(np.prod(vals.shape[1:])))
-    return np.asarray(m @ flat).reshape((n,) + vals.shape[1:])
+    out = spmm(n, idx, np.arange(e), np.ones(e, vals.dtype), flat)
+    return out.reshape((n,) + vals.shape[1:])
 
 
 _NCE_BLOCK = 256  # logit rows held at once by info_nce

@@ -2,8 +2,9 @@
 
 The objective is mean absolute reconstruction error plus a temperature-
 scaled alignment term that treats the local and global representations of
-the same node as a positive pair against all other nodes of the same kind
-(pan or band).  Gradients come from the reverse-mode tape in
+the same node as a positive pair against all other nodes of the same block:
+the pan block or one band's block, N nodes each, so the term's floor is
+ln N.  Gradients come from the reverse-mode tape in
 :mod:`graphpan.autodiff`; an independent central-difference path (with the
 graph topology frozen at the baseline) serves as the correctness oracle.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import struct
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,7 +23,7 @@ import numpy as np
 from . import autodiff as ad
 from .aggregation import ModelParams, run_pipeline
 from .config import ABLATION_MODES, TrainConfig
-from .graph import unit_rows
+from .graph import band_node, unit_rows
 from .imaging import BANDS, FormatError, Image, ScenePair, degrade_image
 
 CHECKPOINT_MAGIC = b"HSSN"
@@ -47,6 +49,7 @@ class LossBreakdown:
     lcl: float
     total: float
     lr: float
+    step_s: float = float("nan")  # wall seconds of the batch's backward passes and Adam step
 
 
 def l1_loss(fused, gt):
@@ -72,23 +75,29 @@ def contrastive_loss(h_local, h_global, tau: float):
     return ad.info_nce(unit_rows(h_local), unit_rows(h_global), tau)
 
 
-def kindwise_contrastive_loss(h_local, h_global, tau: float, n_pan: int):
-    """Alignment within each node kind: rows [0, n_pan) are the pan nodes
-    and the rest the band nodes.  Each anchor's negatives come only from
-    its own kind, as in HeCo's within-type contrast, so nodes of different
-    kinds are never pushed apart.
+def blockwise_contrastive_loss(h_local, h_global, tau: float, n_patches: int):
+    """Alignment within each node block: the pan block, then one block per
+    band, each the slice of ids that :func:`graph.band_node` gives it.  Each
+    anchor's negatives come only from its own block, as in HeCo's within-
+    type contrast with each band as a type, so nodes of different blocks are
+    never pushed apart.
 
     Returns the anchor-count-weighted mean of :func:`contrastive_loss` over
-    the two kinds.  A kind with a single node has only its positive pair,
-    whose InfoNCE term is exactly 0.
+    the 1 + BANDS blocks of ``n_patches`` rows each; the rows must number
+    exactly (1 + BANDS) * n_patches.  A block with a single node has only
+    its positive pair, whose InfoNCE term is exactly 0.
     """
     n = ad.value(h_local).shape[0]
-    if not 0 < n_pan < n:
-        raise ValueError("need at least one node of each kind")
+    if n_patches < 1 or n != band_node(0, BANDS, n_patches):
+        raise ValueError(
+            f"need {1 + BANDS} blocks of n_patches = {n_patches} >= 1 rows each, got {n} rows"
+        )
+    bounds = [0] + [band_node(0, b, n_patches) for b in range(BANDS + 1)]
     total = 0.0
-    for rows in (slice(0, n_pan), slice(n_pan, n)):
-        count = rows.stop - rows.start
+    for start, stop in zip(bounds, bounds[1:]):
+        count = stop - start
         if count > 1:
+            rows = slice(start, stop)
             total = total + contrastive_loss(h_local[rows], h_global[rows], tau) * float(count)
     return total / float(n)
 
@@ -96,20 +105,22 @@ def kindwise_contrastive_loss(h_local, h_global, tau: float, n_pan: int):
 def _losses(out, scene: ScenePair, cfg: TrainConfig):
     """(l1, lcl, total) matching the kind (plain/tensor) of the pipeline.
 
-    lcl is :func:`kindwise_contrastive_loss` of the (importance-scaled)
-    branch representations; total = l1 + gamma * lcl.
+    lcl is :func:`blockwise_contrastive_loss` of the (importance-scaled)
+    branch representations, over the pan block and the BANDS band blocks of
+    N = n_patches nodes each; at its floor (every negative of a block scoring
+    like the positive) it is ln N.  total = l1 + gamma * lcl.
     """
     gt = scene.gt.data.astype(ad.value(out.fused).dtype)
     l1 = l1_loss(out.fused, gt)
     if cfg.ablate != "full":
         # a single surviving branch has nothing to align against
         return l1, 0.0, l1
-    n_pan = out.graph.n_patches
+    n_patches = out.graph.n_patches
     if cfg.gamma > 0.0:
-        lcl = kindwise_contrastive_loss(out.repr.h_local, out.repr.h_global, cfg.tau, n_pan)
+        lcl = blockwise_contrastive_loss(out.repr.h_local, out.repr.h_global, cfg.tau, n_patches)
         return l1, lcl, l1 + cfg.gamma * lcl
-    lcl = float(kindwise_contrastive_loss(
-        ad.value(out.repr.h_local), ad.value(out.repr.h_global), cfg.tau, n_pan
+    lcl = float(blockwise_contrastive_loss(
+        ad.value(out.repr.h_local), ad.value(out.repr.h_global), cfg.tau, n_patches
     ))
     return l1, lcl, l1
 
@@ -421,9 +432,12 @@ def load_checkpoint(path):
 def write_log_csv(path, logs):
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(["iter", "l1", "lcl", "total", "lr"])
+        w.writerow(["iter", "l1", "lcl", "total", "lr", "step_s"])
         for i, lb in enumerate(logs):
-            w.writerow([i, f"{lb.l1:.8f}", f"{lb.lcl:.8f}", f"{lb.total:.8f}", f"{lb.lr:.8e}"])
+            w.writerow([
+                i, f"{lb.l1:.8f}", f"{lb.lcl:.8f}", f"{lb.total:.8f}", f"{lb.lr:.8e}",
+                f"{lb.step_s:.6f}",
+            ])
 
 
 def train(dataset, cfg: TrainConfig, out_dir=None, progress=None):
@@ -464,6 +478,7 @@ def train(dataset, cfg: TrainConfig, out_dir=None, progress=None):
             batch.append(dataset[order[ptr]])
             ptr += 1
 
+        started = time.perf_counter()
         sum_grads = None
         sums = np.zeros(3)
         for scene in batch:
@@ -492,6 +507,7 @@ def train(dataset, cfg: TrainConfig, out_dir=None, progress=None):
         last_good = params.copy()
 
         adam_step(params, mean_grads, state, lr)
+        bd.step_s = time.perf_counter() - started
         logs.append(bd)
         if progress is not None:
             progress(it, bd)

@@ -98,7 +98,7 @@ class TestTrain:
         run = workdir["run"]
         assert (run / "checkpoint_final.hssn").exists()
         lines = (run / "log.csv").read_text().strip().splitlines()
-        assert lines[0] == "iter,l1,lcl,total,lr"
+        assert lines[0] == "iter,l1,lcl,total,lr,step_s"
         assert len(lines) == 13
 
     def test_progress_cadence(self, tmp_path, capsys):

@@ -28,11 +28,11 @@ from graphpan.training import (
     ablation_table,
     adam_step,
     backward,
+    blockwise_contrastive_loss,
     central_difference,
     contrastive_loss,
     finite_diff_grad,
     grad_check,
-    kindwise_contrastive_loss,
     l1_loss,
     load_checkpoint,
     lr_schedule,
@@ -130,70 +130,89 @@ class TestContrastiveLoss:
 
 
 class TestKindwiseContrastive:
+    """blockwise_contrastive_loss: each of the 1 + BANDS node blocks (pan,
+    then one per band) is one kind, HeCo's node type."""
+
     def test_weighted_mean_of_per_kind_terms(self):
         rng = np.random.default_rng(6)
-        a, b = rng.normal(size=(7, 3)), rng.normal(size=(7, 3))
-        want = (
-            2 * float(ad.value(contrastive_loss(a[:2], b[:2], 0.5)))
-            + 5 * float(ad.value(contrastive_loss(a[2:], b[2:], 0.5)))
-        ) / 7
-        got = float(ad.value(kindwise_contrastive_loss(a, b, 0.5, 2)))
+        n_patches = 3
+        n = (1 + BANDS) * n_patches
+        a, b = rng.normal(size=(n, 3)), rng.normal(size=(n, 3))
+        want = sum(
+            n_patches * float(ad.value(contrastive_loss(a[rows], b[rows], 0.5)))
+            for rows in (slice(s, s + n_patches) for s in range(0, n, n_patches))
+        ) / n
+        got = float(ad.value(blockwise_contrastive_loss(a, b, 0.5, n_patches)))
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_single_node_kind_contributes_zero(self):
+        # a one-node block has only its positive pair: with one patch every
+        # block is one node, so the term is exactly 0 and nothing is taped
         rng = np.random.default_rng(7)
-        a, b = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
-        want = 4 * float(ad.value(contrastive_loss(a[1:], b[1:], 0.5))) / 5
-        got = float(ad.value(kindwise_contrastive_loss(a, b, 0.5, 1)))
-        assert got == pytest.approx(want, rel=1e-12)
-        # and the lone anchor gets no gradient
+        a, b = rng.normal(size=(1 + BANDS, 3)), rng.normal(size=(1 + BANDS, 3))
         t = ad.Tensor(a.copy())
-        kindwise_contrastive_loss(t, b, 0.5, 1).backward()
-        np.testing.assert_array_equal(t.grad[0], 0.0)
+        lcl = blockwise_contrastive_loss(t, b, 0.5, 1)
+        assert not isinstance(lcl, ad.Tensor)
+        assert float(lcl) == 0.0
 
     def test_one_patch_scene(self):
-        # one pan node and four band nodes: the pan kind has a single node
+        # one pan node and one node per band: every block has a single node,
+        # so lcl is exactly 0 and the gradients are those of l1 alone
         scene = toy_scene(0, height=4, width=4)
         cfg = toy_config(gamma=0.01)
         params = ModelParams.init(cfg, seed=1, zero_recon=False).astype(np.float64)
         out = run_pipeline(scene, params, cfg)
         assert out.graph.n_patches == 1
         l1, lcl, total = scene_loss(scene, params, cfg)
-        want = 4 * float(ad.value(contrastive_loss(
-            ad.value(out.repr.h_local)[1:], ad.value(out.repr.h_global)[1:], cfg.tau
-        ))) / 5
-        assert lcl == pytest.approx(want, rel=1e-12)
-        assert total == pytest.approx(l1 + 0.01 * lcl, abs=1e-15)
+        assert lcl == 0.0
+        assert total == l1
         _, grads = backward(scene, params, cfg)
-        assert all(np.all(np.isfinite(g)) for g in grads.values())
+        _, l1_grads = backward(scene, params, cfg.replace(gamma=0.0))
+        for name, g in grads.items():
+            np.testing.assert_array_equal(g, l1_grads[name])
 
     def test_kind_constant_global_sits_at_floor(self):
-        # when h_global is one vector per kind, every negative of a kind
-        # scores like the positive: lcl is the count-weighted mean of
-        # log n_kind, whatever h_local is, and h_local gets no gradient
+        # when h_global is one vector per block, every negative of a block
+        # scores like the positive: lcl is ln n_patches, whatever h_local
+        # is, and h_local gets no gradient
         rng = np.random.default_rng(8)
-        n_pan, n_band = 6, 24
-        h_local = rng.normal(size=(n_pan + n_band, 5))
-        h_global = np.concatenate([
-            np.tile(rng.normal(size=5), (n_pan, 1)),
-            np.tile(rng.normal(size=5), (n_band, 1)),
-        ])
-        want = (n_pan * np.log(n_pan) + n_band * np.log(n_band)) / (n_pan + n_band)
+        n_patches = 6
+        h_local = rng.normal(size=((1 + BANDS) * n_patches, 5))
+        h_global = np.repeat(rng.normal(size=(1 + BANDS, 5)), n_patches, axis=0)
         t = ad.Tensor(h_local.copy())
-        lcl = kindwise_contrastive_loss(t, h_global, 0.5, n_pan)
-        assert float(ad.value(lcl)) == pytest.approx(want, abs=1e-12)
+        lcl = blockwise_contrastive_loss(t, h_global, 0.5, n_patches)
+        assert float(ad.value(lcl)) == pytest.approx(np.log(n_patches), abs=1e-12)
         lcl.backward()
         assert np.max(np.abs(t.grad)) <= 1e-12
-        # the whole-graph term has neither property on the same inputs
-        t_all = ad.Tensor(h_local.copy())
-        contrastive_loss(t_all, h_global, 0.5).backward()
-        assert np.max(np.abs(t_all.grad)) > 1e-3
+        # neither the whole-graph term nor one term over all band nodes has
+        # either property on the same inputs
+        for rows in (slice(None), slice(n_patches, None)):
+            t_all = ad.Tensor(h_local[rows].copy())
+            contrastive_loss(t_all, h_global[rows], 0.5).backward()
+            assert np.max(np.abs(t_all.grad)) > 1e-3
 
     def test_errors(self):
-        a = np.eye(4)
-        for n_pan in (0, 4):
+        for n, n_patches in [(0, 0), (5, 0), (4, 1), (15, 4), (21, 4), (25, 4)]:
+            a = np.ones((n, 3))
             with pytest.raises(ValueError):
-                kindwise_contrastive_loss(a, a, 0.5, n_pan)
+                blockwise_contrastive_loss(a, a, 0.5, n_patches)
+
+    def test_backward_contrasts_each_block(self, monkeypatch):
+        # one training.backward pass on the 64 px scene runs one InfoNCE
+        # node per block, each over the block's N = 225 rows
+        scene = synth_scene(seed=0, size=64)
+        cfg = TrainConfig()
+        params = ModelParams.init(cfg, zero_recon=False)
+        rows = []
+        real_info_nce = ad.info_nce
+
+        def record(a, b, tau):
+            rows.append((len(ad.value(a)), len(ad.value(b))))
+            return real_info_nce(a, b, tau)
+
+        monkeypatch.setattr(ad, "info_nce", record)
+        backward(scene, params, cfg)
+        assert rows == [(225, 225)] * (1 + BANDS)
 
 
 class TestLossComposition:
@@ -717,11 +736,12 @@ class TestTrainLoop:
         train([scene], cfg, out_dir=tmp_path)
         assert (tmp_path / "checkpoint_final.hssn").exists()
         lines = (tmp_path / "log.csv").read_text().strip().splitlines()
-        assert lines[0] == "iter,l1,lcl,total,lr"
+        assert lines[0] == "iter,l1,lcl,total,lr,step_s"
         assert len(lines) == 9
         first = lines[1].split(",")
         assert first[0] == "0"
         assert float(first[4]) == pytest.approx(1e-4)
+        assert all(float(line.split(",")[5]) > 0.0 for line in lines[1:])
 
     def test_periodic_checkpoints(self, tmp_path):
         scene = toy_scene(0)
@@ -870,9 +890,9 @@ class TestAblationTable:
 
 class TestLogCsv:
     def test_format(self, tmp_path):
-        logs = [LossBreakdown(l1=0.5, lcl=1.0, total=0.51, lr=1e-4)]
+        logs = [LossBreakdown(l1=0.5, lcl=1.0, total=0.51, lr=1e-4, step_s=0.25)]
         path = tmp_path / "log.csv"
         write_log_csv(path, logs)
         lines = path.read_text().strip().splitlines()
-        assert lines[0] == "iter,l1,lcl,total,lr"
-        assert lines[1] == "0,0.50000000,1.00000000,0.51000000,1.00000000e-04"
+        assert lines[0] == "iter,l1,lcl,total,lr,step_s"
+        assert lines[1] == "0,0.50000000,1.00000000,0.51000000,1.00000000e-04,0.250000"

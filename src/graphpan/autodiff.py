@@ -46,28 +46,6 @@ class Tensor:
         self._parents = tuple(parents)
         self._vjp = vjp
 
-    @property
-    def dtype(self):
-        return self.data.dtype
-
-    @property
-    def T(self):
-        return transpose(self)
-
-    def item(self):
-        return self.data.item()
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def sum(self, axis=None, keepdims=False):
-        return sum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return mean(self, axis=axis, keepdims=keepdims)
-
     def __len__(self):
         return len(self.data)
 
@@ -404,35 +382,40 @@ _NCE_BLOCK = 256  # logit rows held at once by info_nce
 def info_nce(a, b, tau):
     """mean_i [logsumexp_j(a_i . b_j / tau) - a_i . b_i / tau] as one node.
 
-    The (n, n) logits are never held: rows are processed ``_NCE_BLOCK`` at a
-    time with a per-row max.  Each block holds whole rows of
+    a and b are (n, d), or (k, n, d) for k blocks each contrasted within
+    itself: anchor i of a block takes its negatives from that block only,
+    and the value is the mean over all k n anchors.  The (n, n) logits are
+    never held: each block's rows are processed ``_NCE_BLOCK`` at a time
+    with a per-row max.  Each row block holds whole rows of
     P = softmax(a b^T / tau), so on the tape the same pass accumulates P b
     and P^T a, two arrays shaped like a and b; the backward forms the
-    gradients (P b - b) / (n tau) for a and (P^T a - a) / (n tau) for b.
+    gradients (P b - b) / (k n tau) for a and (P^T a - a) / (k n tau) for b.
     """
     da, db = value(a), value(b)
-    n = da.shape[0]
+    n = da.shape[-2]
     taped = isinstance(a, Tensor) or isinstance(b, Tensor)
-    lse = np.empty(n, dtype=np.result_type(da, db))
+    lse = np.empty(da.shape[:-1], dtype=np.result_type(da, db))
     if taped:
         pb, pta = np.empty_like(da), np.zeros_like(db)  # P b and P^T a
-    for i in range(0, n, _NCE_BLOCK):
-        rows = slice(i, i + _NCE_BLOCK)
-        s = da[rows] @ db.T
-        s /= tau
-        m = s.max(axis=1, keepdims=True)
-        s -= m
-        np.exp(s, out=s)
-        z = s.sum(axis=1, keepdims=True)
-        lse[rows] = (np.log(z) + m)[:, 0]
-        if taped:
-            s /= z
-            pb[rows] = s @ db
-            pta += s.T @ da[rows]
-    pos = np.einsum("ij,ij->i", da, db) / tau
+    for blk in np.ndindex(da.shape[:-2]):  # the one index () for 2-D operands
+        xa, xb = da[blk], db[blk]
+        for i in range(0, n, _NCE_BLOCK):
+            rows = slice(i, i + _NCE_BLOCK)
+            s = xa[rows] @ xb.T
+            s /= tau
+            m = s.max(axis=1, keepdims=True)
+            s -= m
+            np.exp(s, out=s)
+            z = s.sum(axis=1, keepdims=True)
+            lse[blk][rows] = (np.log(z) + m)[:, 0]
+            if taped:
+                s /= z
+                pb[blk][rows] = s @ xb
+                pta[blk] += s.T @ xa[rows]
+    pos = np.einsum("...ij,...ij->...i", da, db) / tau
 
     def vjp(g):
-        scale = 1.0 / (n * tau)
+        scale = 1.0 / (lse.size * tau)
         return (pb - db) * scale * g, (pta - da) * scale * g
 
     return _node(np.mean(lse - pos), (a, b), vjp)

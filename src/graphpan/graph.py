@@ -86,9 +86,10 @@ def embed_patches(pan_grid: PatchGrid, band_grids, w_pan, w_band):
 
 
 def unit_rows(x):
-    """Rows scaled to unit L2 norm; a zero row stays zero and passes no
-    gradient.  Plain arrays in, plain arrays out; tensors are taped."""
-    q = ad.sum(x * x, axis=1, keepdims=True)
+    """Rows (vectors along the last axis) scaled to unit L2 norm; a zero row
+    stays zero and passes no gradient.  Plain arrays in, plain arrays out;
+    tensors are taped."""
+    q = ad.sum(x * x, axis=-1, keepdims=True)
     keep = (ad.value(q) > 0.0).astype(ad.value(q).dtype)
     return x / ad.sqrt(q * keep + (1.0 - keep)) * keep
 

@@ -3,10 +3,11 @@
 The objective is mean absolute reconstruction error plus a temperature-
 scaled alignment term that treats the local and global representations of
 the same node as a positive pair against all other nodes of the same block:
-the pan block or one band's block, N nodes each, so the term's floor is
-ln N.  Gradients come from the reverse-mode tape in
-:mod:`graphpan.autodiff`; an independent central-difference path (with the
-graph topology frozen at the baseline) serves as the correctness oracle.
+the pan block or one band's block, N nodes each, all contrasted in one tape
+node, so the term's floor is ln N.  Gradients come from the reverse-mode
+tape in :mod:`graphpan.autodiff`; an independent central-difference path
+(with the graph topology frozen at the baseline) serves as the correctness
+oracle.
 """
 
 from __future__ import annotations
@@ -60,14 +61,16 @@ def l1_loss(fused, gt):
 def contrastive_loss(h_local, h_global, tau: float):
     """Alignment of matching local/global rows against all other rows.
 
-    Cosine similarities over zero-norm-safe unit rows, temperature tau; the
-    logits, their row-wise log-sum-exp and the positive pairs form one tape
+    The operands are (n, d), or (k, n, d) for k blocks of n rows, each row
+    contrasted only against the rows of its own block.  Cosine similarities
+    over zero-norm-safe unit rows, temperature tau; the logits, their
+    row-wise log-sum-exp and the positive pairs of all blocks form one tape
     node (:func:`autodiff.info_nce`) that works in row blocks, so no (n, n)
     array is held in the forward or the backward pass.  Rows are compared by
     direction only, so scaling a row by a positive factor leaves the value
     unchanged.
     """
-    n = ad.value(h_local).shape[0]
+    n = ad.value(h_local).shape[-2]
     if n < 2:
         raise ValueError("contrastive loss needs at least 2 nodes")
     if tau <= 0:
@@ -77,29 +80,26 @@ def contrastive_loss(h_local, h_global, tau: float):
 
 def blockwise_contrastive_loss(h_local, h_global, tau: float, n_patches: int):
     """Alignment within each node block: the pan block, then one block per
-    band, each the slice of ids that :func:`graph.band_node` gives it.  Each
-    anchor's negatives come only from its own block, as in HeCo's within-
-    type contrast with each band as a type, so nodes of different blocks are
-    never pushed apart.
+    band, each the contiguous slice of ids that :func:`graph.band_node`
+    gives it.  Each anchor's negatives come only from its own block, as in
+    HeCo's within-type contrast with each band as a type, so nodes of
+    different blocks are never pushed apart.
 
-    Returns the anchor-count-weighted mean of :func:`contrastive_loss` over
-    the 1 + BANDS blocks of ``n_patches`` rows each; the rows must number
-    exactly (1 + BANDS) * n_patches.  A block with a single node has only
-    its positive pair, whose InfoNCE term is exactly 0.
+    The rows must number exactly (1 + BANDS) * n_patches; they are read as
+    (1 + BANDS, n_patches, d) blocks and go through one
+    :func:`contrastive_loss` call, whose value is the mean over all anchors.
+    With one patch every block has only its positive pair, whose InfoNCE
+    term is exactly 0: the result is then 0.0 and nothing is taped.
     """
     n = ad.value(h_local).shape[0]
     if n_patches < 1 or n != band_node(0, BANDS, n_patches):
         raise ValueError(
             f"need {1 + BANDS} blocks of n_patches = {n_patches} >= 1 rows each, got {n} rows"
         )
-    bounds = [0] + [band_node(0, b, n_patches) for b in range(BANDS + 1)]
-    total = 0.0
-    for start, stop in zip(bounds, bounds[1:]):
-        count = stop - start
-        if count > 1:
-            rows = slice(start, stop)
-            total = total + contrastive_loss(h_local[rows], h_global[rows], tau) * float(count)
-    return total / float(n)
+    if n_patches == 1:
+        return 0.0
+    blocks = (1 + BANDS, n_patches, -1)
+    return contrastive_loss(ad.reshape(h_local, blocks), ad.reshape(h_global, blocks), tau)
 
 
 def _losses(out, scene: ScenePair, cfg: TrainConfig):
@@ -281,10 +281,8 @@ def lr_schedule(cfg: TrainConfig, iteration: int) -> float:
 # (name length u32, utf-8 name, three u32 dims, float32 little-endian payload)
 
 # the TrainConfig fields of the _config block, in order; ablate is stored as
-# its index in ABLATION_MODES, and a block without it (the first seven
-# fields only, as written before ablate was stored) loads as "full"
+# its index in ABLATION_MODES
 CONFIG_FIELDS = ("patch", "stride", "d", "layers", "k", "tau", "gamma", "ablate")
-_LEGACY_CONFIG_LEN = 7
 
 
 def _dims3(shape):
@@ -377,21 +375,19 @@ def load_checkpoint(path):
         raw_blocks[name] = (np.frombuffer(blob, dtype="<f4", count=count, offset=pos), dims, pos)
         pos += 4 * count
 
-    def block(name, *shapes):
-        """The block's array in the first of ``shapes`` its dims match."""
+    def block(name, shape):
+        """The block's array, whose dims must be those of ``shape``."""
         if name not in raw_blocks:
             raise CheckpointFormatError(f"checkpoint missing block {name!r}", offset=pos)
         arr, dims, start = raw_blocks[name]
-        for shape in shapes:
-            if dims == _dims3(shape):
-                return arr.reshape(shape).copy(), start
-        want = shapes[-1]
-        rel = "is smaller than" if arr.size < np.prod(want) else "does not match"
-        raise CheckpointFormatError(
-            f"checkpoint block {name!r} of dims {dims} {rel} {want}", offset=start
-        )
+        if dims != _dims3(shape):
+            rel = "is smaller than" if arr.size < np.prod(shape) else "does not match"
+            raise CheckpointFormatError(
+                f"checkpoint block {name!r} of dims {dims} {rel} {shape}", offset=start
+            )
+        return arr.reshape(shape).copy(), start
 
-    meta, start = block("_config", (_LEGACY_CONFIG_LEN,), (len(CONFIG_FIELDS),))
+    meta, start = block("_config", (len(CONFIG_FIELDS),))
     try:
         cfg = _decode_config(meta)
         # a count that the file cannot hold, reported before the model-size
@@ -406,14 +402,8 @@ def load_checkpoint(path):
     for name, (_, _, start) in raw_blocks.items():
         if name != "_config" and name not in names:
             raise CheckpointFormatError(f"unknown checkpoint block {name!r}", offset=start)
-    # checkpoints written before the importance group existed have none of
-    # its blocks and load it all-zero, which reproduces the plain-mean
-    # fusion exactly; a partial group is a missing block
-    legacy = not any(name.startswith("importance_") for name in raw_blocks)
 
     def load(name, shape, _init):
-        if legacy and name.startswith("importance_"):
-            return np.zeros(shape, dtype=np.float32)
         arr, start = block(name, shape)
         bad = np.flatnonzero(~np.isfinite(arr))
         if bad.size:

@@ -263,7 +263,7 @@ class TestGlobalSimilarity:
             ws = [ad.Tensor(w.copy()) for w in params.w_global]
             B = build_global_pattern_matrix(ps, beta) * keep
             h = aggregate_global(similarity(B), U, ws)
-            (h * probe).sum().backward()
+            ad.sum(h * probe).backward()
             return [h.data, beta.grad, U.grad] + [w.grad for w in ws]
 
         got = run(global_similarity)

@@ -55,46 +55,46 @@ U23 = RNG.normal(size=(2, 3))
 class TestElementwise:
     def test_add_sub_mul_div(self):
         other = RNG.normal(size=(2, 3)) + 2.0
-        check_op(lambda t: ((t + other) * U23).sum(), X23)
-        check_op(lambda t: ((t - other) * U23).sum(), X23)
-        check_op(lambda t: ((t * other) * U23).sum(), X23)
-        check_op(lambda t: ((t / other) * U23).sum(), X23)
-        check_op(lambda t: ((other / (t + 5.0)) * U23).sum(), X23)
+        check_op(lambda t: ad.sum((t + other) * U23), X23)
+        check_op(lambda t: ad.sum((t - other) * U23), X23)
+        check_op(lambda t: ad.sum((t * other) * U23), X23)
+        check_op(lambda t: ad.sum((t / other) * U23), X23)
+        check_op(lambda t: ad.sum((other / (t + 5.0)) * U23), X23)
 
     def test_closed_form_square(self):
-        g = tape_grad(lambda t: (t * t).sum(), X23)
+        g = tape_grad(lambda t: ad.sum(t * t), X23)
         np.testing.assert_allclose(g, 2.0 * X23)
 
     def test_sqrt(self):
         xpos = np.abs(X23) + 0.5
-        check_op(lambda t: (ad.sqrt(t) * U23).sum(), xpos)
-        g = tape_grad(lambda t: ad.sqrt(t).sum(), xpos)
+        check_op(lambda t: ad.sum(ad.sqrt(t) * U23), xpos)
+        g = tape_grad(lambda t: ad.sum(ad.sqrt(t)), xpos)
         np.testing.assert_allclose(g, 0.5 / np.sqrt(xpos))
 
     def test_exp_log(self):
         xpos = np.abs(X23) + 0.5
-        check_op(lambda t: (exp(t) * U23).sum(), X23)
-        check_op(lambda t: (log(t) * U23).sum(), xpos)
+        check_op(lambda t: ad.sum(exp(t) * U23), X23)
+        check_op(lambda t: ad.sum(log(t) * U23), xpos)
 
     def test_tanh(self):
-        check_op(lambda t: (ad.tanh(t) * U23).sum(), X23)
-        check_op(lambda t: (ad.tanh(t * 4.0) * U23).sum(), X23)  # near saturation
-        g = tape_grad(lambda t: ad.tanh(t).sum(), X23)
+        check_op(lambda t: ad.sum(ad.tanh(t) * U23), X23)
+        check_op(lambda t: ad.sum(ad.tanh(t * 4.0) * U23), X23)  # near saturation
+        g = tape_grad(lambda t: ad.sum(ad.tanh(t)), X23)
         np.testing.assert_allclose(g, 1.0 / np.cosh(X23) ** 2)
         assert ad.tanh(Tensor(np.zeros(2))).data.tolist() == [0.0, 0.0]
 
     def test_negative(self):
-        g = tape_grad(lambda t: (-t).sum(), X23)
+        g = tape_grad(lambda t: ad.sum(-t), X23)
         np.testing.assert_allclose(g, -np.ones_like(X23))
 
     def test_broadcasting_unbroadcast(self):
         a = RNG.normal(size=(3, 1))
         b = RNG.normal(size=(1, 4))
         u = RNG.normal(size=(3, 4))
-        check_op(lambda t: ((t + b) * u).sum(), a)
-        check_op(lambda t: ((a * t) * u).sum(), b)
+        check_op(lambda t: ad.sum((t + b) * u), a)
+        check_op(lambda t: ad.sum((a * t) * u), b)
         # scalar-array broadcast
-        check_op(lambda t: ((t * 3.0 + 1.0) * U23).sum(), X23)
+        check_op(lambda t: ad.sum((t * 3.0 + 1.0) * U23), X23)
 
     def test_python_scalars_keep_float32(self):
         x = X23.astype(np.float32)
@@ -102,25 +102,25 @@ class TestElementwise:
                   lambda t: 1 - t, lambda t: t / 3.0, lambda t: 2.0 / (t + 5.0)):
             t = Tensor(x.copy())
             out = f(t)
-            assert out.dtype == np.float32
-            out.sum().backward()
+            assert ad.value(out).dtype == np.float32
+            ad.sum(out).backward()
             assert t.grad.dtype == np.float32
 
 
 class TestKinks:
     def test_abs_subgradient_zero_at_zero(self):
         x = np.array([-2.0, 0.0, 3.0])
-        g = tape_grad(lambda t: ad.absolute(t).sum(), x)
+        g = tape_grad(lambda t: ad.sum(ad.absolute(t)), x)
         np.testing.assert_array_equal(g, [-1.0, 0.0, 1.0])
 
     def test_clip_zero_outside_open_interval(self):
         x = np.array([-1.0, 0.0, 0.25, 1.0, 2.0])
-        g = tape_grad(lambda t: ad.clip(t, 0.0, 1.0).sum(), x)
+        g = tape_grad(lambda t: ad.sum(ad.clip(t, 0.0, 1.0)), x)
         np.testing.assert_array_equal(g, [0.0, 0.0, 1.0, 0.0, 0.0])
 
     def test_abs_fd_away_from_kink(self):
         x = RNG.normal(size=(2, 3)) + np.sign(RNG.normal(size=(2, 3))) * 0.5
-        check_op(lambda t: (ad.absolute(t) * U23).sum(), x)
+        check_op(lambda t: ad.sum(ad.absolute(t) * U23), x)
 
 
 class TestLinearAlgebra:
@@ -128,13 +128,13 @@ class TestLinearAlgebra:
         a = RNG.normal(size=(2, 3))
         b = RNG.normal(size=(3, 4))
         u = RNG.normal(size=(2, 4))
-        check_op(lambda t: ((t @ b) * u).sum(), a)
-        check_op(lambda t: ((a @ t) * u).sum(), b)
+        check_op(lambda t: ad.sum((t @ b) * u), a)
+        check_op(lambda t: ad.sum((a @ t) * u), b)
 
     def test_matmul_closed_form(self):
         a, b = Tensor(RNG.normal(size=(2, 3))), Tensor(RNG.normal(size=(3, 4)))
         u = RNG.normal(size=(2, 4))
-        ((a @ b) * u).sum().backward()
+        ad.sum((a @ b) * u).backward()
         np.testing.assert_allclose(a.grad, u @ b.data.T)
         np.testing.assert_allclose(b.grad, a.data.T @ u)
 
@@ -143,47 +143,47 @@ class TestLinearAlgebra:
             ad.matmul(Tensor(np.ones(3)), np.ones((3, 2)))
 
     def test_transpose_reshape(self):
-        check_op(lambda t: (t.T * U23.T).sum(), X23)
-        check_op(lambda t: (t.reshape(3, 2) * U23.reshape(3, 2)).sum(), X23)
-        check_op(lambda t: (t.reshape((6,)) * U23.reshape(-1)).sum(), X23)
+        check_op(lambda t: ad.sum(ad.transpose(t) * U23.T), X23)
+        check_op(lambda t: ad.sum(ad.reshape(t, (3, 2)) * U23.reshape(3, 2)), X23)
+        check_op(lambda t: ad.sum(ad.reshape(t, (6,)) * U23.reshape(-1)), X23)
 
 
 class TestReductionsIndexing:
     def test_sum_mean_axes(self):
         u0 = RNG.normal(size=(3,))
         u1 = RNG.normal(size=(2,))
-        check_op(lambda t: (t.sum(axis=0) * u0).sum(), X23)
-        check_op(lambda t: (t.sum(axis=1) * u1).sum(), X23)
-        check_op(lambda t: (t.mean(axis=0, keepdims=True) * u0).sum(), X23)
-        check_op(lambda t: t.mean(), X23)
-        g = tape_grad(lambda t: t.mean(), X23)
+        check_op(lambda t: ad.sum(ad.sum(t, axis=0) * u0), X23)
+        check_op(lambda t: ad.sum(ad.sum(t, axis=1) * u1), X23)
+        check_op(lambda t: ad.sum(ad.mean(t, axis=0, keepdims=True) * u0), X23)
+        check_op(lambda t: ad.mean(t), X23)
+        g = tape_grad(lambda t: ad.mean(t), X23)
         np.testing.assert_allclose(g, np.full_like(X23, 1.0 / X23.size))
 
     def test_take_scatter_adds_on_repeats(self):
         x = np.array([1.0, 2.0, 3.0])
         idx = np.array([0, 0, 2])
-        g = tape_grad(lambda t: t[idx].sum(), x)
+        g = tape_grad(lambda t: ad.sum(t[idx]), x)
         np.testing.assert_array_equal(g, [2.0, 0.0, 1.0])
 
     def test_take_rows_fd(self):
         x = RNG.normal(size=(4, 3))
         idx = np.array([3, 0, 0, 2])
         u = RNG.normal(size=(4, 3))
-        check_op(lambda t: (t[idx] * u).sum(), x)
-        check_op(lambda t: (t[np.array([-1, 0, -1, 2])] * u).sum(), x)
+        check_op(lambda t: ad.sum(t[idx] * u), x)
+        check_op(lambda t: ad.sum(t[np.array([-1, 0, -1, 2])] * u), x)
         # basic indices select each element once
-        check_op(lambda t: (t[1:3] * u[:2]).sum(), x)
-        check_op(lambda t: (t[2] * u[0]).sum(), x)
-        check_op(lambda t: (t[np.int64(-1)] * u[1]).sum(), x)
+        check_op(lambda t: ad.sum(t[1:3] * u[:2]), x)
+        check_op(lambda t: ad.sum(t[2] * u[0]), x)
+        check_op(lambda t: ad.sum(t[np.int64(-1)] * u[1]), x)
 
     def test_concatenate_mixed_parts(self):
         a = RNG.normal(size=(2, 2))
         const = RNG.normal(size=(1, 2))
         u = RNG.normal(size=(3, 2))
-        check_op(lambda t: (ad.concatenate([t, const], axis=0) * u).sum(), a)
+        check_op(lambda t: ad.sum(ad.concatenate([t, const], axis=0) * u), a)
         out = ad.concatenate([np.ones((1, 2)), Tensor(a)], axis=0)
         assert isinstance(out, Tensor)
-        out.sum().backward()
+        ad.sum(out).backward()
 
     def test_index_add_matches_add_at(self):
         idx = np.array([2, 0, 2, 1, 2])
@@ -202,7 +202,7 @@ class TestReductionsIndexing:
         idx = np.array([1, 1, 0])
         vals = Tensor(RNG.normal(size=(3, 2)))
         u = RNG.normal(size=(2, 2))
-        (ad.index_add(2, idx, vals) * u).sum().backward()
+        ad.sum(ad.index_add(2, idx, vals) * u).backward()
         np.testing.assert_allclose(vals.grad, u[idx])
 
     @pytest.mark.parametrize("idx", [[5, 0], [3, 0], [-1, 0]])
@@ -248,11 +248,11 @@ class TestSparseOps:
     def test_spmm_vjps_fd(self, transposed):
         rows, cols = (self.COLS, self.ROWS) if transposed else (self.ROWS, self.COLS)
         vals, v, u = self.inputs(1)
-        check_op(lambda t: (ad.spmm(self.N, rows, cols, t, v) * u).sum(), vals)
-        check_op(lambda t: (ad.spmm(self.N, rows, cols, vals, t) * u).sum(), v)
+        check_op(lambda t: ad.sum(ad.spmm(self.N, rows, cols, t, v) * u), vals)
+        check_op(lambda t: ad.sum(ad.spmm(self.N, rows, cols, vals, t) * u), v)
         # both parents on the tape at once, and V reused downstream
         vt, wt = Tensor(v.copy()), Tensor(vals.copy())
-        out = ((ad.spmm(self.N, rows, cols, wt, vt) + vt) * u).sum()
+        out = ad.sum((ad.spmm(self.N, rows, cols, wt, vt) + vt) * u)
         out.backward()
         a = dense_matrix(self.N, self.N, rows, cols, vals)
         np.testing.assert_allclose(vt.grad, a.T @ u + u)
@@ -264,7 +264,7 @@ class TestSparseOps:
         vt = Tensor(v.copy())
         out = ad.spmm(self.N, self.EMPTY, self.EMPTY, vals, vt)
         np.testing.assert_array_equal(out.data, np.zeros_like(v))
-        (out * u).sum().backward()
+        ad.sum(out * u).backward()
         assert vals.grad.shape == (0,)
         np.testing.assert_array_equal(vt.grad, np.zeros_like(v))
 
@@ -276,13 +276,13 @@ class TestSparseOps:
 
     def test_edge_dots_vjp_fd(self):
         w, unit, _ = self.inputs(4)
-        check_op(lambda t: (ad.edge_dots(t, self.COLS, self.ROWS) * w).sum(), unit)
+        check_op(lambda t: ad.sum(ad.edge_dots(t, self.COLS, self.ROWS) * w), unit)
         # longer than one gather block, with every kind of repeat
         rng = np.random.default_rng(5)
         e = 2 * ad._DOT_BLOCK + 7
         src, dst = rng.integers(0, self.N - 1, e), rng.integers(0, self.N - 1, e)
         big = rng.normal(size=e)
-        check_op(lambda t: (ad.edge_dots(t, src, dst) * big).sum(), unit, rtol=1e-6, atol=1e-6)
+        check_op(lambda t: ad.sum(ad.edge_dots(t, src, dst) * big), unit, rtol=1e-6, atol=1e-6)
         ut = Tensor(unit.copy())
         ad.sum(ad.edge_dots(ut, self.EMPTY, self.EMPTY)).backward()
         np.testing.assert_array_equal(ut.grad, np.zeros_like(unit))
@@ -292,7 +292,7 @@ class TestSparseOps:
         wt, vt, ut = Tensor(vals), Tensor(v), Tensor(u)
         out = ad.sum(ad.spmm(self.N, self.ROWS, self.COLS, wt, vt) * u) + ad.sum(ad.edge_dots(ut, self.COLS, self.ROWS))
         out.backward()
-        assert out.dtype == wt.grad.dtype == vt.grad.dtype == ut.grad.dtype == np.float32
+        assert ad.value(out).dtype == wt.grad.dtype == vt.grad.dtype == ut.grad.dtype == np.float32
 
     @pytest.mark.parametrize("bad", [5, -1])
     def test_reject_out_of_range(self, bad):
@@ -337,7 +337,7 @@ class TestInfoNce:
             a, b = Tensor(a0.copy()), Tensor(b0.copy())
             out = fn(a, b, tau)
             out.backward()
-            grads.append((out.item(), a.grad, b.grad))
+            grads.append((float(ad.value(out)), a.grad, b.grad))
         (v, ga, gb), (wv, wa, wb) = grads
         assert v == pytest.approx(wv, rel=1e-12)
         np.testing.assert_allclose(ga, wa, rtol=1e-9, atol=1e-12 * np.abs(wa).max())
@@ -365,12 +365,37 @@ class TestInfoNce:
         check_op(lambda t: ad.info_nce(t, b0, 0.5), a0)
         check_op(lambda t: ad.info_nce(a0, t, 0.5), b0)
 
+    def test_blocks_contrast_within_themselves(self):
+        # (k, n, d) operands: each block is its own contrast, and the value
+        # is the mean over all k n anchors
+        blocks = [self.inputs(10 + j) for j in range(3)]
+        a0 = np.stack([a for a, _ in blocks])
+        b0 = np.stack([b for _, b in blocks])
+        a, b = Tensor(a0.copy()), Tensor(b0.copy())
+        out = ad.info_nce(a, b, 0.5)
+        out.backward()
+        want = np.mean([float(ad.info_nce(x, y, 0.5)) for x, y in blocks])
+        assert float(ad.value(out)) == pytest.approx(want, rel=1e-12)
+        assert a.grad.shape == a0.shape and b.grad.shape == b0.shape
+        for j, (x, y) in enumerate(blocks):
+            ta, tb = Tensor(x.copy()), Tensor(y.copy())
+            dense_info_nce(ta, tb, 0.5).backward()
+            wa, wb = ta.grad / len(blocks), tb.grad / len(blocks)
+            np.testing.assert_allclose(a.grad[j], wa, rtol=1e-9, atol=1e-12 * np.abs(wa).max())
+            np.testing.assert_allclose(b.grad[j], wb, rtol=1e-9, atol=1e-12 * np.abs(wb).max())
+
+    def test_coordinate_fd_blocks(self):
+        rng = np.random.default_rng(11)
+        a0, b0 = rng.normal(size=(2, 4, 3)), rng.normal(size=(2, 4, 3))
+        check_op(lambda t: ad.info_nce(t, b0, 0.5), a0)
+        check_op(lambda t: ad.info_nce(a0, t, 0.5), b0)
+
     def test_float32_gradients_stay_float32(self):
         a0, b0 = self.inputs(4)
         a, b = Tensor(a0.astype(np.float32)), Tensor(b0.astype(np.float32))
         out = ad.info_nce(a, b, 0.5)
         out.backward()
-        assert out.dtype == a.grad.dtype == b.grad.dtype == np.float32
+        assert ad.value(out).dtype == a.grad.dtype == b.grad.dtype == np.float32
 
     def test_memory_is_row_blocked(self):
         import tracemalloc
@@ -434,6 +459,7 @@ class TestTapeMechanics:
             (lambda a, b: ad.spmm(3, np.array([2, 0, 2]), np.array([1, 0, 1]), a, b), (X23[0], U23)),
             (lambda a: ad.edge_dots(a, np.array([0, 1, 1]), np.array([1, 0, 1])), (X23,)),
             (lambda a, b: ad.info_nce(a, b, 0.5), (X23, U23)),
+            (lambda a, b: ad.info_nce(a, b, 0.5), (X23.reshape(2, 3, 1), U23.reshape(2, 3, 1))),
         ]
         for op, args in cases:
             plain = op(*args)
@@ -461,6 +487,6 @@ def test_property_random_expression_grads(n, m, seed):
     def f(t):
         h = t @ w
         h = h * h + exp(h * 0.1)
-        return (h * u).mean()
+        return ad.mean(h * u)
 
     check_op(f, x, rtol=1e-5, atol=1e-7)

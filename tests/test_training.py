@@ -199,20 +199,21 @@ class TestKindwiseContrastive:
 
     def test_backward_contrasts_each_block(self, monkeypatch):
         # one training.backward pass on the 64 px scene runs one InfoNCE
-        # node per block, each over the block's N = 225 rows
+        # node over all blocks: (1 + BANDS) blocks of the N = 225 rows
         scene = synth_scene(seed=0, size=64)
         cfg = TrainConfig()
         params = ModelParams.init(cfg, zero_recon=False)
-        rows = []
+        shapes = []
         real_info_nce = ad.info_nce
 
         def record(a, b, tau):
-            rows.append((len(ad.value(a)), len(ad.value(b))))
+            shapes.append((ad.value(a).shape, ad.value(b).shape))
             return real_info_nce(a, b, tau)
 
         monkeypatch.setattr(ad, "info_nce", record)
         backward(scene, params, cfg)
-        assert rows == [(225, 225)] * (1 + BANDS)
+        blocks = (1 + BANDS, 225, cfg.d)
+        assert shapes == [(blocks, blocks)]
 
 
 class TestLossComposition:
@@ -481,36 +482,22 @@ class TestCheckpoints:
             ad.value(run_pipeline(scene, params, cfg).fused),
         )
 
-    def test_checkpoint_without_importance_loads_neutral(self, tmp_path):
+    def test_checkpoint_without_importance_is_refused(self, tmp_path):
         # a file written before the group existed: the same blocks minus
         # importance_*, laid out as in test_header_bytes
         cfg = toy_config(gamma=0.02, tau=0.7)
-        params = ModelParams.init(cfg, seed=5, zero_recon=False).astype(np.float32)
-        meta = np.array([4, 4, 8, 2, 1, 0.7, 0.02], dtype="<f4")
+        params = ModelParams.init(cfg, seed=5, zero_recon=False)
         blocks = [(n, a) for n, a in params.named_arrays() if not n.startswith("importance")]
-        blocks.append(("_config", meta))
+        blocks.append(("_config", [4, 4, 8, 2, 1, 0.7, 0.02, 0]))
         path = tmp_path / "old.hssn"
         write_blocks(path, blocks)
-        back, bcfg = load_checkpoint(path)
-        w, b, q = back.importance
-        assert w.shape == (16, 8) and b.shape == (16,) and q.shape == (16, 1)
-        for a in back.importance:
-            np.testing.assert_array_equal(a, 0.0)
-        for name, arr in blocks[:-1]:
-            np.testing.assert_array_equal(dict(back.named_arrays())[name], arr)
-        # the neutral group reproduces the plain-mean fusion exactly
-        scene = toy_scene(0)
-        full = run_pipeline(scene, back, bcfg)
-        loc = run_pipeline(scene, back, bcfg.replace(ablate="local-only"))
-        glo = run_pipeline(scene, back, bcfg.replace(ablate="global-only"))
-        np.testing.assert_array_equal(
-            ad.value(full.repr.h), (ad.value(loc.repr.h) + ad.value(glo.repr.h)) / 2.0
-        )
+        with pytest.raises(CheckpointFormatError, match="checkpoint missing block 'importance_0'") as err:
+            load_checkpoint(path)
+        assert err.value.offset == path.stat().st_size
 
     @pytest.mark.parametrize("edit,message,at", [
         # one flipped byte in a name: importance_1 and _2 are still there
         pytest.param("rename", "unknown checkpoint block 'importance_9'", "importance_9", id="rename"),
-        # the zero fill is only for a file with no importance_* block at all
         pytest.param("drop", "checkpoint missing block 'importance_0'", None, id="drop"),
         # a second w_pan used to replace the first one silently
         pytest.param("duplicate", "duplicate checkpoint block 'w_pan'", "w_pan", id="duplicate"),
@@ -551,18 +538,19 @@ class TestCheckpoints:
             ad.value(run_pipeline(scene, params, cfg).fused),
         )
 
-    def test_seven_entry_config_loads_as_full(self, tmp_path):
+    def test_seven_entry_config_is_refused(self, tmp_path):
         # the _config block as written before ablate was stored
         cfg = toy_config(gamma=0.02, tau=0.7)
         params = ModelParams.init(cfg, seed=5, zero_recon=False)
         blocks = params.named_arrays() + [("_config", [4, 4, 8, 2, 1, 0.7, 0.02])]
-        write_blocks(tmp_path / "old.hssn", blocks)
-        back, bcfg = load_checkpoint(tmp_path / "old.hssn")
-        assert bcfg.ablate == "full"
-        assert (bcfg.patch, bcfg.stride, bcfg.d, bcfg.layers, bcfg.k) == (4, 4, 8, 2, 1)
-        for (n1, a1), (n2, a2) in zip(params.named_arrays(), back.named_arrays()):
-            assert n1 == n2
-            np.testing.assert_array_equal(np.asarray(a1, dtype=np.float32), a2)
+        path = tmp_path / "old.hssn"
+        offsets = write_blocks(path, blocks)
+        with pytest.raises(
+            CheckpointFormatError,
+            match=r"checkpoint block '_config' of dims \(7, 1, 1\) is smaller than \(8,\)",
+        ) as err:
+            load_checkpoint(path)
+        assert err.value.offset == offsets["_config"]
 
     @pytest.mark.parametrize("field,value,message", [
         ("tau", 0.0, "tau must be positive"),
@@ -664,10 +652,10 @@ class TestCheckpoints:
         assert err.value.offset == 16
 
     def test_missing_block_rejected_with_offset(self, tmp_path):
-        meta = np.array([4, 4, 8, 2, 1, 0.5, 0.01], dtype="<f4")
+        meta = np.array([4, 4, 8, 2, 1, 0.5, 0.01, 0], dtype="<f4")
         name = b"_config"
         blob = CHECKPOINT_MAGIC + struct.pack("<II", 1, 1)
-        blob += struct.pack("<I", len(name)) + name + struct.pack("<III", 7, 1, 1) + meta.tobytes()
+        blob += struct.pack("<I", len(name)) + name + struct.pack("<III", 8, 1, 1) + meta.tobytes()
         path = tmp_path / "m.hssn"
         path.write_bytes(blob)
         with pytest.raises(CheckpointFormatError, match="missing block 'w_pan'") as err:

@@ -11,18 +11,23 @@ descriptor matrix B (columns scaled by learned scalars); the row-L1
 normalised similarity B @ B.T drives one propagation that keeps only the
 deepest layer output.  B has at most seven columns and B @ B.T is
 nonnegative, so the similarity is applied in factored form and the (n, n)
-matrix is never built.
+matrix is never built.  The layers after it are linear, so the branch
+output has rank at most m, the number of live patterns, and stays a
+:class:`LowRank` pair left @ K with K = (B^T U) W_1 ... W_L of shape (m, d):
+the layers, the importance score and the contrastive term all work on K.
 
 Fusion weighs the two branches per node with learned importance: a score
 q . tanh(W h + b) for each branch output, softmax-normalised over the two
 branches (semantic-level attention as in HAN, scored per node).  Each branch
 is scaled by twice its weight and the fused representation is the mean of
 the scaled branches, i.e. their weighted sum; at initialisation q = 0 and
-the weights are exactly 1/2, the plain mean.
+the weights are exactly 1/2, the plain mean.  The dense (n, d) global
+branch is formed once, after this scaling, for the fusion and the heads.
 
 A per-band linear head maps each patch's (pan node, band node) feature pair
 to a pixel block; blocks are overlap-averaged and added to the upsampled
 multispectral input, so training starts from the plain bicubic baseline.
+All bands go through the heads together.
 """
 
 from __future__ import annotations
@@ -152,11 +157,14 @@ class NodeRepr:
     """Node representations.  In full mode h_local and h_global are the
     importance-scaled branches of :func:`weigh_branches`; under ablation the
     surviving branch is stored in all three slots.  Either way
-    h == (h_local + h_global) / 2 holds."""
+    h == (h_local + h_global) / 2 holds.  ``global_factors`` is the global
+    branch as the :class:`LowRank` pair whose product is h_global, or None
+    in local-only mode."""
 
     h_local: object
     h_global: object
     h: object
+    global_factors: object = None
 
 
 def aggregate_local(ps: PatternSet, U, alpha, w_local) -> object:
@@ -202,6 +210,29 @@ def build_global_pattern_matrix(ps: PatternSet, beta) -> object:
         totals = ad.index_add(n, p.rows, p.vals)
         cols.append(ad.reshape(totals * beta[p.mask - 1], (n, 1)))
     return ad.concatenate(cols, axis=1)
+
+
+@dataclass
+class LowRank:
+    """An (n, d) matrix, or a (k, n, d) stack, held as left @ right: left is
+    (n, m) or (k, n, m) and right (m, d).  A product with a matrix on the
+    right stays factored and costs O(m d p)."""
+
+    left: object
+    right: object
+
+    def __matmul__(self, w):
+        return LowRank(self.left, self.right @ w)
+
+
+def dense(h):
+    """The (n, d) value of a :class:`LowRank` pair; any other h as it is."""
+    return h.left @ h.right if isinstance(h, LowRank) else h
+
+
+def scale_rows(s, h):
+    """The rows of h (dense or :class:`LowRank`) scaled by the (n, 1) s."""
+    return LowRank(s * h.left, h.right) if isinstance(h, LowRank) else s * h
 
 
 @dataclass
@@ -253,41 +284,56 @@ def weigh_branches(h_local, h_global, importance):
     (1 - t) h_global) and their :func:`fuse` mean is the weighted sum
     a_local h_local + a_global h_global.  With q = 0, t is exactly 0 and
     both branches come back unchanged.
+
+    Either branch may be a :class:`LowRank` pair left @ K; its W h is then
+    left @ (K W^T), and it comes back as the pair (scaled left, K).
     """
     w, b, q = importance
     w_t = ad.transpose(w)
-    score_l = ad.tanh(h_local @ w_t + b) @ q
-    score_g = ad.tanh(h_global @ w_t + b) @ q
+    score_l = ad.tanh(dense(h_local @ w_t) + b) @ q
+    score_g = ad.tanh(dense(h_global @ w_t) + b) @ q
     t = ad.tanh((score_l - score_g) * 0.5)  # (n, 1)
-    return (1.0 + t) * h_local, (1.0 - t) * h_global
+    return scale_rows(1.0 + t, h_local), scale_rows(1.0 - t, h_global)
 
 
 def fuse(h_local, h_global) -> object:
     return (h_local + h_global) * 0.5
 
 
+def _band_pairs(H, n):
+    """The (BANDS, n, 2d) pairs [h_pan | h_band b] of every band, from one
+    gather of H's (1 + BANDS, n, d) blocks: the pan block once per band,
+    then each band's block.  H's gradient is then one segment sum, and no
+    block read leaves a full-size gradient of its own."""
+    # node ids are band-major (graph.band_node): block 0 is pan, 1 + b band b
+    ids = np.concatenate([np.zeros(BANDS, np.int64), band_node(0, np.arange(BANDS), 1)])
+    halves = ad.reshape(ad.reshape(H, (1 + BANDS, n, -1))[ids], (2, BANDS, n, -1))
+    return ad.reshape(ad.transpose(halves, (1, 2, 0, 3)), (BANDS, n, -1))
+
+
 def reconstruct(H, grid: PatchGrid, recon, lrms_up: Image):
     """Per-band linear heads on (pan, band) node pairs, overlap-averaged and
     added to the upsampled input; clamped to [0, 1].  Returns the raw
-    (h, w, bands) array (plain or tensor, matching H)."""
+    (h, w, bands) array (plain or tensor, matching H).
+
+    Head b maps each pair [h_pan | h_band b] (:func:`_band_pairs`) to the
+    block [h_pan | h_band b] @ recon[b]^T.  The heads are one stacked matmul,
+    and one segment sum scatters every band to its pixels.
+    """
     n = grid.n_patches
-    idx = grid.pixel_indices  # (n, p*p) for the 1-channel pan grid
-    counts = np.maximum(grid.coverage_counts, 1)
+    p2 = grid.pixel_indices.shape[1]  # (n, p*p) for the 1-channel pan grid
     hw = grid.height * grid.width
     dtype = ad.value(H).dtype
 
-    h_pan = H[:n]
-    bands = []
-    flat_idx = idx.reshape(-1)
-    for b in range(BANDS):
-        z = ad.concatenate([h_pan, H[band_node(0, b, n):band_node(0, b + 1, n)]], axis=1)  # (n, 2d)
-        blocks = z @ ad.transpose(recon[b])  # (n, p*p)
-        summed = ad.index_add(hw, flat_idx, ad.reshape(blocks, (-1,)))
-        residual = summed / counts.astype(dtype)
-        base = lrms_up.data[:, :, b].reshape(-1).astype(dtype)
-        fused_b = ad.clip(residual + base, 0.0, 1.0)
-        bands.append(ad.reshape(fused_b, (grid.height, grid.width, 1)))
-    return ad.concatenate(bands, axis=2)
+    heads = ad.transpose(ad.concatenate([ad.reshape(r, (1, p2, -1)) for r in recon]), (0, 2, 1))
+    blocks = _band_pairs(H, n) @ heads  # (BANDS, n, p*p); a plain pass frees the pairs here
+    # band b of pixel j is entry BANDS j + b of the (h, w, BANDS) raster
+    idx = (grid.pixel_indices * BANDS + np.arange(BANDS)[:, None, None]).reshape(-1)
+    summed = ad.reshape(ad.index_add(hw * BANDS, idx, ad.reshape(blocks, (-1,))), (hw, BANDS))
+    counts = np.maximum(grid.coverage_counts, 1).astype(dtype)[:, None]
+    base = lrms_up.data.reshape(hw, BANDS).astype(dtype)
+    fused = ad.clip(summed / counts + base, 0.0, 1.0)
+    return ad.reshape(fused, (grid.height, grid.width, BANDS))
 
 
 @dataclass
@@ -324,16 +370,24 @@ def run_pipeline(
         branches.append(aggregate_local(ps, g.U, params.alpha, params.w_local))
     if cfg.ablate != "local-only":
         B = build_global_pattern_matrix(ps, params.beta)
-        branches.append(aggregate_global(global_similarity(B), g.U, params.w_global))
+        A = global_similarity(B)
+        # A = left right^T and the layers are linear, so the branch is
+        # left @ K, with K the (m, d) propagation through right^T alone
+        K = aggregate_global(ad.transpose(A.right), g.U, params.w_global)
+        branches.append(LowRank(A.left, K))
     if len(branches) == 2:
         branches = weigh_branches(*branches, params.importance)
-    h_local, h_global = branches[0], branches[-1]
+    dense_branches = [dense(h) for h in branches]
+    h_local, h_global = dense_branches[0], dense_branches[-1]
     h = fuse(h_local, h_global) if len(branches) == 2 else h_local
 
     fused = reconstruct(h, pan_grid, params.recon, lrms_up)
     return PipelineOutput(
         fused=fused,
-        repr=NodeRepr(h_local=h_local, h_global=h_global, h=h),
+        repr=NodeRepr(
+            h_local=h_local, h_global=h_global, h=h,
+            global_factors=branches[-1] if cfg.ablate != "local-only" else None,
+        ),
         graph=g,
         patterns=ps,
         lrms_up=lrms_up,

@@ -199,12 +199,17 @@ def negative(a):
 
 
 def matmul(a, b):
+    """a @ b for matrices or stacks of them (leading axes broadcast, as in
+    numpy); a stacked operand's gradient sums over the stack it shared."""
     da, db = value(a), value(b)
-    if da.ndim != 2 or db.ndim != 2:
-        raise ValueError("matmul supports 2-D operands only")
+    if da.ndim < 2 or db.ndim < 2:
+        raise ValueError("matmul needs operands of at least 2 dims")
 
     def vjp(g):
-        return g @ db.T, da.T @ g
+        return (
+            _unbroadcast(g @ np.swapaxes(db, -1, -2), da.shape),
+            _unbroadcast(np.swapaxes(da, -1, -2) @ g, db.shape),
+        )
 
     return _node(da @ db, (a, b), vjp)
 
@@ -260,8 +265,10 @@ def clip(a, lo, hi):
     return _node(np.clip(da, lo, hi), (a,), vjp)
 
 
-def transpose(a):
-    return _node(value(a).T, (a,), lambda g: (g.T,))
+def transpose(a, axes=None):
+    """Axes permuted as numpy's transpose does; reversed by default."""
+    back = None if axes is None else np.argsort(axes)
+    return _node(value(a).transpose(axes), (a,), lambda g: (g.transpose(back),))
 
 
 def reshape(a, shape):
@@ -379,26 +386,32 @@ def _segment_sum(n, idx, vals):
 _NCE_BLOCK = 256  # logit rows held at once by info_nce
 
 
-def info_nce(a, b, tau):
-    """mean_i [logsumexp_j(a_i . b_j / tau) - a_i . b_i / tau] as one node.
+def info_nce(a, b, tau, right=None):
+    """mean_i [logsumexp_j(a_i . c_j / tau) - a_i . c_i / tau] as one node,
+    where c = b, or c = b @ right for a (m, d) ``right``.
 
-    a and b are (n, d), or (k, n, d) for k blocks each contrasted within
+    a and c are (n, d), or (k, n, d) for k blocks each contrasted within
     itself: anchor i of a block takes its negatives from that block only,
-    and the value is the mean over all k n anchors.  The (n, n) logits are
+    and the value is the mean over all k n anchors.  With ``right`` the
+    logits a c^T = (a right^T) b^T are taken at b's width m, and a enters
+    only through x = a right^T; without it, x = a.  The (n, n) logits are
     never held: each block's rows are processed ``_NCE_BLOCK`` at a time
     with a per-row max.  Each row block holds whole rows of
-    P = softmax(a b^T / tau), so on the tape the same pass accumulates P b
-    and P^T a, two arrays shaped like a and b; the backward forms the
-    gradients (P b - b) / (k n tau) for a and (P^T a - a) / (k n tau) for b.
+    P = softmax(x b^T / tau), so on the tape the same pass accumulates P b
+    and P^T x, two arrays shaped like x and b; the backward forms the
+    gradients G_x = (P b - b) / (k n tau) for x and (P^T x - x) / (k n tau)
+    for b, and from G_x those for a (G_x right) and right (G_x^T a).
     """
     da, db = value(a), value(b)
-    n = da.shape[-2]
-    taped = isinstance(a, Tensor) or isinstance(b, Tensor)
-    lse = np.empty(da.shape[:-1], dtype=np.result_type(da, db))
+    dr = None if right is None else value(right)
+    dx = da if dr is None else da @ dr.T
+    n = db.shape[-2]
+    taped = any(isinstance(t, Tensor) for t in (a, b, right))
+    lse = np.empty(dx.shape[:-1], dtype=np.result_type(dx, db))
     if taped:
-        pb, pta = np.empty_like(da), np.zeros_like(db)  # P b and P^T a
-    for blk in np.ndindex(da.shape[:-2]):  # the one index () for 2-D operands
-        xa, xb = da[blk], db[blk]
+        pb, ptx = np.empty_like(dx), np.zeros_like(db)  # P b and P^T x
+    for blk in np.ndindex(dx.shape[:-2]):  # the one index () for 2-D operands
+        xa, xb = dx[blk], db[blk]
         for i in range(0, n, _NCE_BLOCK):
             rows = slice(i, i + _NCE_BLOCK)
             s = xa[rows] @ xb.T
@@ -411,11 +424,16 @@ def info_nce(a, b, tau):
             if taped:
                 s /= z
                 pb[blk][rows] = s @ xb
-                pta[blk] += s.T @ xa[rows]
-    pos = np.einsum("...ij,...ij->...i", da, db) / tau
+                ptx[blk] += s.T @ xa[rows]
+    pos = np.einsum("...ij,...ij->...i", dx, db) / tau
 
     def vjp(g):
         scale = 1.0 / (lse.size * tau)
-        return (pb - db) * scale * g, (pta - da) * scale * g
+        gx = (pb - db) * scale * g
+        gb = (ptx - dx) * scale * g
+        if dr is None:
+            return gx, gb, None
+        gr = gx.reshape(-1, gx.shape[-1]).T @ da.reshape(-1, da.shape[-1])
+        return gx @ dr, gb, gr
 
-    return _node(np.mean(lse - pos), (a, b), vjp)
+    return _node(np.mean(lse - pos), (a, b, right), vjp)

@@ -85,13 +85,22 @@ def embed_patches(pan_grid: PatchGrid, band_grids, w_pan, w_band):
     return xp, ys
 
 
-def unit_rows(x):
+def unit_rows(x, right=None):
     """Rows (vectors along the last axis) scaled to unit L2 norm; a zero row
     stays zero and passes no gradient.  Plain arrays in, plain arrays out;
-    tensors are taped."""
-    q = ad.sum(x * x, axis=-1, keepdims=True)
+    tensors are taped.
+
+    With a 2-D ``right`` the rows of x are scaled instead so that those of
+    x @ right have unit norm, the squared norms taken as x G x^T with the
+    Gram G = right right^T, so the product x @ right is never formed.
+    """
+    xg = x if right is None else x @ (right @ ad.transpose(right))
+    q = ad.sum(xg * x, axis=-1, keepdims=True)
     keep = (ad.value(q) > 0.0).astype(ad.value(q).dtype)
-    return x / ad.sqrt(q * keep + (1.0 - keep)) * keep
+    out = x / ad.sqrt(q * keep + (1.0 - keep))
+    # a dropped row comes out as x / 1, so the mask is applied (a second
+    # (m, d) array) only when some row is dropped
+    return out if keep.all() else out * keep
 
 
 def knn_select(feats: np.ndarray, k: int):

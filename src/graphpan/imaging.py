@@ -20,6 +20,7 @@ HSIF_MAGIC = b"HSIF"
 _MAX_DIM = 1 << 24  # per-axis sanity bound for headers
 
 BANDS = 4  # multispectral band count used throughout
+MAX_SCENE_SIZE = 2048  # largest synthetic scene side: a 4-band float64 raster of 128 MiB
 
 
 class FormatError(ValueError):
@@ -439,6 +440,8 @@ def synth_scene(seed: int, size: int = 128, scale: int = 4) -> ScenePair:
     """
     if scale < 1:
         raise ValueError("scale must be >= 1")
+    if size > MAX_SCENE_SIZE:
+        raise ValueError(f"scene size {size} is above the limit of {MAX_SCENE_SIZE}")
     if size % scale:
         raise ValueError("size must be divisible by scale")
     if size < 4 * scale:

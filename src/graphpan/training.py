@@ -4,10 +4,12 @@ The objective is mean absolute reconstruction error plus a temperature-
 scaled alignment term that treats the local and global representations of
 the same node as a positive pair against all other nodes of the same block:
 the pan block or one band's block, N nodes each, all contrasted in one tape
-node, so the term's floor is ln N.  Gradients come from the reverse-mode
-tape in :mod:`graphpan.autodiff`; an independent central-difference path
-(with the graph topology frozen at the baseline) serves as the correctness
-oracle.
+node, so the term's floor is ln N.  The global side arrives as its
+:class:`aggregation.LowRank` factors, so the term's N x N products run at
+the factor width m, the number of live patterns, not at d.  Gradients come
+from the reverse-mode tape in :mod:`graphpan.autodiff`; an independent
+central-difference path (with the graph topology frozen at the baseline)
+serves as the correctness oracle.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .aggregation import ModelParams, run_pipeline
+from .aggregation import LowRank, ModelParams, run_pipeline
 from .config import ABLATION_MODES, TrainConfig
 from .graph import band_node, unit_rows
 from .imaging import BANDS, FormatError, Image, ScenePair, degrade_image
@@ -69,12 +71,20 @@ def contrastive_loss(h_local, h_global, tau: float):
     array is held in the forward or the backward pass.  Rows are compared by
     direction only, so scaling a row by a positive factor leaves the value
     unchanged.
+
+    h_global may be a :class:`aggregation.LowRank` pair left @ K.  Its unit
+    rows are then left_i / |left_i K| (norms from the m x m Gram K K^T, a
+    zero row kept zero) times K, and K goes into the node as its right
+    factor, so the logits and both row-block products are m wide.
     """
     n = ad.value(h_local).shape[-2]
     if n < 2:
         raise ValueError("contrastive loss needs at least 2 nodes")
     if tau <= 0:
         raise ValueError("tau must be positive")
+    if isinstance(h_global, LowRank):
+        right = h_global.right
+        return ad.info_nce(unit_rows(h_local), unit_rows(h_global.left, right), tau, right)
     return ad.info_nce(unit_rows(h_local), unit_rows(h_global), tau)
 
 
@@ -86,7 +96,8 @@ def blockwise_contrastive_loss(h_local, h_global, tau: float, n_patches: int):
     different blocks are never pushed apart.
 
     The rows must number exactly (1 + BANDS) * n_patches; they are read as
-    (1 + BANDS, n_patches, d) blocks and go through one
+    (1 + BANDS, n_patches, d) blocks (for a :class:`aggregation.LowRank`
+    h_global, its left factor is) and go through one
     :func:`contrastive_loss` call, whose value is the mean over all anchors.
     With one patch every block has only its positive pair, whose InfoNCE
     term is exactly 0: the result is then 0.0 and nothing is taped.
@@ -99,16 +110,21 @@ def blockwise_contrastive_loss(h_local, h_global, tau: float, n_patches: int):
     if n_patches == 1:
         return 0.0
     blocks = (1 + BANDS, n_patches, -1)
-    return contrastive_loss(ad.reshape(h_local, blocks), ad.reshape(h_global, blocks), tau)
+    if isinstance(h_global, LowRank):
+        h_global = LowRank(ad.reshape(h_global.left, blocks), h_global.right)
+    else:
+        h_global = ad.reshape(h_global, blocks)
+    return contrastive_loss(ad.reshape(h_local, blocks), h_global, tau)
 
 
 def _losses(out, scene: ScenePair, cfg: TrainConfig):
     """(l1, lcl, total) matching the kind (plain/tensor) of the pipeline.
 
     lcl is :func:`blockwise_contrastive_loss` of the (importance-scaled)
-    branch representations, over the pan block and the BANDS band blocks of
-    N = n_patches nodes each; at its floor (every negative of a block scoring
-    like the positive) it is ln N.  total = l1 + gamma * lcl.
+    branch representations, the global one as its factor pair, over the pan
+    block and the BANDS band blocks of N = n_patches nodes each; at its
+    floor (every negative of a block scoring like the positive) it is ln N.
+    total = l1 + gamma * lcl.
     """
     gt = scene.gt.data.astype(ad.value(out.fused).dtype)
     l1 = l1_loss(out.fused, gt)
@@ -116,12 +132,12 @@ def _losses(out, scene: ScenePair, cfg: TrainConfig):
         # a single surviving branch has nothing to align against
         return l1, 0.0, l1
     n_patches = out.graph.n_patches
+    h_local, g = out.repr.h_local, out.repr.global_factors
     if cfg.gamma > 0.0:
-        lcl = blockwise_contrastive_loss(out.repr.h_local, out.repr.h_global, cfg.tau, n_patches)
+        lcl = blockwise_contrastive_loss(h_local, g, cfg.tau, n_patches)
         return l1, lcl, l1 + cfg.gamma * lcl
-    lcl = float(blockwise_contrastive_loss(
-        ad.value(out.repr.h_local), ad.value(out.repr.h_global), cfg.tau, n_patches
-    ))
+    g = LowRank(ad.value(g.left), ad.value(g.right))  # logged only: nothing taped
+    lcl = float(blockwise_contrastive_loss(ad.value(h_local), g, cfg.tau, n_patches))
     return l1, lcl, l1
 
 

@@ -142,8 +142,20 @@ class TestLinearAlgebra:
         with pytest.raises(ValueError):
             ad.matmul(Tensor(np.ones(3)), np.ones((3, 2)))
 
+    def test_matmul_stacks(self):
+        # a stack against a shared matrix, a shared matrix against a stack,
+        # and two stacks: a shared operand's gradient sums over the stack
+        a, b = RNG.normal(size=(3, 2, 4)), RNG.normal(size=(3, 4, 5))
+        for x, y in [(a, b[0]), (a[0], b), (a, b)]:
+            u = RNG.normal(size=np.shape(x @ y))
+            check_op(lambda t: ad.sum((t @ y) * u), x)
+            check_op(lambda t: ad.sum((x @ t) * u), y)
+
     def test_transpose_reshape(self):
         check_op(lambda t: ad.sum(ad.transpose(t) * U23.T), X23)
+        x = RNG.normal(size=(2, 3, 4))
+        u = RNG.normal(size=(3, 4, 2))
+        check_op(lambda t: ad.sum(ad.transpose(t, (1, 2, 0)) * u), x)
         check_op(lambda t: ad.sum(ad.reshape(t, (3, 2)) * U23.reshape(3, 2)), X23)
         check_op(lambda t: ad.sum(ad.reshape(t, (6,)) * U23.reshape(-1)), X23)
 
@@ -390,6 +402,32 @@ class TestInfoNce:
         check_op(lambda t: ad.info_nce(t, b0, 0.5), a0)
         check_op(lambda t: ad.info_nce(a0, t, 0.5), b0)
 
+    @pytest.mark.parametrize("shape", [(5, 2), (2, 4, 2)])
+    def test_coordinate_fd_factors(self, shape):
+        # the second side given as factors b @ right: every operand, on one
+        # block and on a stack of blocks
+        rng = np.random.default_rng(12)
+        a0 = rng.normal(size=shape[:-1] + (3,))
+        b0, r0 = rng.normal(size=shape), rng.normal(size=(shape[-1], 3))
+        check_op(lambda t: ad.info_nce(t, b0, 0.5, r0), a0)
+        check_op(lambda t: ad.info_nce(a0, t, 0.5, r0), b0)
+        check_op(lambda t: ad.info_nce(a0, b0, 0.5, t), r0)
+
+    def test_factors_match_their_product(self):
+        blocks = [self.inputs(20 + j) for j in range(2)]
+        a0 = np.stack([a for a, _ in blocks])
+        rng = np.random.default_rng(21)
+        b0, r0 = rng.normal(size=(2, self.N, 3)), rng.normal(size=(3, 5))
+        a, b, r = Tensor(a0.copy()), Tensor(b0.copy()), Tensor(r0.copy())
+        out = ad.info_nce(a, b, 0.5, r)
+        out.backward()
+        ta, tb, tr = Tensor(a0.copy()), Tensor(b0.copy()), Tensor(r0.copy())
+        want = ad.info_nce(ta, tb @ tr, 0.5)
+        want.backward()
+        assert float(ad.value(out)) == pytest.approx(float(ad.value(want)), rel=1e-12)
+        for got, w in [(a.grad, ta.grad), (b.grad, tb.grad), (r.grad, tr.grad)]:
+            np.testing.assert_allclose(got, w, rtol=1e-9, atol=1e-12 * np.abs(w).max())
+
     def test_float32_gradients_stay_float32(self):
         a0, b0 = self.inputs(4)
         a, b = Tensor(a0.astype(np.float32)), Tensor(b0.astype(np.float32))
@@ -460,6 +498,9 @@ class TestTapeMechanics:
             (lambda a: ad.edge_dots(a, np.array([0, 1, 1]), np.array([1, 0, 1])), (X23,)),
             (lambda a, b: ad.info_nce(a, b, 0.5), (X23, U23)),
             (lambda a, b: ad.info_nce(a, b, 0.5), (X23.reshape(2, 3, 1), U23.reshape(2, 3, 1))),
+            (lambda a, b: ad.info_nce(a, b, 0.5, U23), (X23, U23[:, :2])),
+            (lambda a, b: ad.matmul(a, b), (X23.reshape(2, 3, 1), U23.reshape(2, 1, 3))),
+            (lambda a: ad.transpose(a, (1, 0)), (X23,)),
         ]
         for op, args in cases:
             plain = op(*args)

@@ -17,7 +17,7 @@ import pytest
 from graphpan.aggregation import ModelParams, forward
 from graphpan.cli import bench_scaling, main, merge_config, parse_config_file
 from graphpan.config import TrainConfig
-from graphpan.imaging import ScenePair, read_hsif, read_ppm, synth_scene
+from graphpan.imaging import MAX_SCENE_SIZE, ScenePair, read_hsif, read_ppm, synth_scene
 from graphpan.metrics import full_reference
 from graphpan.training import load_checkpoint, save_checkpoint
 
@@ -91,6 +91,15 @@ class TestSynth:
             done = run_cli("synth", "--out", tmp_path / "s", flag, value)
             assert_cli_error(done, message)
             assert not (tmp_path / "s").exists()  # a refused run writes nothing
+
+
+@pytest.mark.parametrize("command", ["synth", "patterns-dump", "ablate"])
+def test_oversized_scene_exit_1(tmp_path, command):
+    # refused before any raster is allocated, inside the child's 1 GiB
+    extra = ["--out", tmp_path / "s"] if command == "synth" else []
+    done = run_cli(command, "--size", "100000", *extra)
+    assert_cli_error(done, f"scene size 100000 is above the limit of {MAX_SCENE_SIZE}")
+    assert not (tmp_path / "s").exists()
 
 
 class TestTrain:

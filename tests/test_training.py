@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphpan.autodiff as ad
-from graphpan.aggregation import ModelParams, run_pipeline
+from graphpan.aggregation import LowRank, ModelParams, run_pipeline
 from graphpan.config import MAX_PARAMS, TrainConfig
 from graphpan.imaging import BANDS, Image, ScenePair, degrade_image, synth_scene
 from graphpan.training import (
@@ -191,6 +191,38 @@ class TestKindwiseContrastive:
             contrastive_loss(t_all, h_global[rows], 0.5).backward()
             assert np.max(np.abs(t_all.grad)) > 1e-3
 
+    def test_factored_global_matches_dense(self):
+        # h_global as the pair ((1 - t) left, K) against its product, float64:
+        # left has a zero row, and one row has 1 - t exactly 0
+        rng = np.random.default_rng(9)
+        n_patches, m, d = 6, 3, 5
+        n = (1 + BANDS) * n_patches
+        h_local0 = rng.normal(size=(n, d))
+        left0 = np.abs(rng.normal(size=(n, m)))
+        left0[4] = 0.0
+        s0 = rng.uniform(0.5, 1.5, size=(n, 1))  # 1 - t
+        s0[9] = 0.0
+        k0 = rng.normal(size=(m, d))
+
+        def run(factored):
+            leaves = [ad.Tensor(x.copy()) for x in (h_local0, left0, k0, s0)]
+            h_local, left, k, s = leaves
+            h_global = LowRank(s * left, k) if factored else (s * left) @ k
+            lcl = blockwise_contrastive_loss(h_local, h_global, 0.5, n_patches)
+            lcl.backward()
+            return float(ad.value(lcl)), [t.grad for t in leaves]
+
+        (got, got_grads), (want, want_grads) = run(True), run(False)
+        assert got == pytest.approx(want, rel=1e-12)
+        for g, w in zip(got_grads[:3], want_grads[:3]):
+            assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
+        # the zero rows pass no gradient, and the row scale none at all
+        # beyond rounding: the rows are compared by direction only
+        assert np.all(got_grads[1][[4, 9]] == 0.0)
+        scale = np.abs(want_grads[1]).max()
+        assert np.abs(got_grads[3]).max() <= 1e-12 * scale
+        assert np.abs(want_grads[3]).max() <= 1e-12 * scale
+
     def test_errors(self):
         for n, n_patches in [(0, 0), (5, 0), (4, 1), (15, 4), (21, 4), (25, 4)]:
             a = np.ones((n, 3))
@@ -199,21 +231,21 @@ class TestKindwiseContrastive:
 
     def test_backward_contrasts_each_block(self, monkeypatch):
         # one training.backward pass on the 64 px scene runs one InfoNCE
-        # node over all blocks: (1 + BANDS) blocks of the N = 225 rows
+        # node over all blocks: (1 + BANDS) blocks of the N = 225 rows, the
+        # global side as its factors at the width of the 3 live patterns
         scene = synth_scene(seed=0, size=64)
         cfg = TrainConfig()
         params = ModelParams.init(cfg, zero_recon=False)
         shapes = []
         real_info_nce = ad.info_nce
 
-        def record(a, b, tau):
-            shapes.append((ad.value(a).shape, ad.value(b).shape))
-            return real_info_nce(a, b, tau)
+        def record(a, b, tau, right=None):
+            shapes.append((ad.value(a).shape, ad.value(b).shape, ad.value(right).shape))
+            return real_info_nce(a, b, tau, right)
 
         monkeypatch.setattr(ad, "info_nce", record)
         backward(scene, params, cfg)
-        blocks = (1 + BANDS, 225, cfg.d)
-        assert shapes == [(blocks, blocks)]
+        assert shapes == [((1 + BANDS, 225, cfg.d), (1 + BANDS, 225, 3), (3, cfg.d))]
 
 
 class TestLossComposition:
@@ -361,6 +393,25 @@ class TestTape:
         assert any(s[:1] == (per_relation[1],) for s in shapes)  # the edge weights are taped
         wide = [s for s in shapes if len(s) >= 2 and s[0] in edge_counts and np.prod(s[1:]) > 1]
         assert wide == []
+
+    def test_node_blocks_read_by_one_gather(self, monkeypatch):
+        # reconstruct reads the pan and band blocks of H with one gather,
+        # not one slice per block that leaves a full-size zero gradient
+        scene = synth_scene(seed=0, size=64)
+        cfg = TrainConfig()
+        params = ModelParams.init(cfg, zero_recon=False)
+        takes = []
+        real_take = ad.take
+
+        def record(a, idx):
+            takes.append((ad.value(a).shape, idx))
+            return real_take(a, idx)
+
+        monkeypatch.setattr(ad, "take", record)
+        backward(scene, params, cfg)
+        node_reads = [(shape, idx) for shape, idx in takes if np.prod(shape) == 1125 * cfg.d]
+        assert [shape for shape, _ in node_reads] == [(1 + BANDS, 225, cfg.d)]
+        assert not isinstance(node_reads[0][1], slice)
 
 
 class TestAdam:

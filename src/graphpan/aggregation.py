@@ -154,17 +154,15 @@ class ModelParams:
 
 @dataclass
 class NodeRepr:
-    """Node representations.  In full mode h_local and h_global are the
-    importance-scaled branches of :func:`weigh_branches`; under ablation the
-    surviving branch is stored in all three slots.  Either way
-    h == (h_local + h_global) / 2 holds.  ``global_factors`` is the global
-    branch as the :class:`LowRank` pair whose product is h_global, or None
-    in local-only mode."""
+    """Node representations.  h_local is the dense local branch and
+    h_global the global branch as a :class:`LowRank` pair, each
+    importance-scaled by :func:`weigh_branches` in full mode; an ablated
+    branch is None.  h is their :func:`fuse` mean, or the surviving branch
+    as a dense array."""
 
     h_local: object
     h_global: object
     h: object
-    global_factors: object = None
 
 
 def aggregate_local(ps: PatternSet, U, alpha, w_local) -> object:
@@ -214,9 +212,9 @@ def build_global_pattern_matrix(ps: PatternSet, beta) -> object:
 
 @dataclass
 class LowRank:
-    """An (n, d) matrix, or a (k, n, d) stack, held as left @ right: left is
-    (n, m) or (k, n, m) and right (m, d).  A product with a matrix on the
-    right stays factored and costs O(m d p)."""
+    """An (n, p) matrix, or a (k, n, p) stack, held as left @ right: left is
+    (n, m) or (k, n, m) and right (m, p).  A product with a (p, q) matrix on
+    the right stays factored and costs O(m p q)."""
 
     left: object
     right: object
@@ -226,7 +224,7 @@ class LowRank:
 
 
 def dense(h):
-    """The (n, d) value of a :class:`LowRank` pair; any other h as it is."""
+    """The (n, p) value of a :class:`LowRank` pair; any other h as it is."""
     return h.left @ h.right if isinstance(h, LowRank) else h
 
 
@@ -235,21 +233,10 @@ def scale_rows(s, h):
     return LowRank(s * h.left, h.right) if isinstance(h, LowRank) else s * h
 
 
-@dataclass
-class GlobalOperator:
-    """The global propagation operator A = diag(1/r) B B^T, held as its two
-    (n, m) factors: A = left @ right.T.  ``A @ U`` costs O(n m d) and never
-    forms the (n, n) matrix."""
-
-    left: object
-    right: object
-
-    def __matmul__(self, U):
-        return self.left @ (ad.transpose(self.right) @ U)
-
-
-def global_similarity(B) -> GlobalOperator:
-    """Row-L1-normalised B @ B.T, in factored form; all-zero rows stay zero.
+def global_similarity(B) -> LowRank:
+    """Row-L1-normalised B @ B.T as the :class:`LowRank` pair
+    (diag(1/r) B, B^T); all-zero rows stay zero.  ``A @ U`` costs O(n m d)
+    and never forms the (n, n) matrix.
 
     Every column of B is one pattern's nonnegative incoming-weight totals
     scaled by its beta, so it has one sign and B @ B.T = sum_m beta_m^2
@@ -262,12 +249,13 @@ def global_similarity(B) -> GlobalOperator:
         raise ValueError("a column of the global pattern matrix mixes signs")
     r = B @ ad.transpose(ad.sum(B, axis=0, keepdims=True))  # (n, 1)
     zero = (ad.value(r) == 0.0).astype(b.dtype)
-    return GlobalOperator(left=B / (r + zero), right=B)
+    return LowRank(B / (r + zero), ad.transpose(B))
 
 
 def aggregate_global(A, U, w_global) -> object:
-    """One propagation through A (a :class:`GlobalOperator` or a plain
-    matrix); only the deepest layer output is kept."""
+    """One propagation through A (a :class:`LowRank` pair or a plain
+    matrix); only the deepest layer output is kept.  For a pair the layers
+    act on its (m, d) right factor, and the output is a pair too."""
     h = A @ U
     for wg in w_global:
         h = h @ wg
@@ -285,15 +273,15 @@ def weigh_branches(h_local, h_global, importance):
     a_local h_local + a_global h_global.  With q = 0, t is exactly 0 and
     both branches come back unchanged.
 
-    Either branch may be a :class:`LowRank` pair left @ K; its W h is then
+    h_global may be a :class:`LowRank` pair left @ K; its W h is then
     left @ (K W^T), and it comes back as the pair (scaled left, K).
     """
     w, b, q = importance
     w_t = ad.transpose(w)
-    score_l = ad.tanh(dense(h_local @ w_t) + b) @ q
+    score_l = ad.tanh(h_local @ w_t + b) @ q
     score_g = ad.tanh(dense(h_global @ w_t) + b) @ q
     t = ad.tanh((score_l - score_g) * 0.5)  # (n, 1)
-    return scale_rows(1.0 + t, h_local), scale_rows(1.0 - t, h_global)
+    return (1.0 + t) * h_local, scale_rows(1.0 - t, h_global)
 
 
 def fuse(h_local, h_global) -> object:
@@ -318,7 +306,8 @@ def reconstruct(H, grid: PatchGrid, recon, lrms_up: Image):
 
     Head b maps each pair [h_pan | h_band b] (:func:`_band_pairs`) to the
     block [h_pan | h_band b] @ recon[b]^T.  The heads are one stacked matmul,
-    and one segment sum scatters every band to its pixels.
+    and one segment sum along the grid's own pixel index scatters the
+    (window pixel, band) rows to the raster, so no per-band index is built.
     """
     n = grid.n_patches
     p2 = grid.pixel_indices.shape[1]  # (n, p*p) for the 1-channel pan grid
@@ -327,9 +316,9 @@ def reconstruct(H, grid: PatchGrid, recon, lrms_up: Image):
 
     heads = ad.transpose(ad.concatenate([ad.reshape(r, (1, p2, -1)) for r in recon]), (0, 2, 1))
     blocks = _band_pairs(H, n) @ heads  # (BANDS, n, p*p); a plain pass frees the pairs here
-    # band b of pixel j is entry BANDS j + b of the (h, w, BANDS) raster
-    idx = (grid.pixel_indices * BANDS + np.arange(BANDS)[:, None, None]).reshape(-1)
-    summed = ad.reshape(ad.index_add(hw * BANDS, idx, ad.reshape(blocks, (-1,))), (hw, BANDS))
+    # one row of BANDS values per window pixel, scattered to the raster's rows
+    rows = ad.reshape(ad.transpose(blocks, (1, 2, 0)), (-1, BANDS))
+    summed = ad.index_add(hw, grid.pixel_indices.reshape(-1), rows)  # (h*w, BANDS)
     counts = np.maximum(grid.coverage_counts, 1).astype(dtype)[:, None]
     base = lrms_up.data.reshape(hw, BANDS).astype(dtype)
     fused = ad.clip(summed / counts + base, 0.0, 1.0)
@@ -365,29 +354,22 @@ def run_pipeline(
     g = build_graph(xp, ys, cfg.k, structure=structure)
     ps = generate_patterns(g)
 
-    branches = []  # the surviving branches, local first
+    h_local = h_global = None
     if cfg.ablate != "global-only":
-        branches.append(aggregate_local(ps, g.U, params.alpha, params.w_local))
+        h_local = aggregate_local(ps, g.U, params.alpha, params.w_local)
     if cfg.ablate != "local-only":
         B = build_global_pattern_matrix(ps, params.beta)
-        A = global_similarity(B)
-        # A = left right^T and the layers are linear, so the branch is
-        # left @ K, with K the (m, d) propagation through right^T alone
-        K = aggregate_global(ad.transpose(A.right), g.U, params.w_global)
-        branches.append(LowRank(A.left, K))
-    if len(branches) == 2:
-        branches = weigh_branches(*branches, params.importance)
-    dense_branches = [dense(h) for h in branches]
-    h_local, h_global = dense_branches[0], dense_branches[-1]
-    h = fuse(h_local, h_global) if len(branches) == 2 else h_local
+        h_global = aggregate_global(global_similarity(B), g.U, params.w_global)
+    if cfg.ablate == "full":
+        h_local, h_global = weigh_branches(h_local, h_global, params.importance)
+        h = fuse(h_local, dense(h_global))
+    else:
+        h = dense(h_global) if h_local is None else h_local
 
     fused = reconstruct(h, pan_grid, params.recon, lrms_up)
     return PipelineOutput(
         fused=fused,
-        repr=NodeRepr(
-            h_local=h_local, h_global=h_global, h=h,
-            global_factors=branches[-1] if cfg.ablate != "local-only" else None,
-        ),
+        repr=NodeRepr(h_local=h_local, h_global=h_global, h=h),
         graph=g,
         patterns=ps,
         lrms_up=lrms_up,

@@ -132,7 +132,7 @@ def _losses(out, scene: ScenePair, cfg: TrainConfig):
         # a single surviving branch has nothing to align against
         return l1, 0.0, l1
     n_patches = out.graph.n_patches
-    h_local, g = out.repr.h_local, out.repr.global_factors
+    h_local, g = out.repr.h_local, out.repr.h_global
     if cfg.gamma > 0.0:
         lcl = blockwise_contrastive_loss(h_local, g, cfg.tau, n_patches)
         return l1, lcl, l1 + cfg.gamma * lcl

@@ -26,7 +26,7 @@ from . import autodiff as ad
 from .imaging import BANDS, PatchGrid
 
 N_RELATIONS = 3
-_KNN_BLOCK = 256  # similarity rows selected at once by knn_select
+_KNN_CHUNKS = 64  # disjoint strided column sets whose maxima bound knn_select's threshold
 
 
 def band_node(i, b, n_patches):
@@ -103,42 +103,60 @@ def unit_rows(x, right=None):
     return out if keep.all() else out * keep
 
 
+def self_similarities(feats):
+    """The (m, m) cosines of the rows of feats, as dot products of their
+    :func:`unit_rows`, with -inf on the diagonal.  Plain-valued."""
+    unit = unit_rows(np.asarray(feats, dtype=np.float64))
+    # one GEMM on a contiguous transpose: unit @ unit.T would take numpy's
+    # symmetric path (half the product, then a mirror copy), which is slower
+    # and gives two equal rows cosines 1 ulp apart to a third row wherever
+    # only one of the pair's entries is mirrored
+    sims = unit @ np.ascontiguousarray(unit.T)
+    np.fill_diagonal(sims, -np.inf)
+    return sims
+
+
 def knn_select(feats: np.ndarray, k: int):
     """Pick the k highest-cosine distinct neighbours j != i for each i.
 
-    Plain-valued; ties break toward the lower index j; zero-norm vectors are
+    Plain-valued; every j at or above a row's k-th largest cosine is picked,
+    and ties at that threshold are filled from the lowest index j.  Ties are
+    among the computed entries of :func:`self_similarities`: two equal rows
+    can still get cosines 1 ulp apart from a third.  Zero-norm vectors are
     treated as similarity 0 to everything.  Returns (src, dst) arrays sorted
     by (dst, src).
     """
-    unit = unit_rows(np.asarray(feats, dtype=np.float64))
-    m = unit.shape[0]
+    m = len(feats)
     if m < 2:
         return np.empty(0, np.int64), np.empty(0, np.int64)
-    # one product, selected _KNN_BLOCK rows at a time: a row-blocked product
-    # can differ in the last bit and so pick differently on exact ties
-    sims = unit @ unit.T
-    np.fill_diagonal(sims, -np.inf)
+    sims = self_similarities(feats)
     kk = min(k, m - 1)
-    neg = np.empty((min(_KNN_BLOCK, m), m))
-    flat = []  # picked positions in the row-major (m, m) matrix
-    for i in range(0, m, _KNN_BLOCK):
-        s = sims[i:i + _KNN_BLOCK]
-        part = np.negative(s, out=neg[:len(s)])
-        part.partition(kk - 1, axis=1)
-        kth = -part[:, kk - 1:kk]
-        # every j at or above a row's kk-th largest similarity is picked;
-        # a row with more than kk such j fills its ties at that threshold
-        # from the lowest index j
-        picked = s >= kth
-        over = np.count_nonzero(picked, axis=1) > kk
-        if over.any():
-            so, ko = s[over], kth[over]
-            above, tied = so > ko, so == ko
-            need = kk - np.count_nonzero(above, axis=1)[:, None]
-            picked[over] = above | (tied & (np.cumsum(tied, axis=1) <= need))
-        flat.append(np.flatnonzero(picked) + i * m)
-    dst, src = np.divmod(np.concatenate(flat), m)  # ascending, so sorted by (dst, src)
-    return src, dst
+    # the kk largest maxima of _KNN_CHUNKS disjoint column sets (column j in
+    # set j mod _KNN_CHUNKS) are kk distinct entries of the row, so the
+    # smallest of them, lo, is at most the row's kk-th largest entry: every
+    # entry the rule can pick is at or above lo
+    if kk > _KNN_CHUNKS:
+        lo = np.full((m, 1), -np.inf)
+    else:
+        q, r = divmod(m, _KNN_CHUNKS)
+        maxima = np.full((m, _KNN_CHUNKS), -np.inf)
+        if q:
+            sims[:, :q * _KNN_CHUNKS].reshape(m, q, _KNN_CHUNKS).max(axis=1, out=maxima)
+        np.maximum(maxima[:, :r], sims[:, q * _KNN_CHUNKS:], out=maxima[:, :r])
+        lo = np.partition(maxima, _KNN_CHUNKS - kk, axis=1)[:, _KNN_CHUNKS - kk, None]
+    # the candidates, in row-major order and so sorted by (dst, src)
+    flat = np.flatnonzero(sims >= lo)
+    dst = flat // m
+    counts = np.bincount(dst, minlength=m)
+    starts = np.cumsum(counts) - counts
+    cand = np.full((m, counts.max()), -np.inf)
+    cand[dst, np.arange(len(flat)) - starts[dst]] = sims.reshape(-1)[flat]
+    # a stable sort orders each row's candidates by value descending, then
+    # by index, with the -inf padding last: its first kk are every entry
+    # above the kk-th largest, then the ties at it from the lowest index
+    top = np.sort(np.argsort(-cand, axis=1, kind="stable")[:, :kk], axis=1)
+    picked = (starts[:, None] + top).reshape(-1)
+    return flat[picked] % m, dst[picked]
 
 
 def edge_weights(unit, src, dst):

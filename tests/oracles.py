@@ -2,15 +2,15 @@
 
 Each one is written independently of the code path it checks: patterns by
 dense membership tests over every ordered node pair, kNN picks by a
-whole-matrix selection, overlap averaging by a bincount over the grid's pixel
-indices, and exp/log as plain tape ops for the dense InfoNCE and
-composite-expression oracles.
+whole-matrix selection on knn_select's own similarity product, overlap
+averaging by a bincount over the grid's pixel indices, and exp/log as plain
+tape ops for the dense InfoNCE and composite-expression oracles.
 """
 
 import numpy as np
 
 import graphpan.autodiff as ad
-from graphpan.graph import N_RELATIONS, unit_rows
+from graphpan.graph import N_RELATIONS, self_similarities
 from graphpan.imaging import Image, PatchGrid
 from graphpan.patterns import MAX_PATTERNS, PatternSet, RelationPattern
 
@@ -108,15 +108,14 @@ def patterns_allclose(a: PatternSet, b: PatternSet, tol: float = 1e-9) -> bool:
 
 
 def knn_select_whole(feats, k):
-    """``graph.knn_select`` on the whole (m, m) similarity matrix at once:
-    the same product, threshold and lowest-index tie fill for every row,
-    with no row blocks and no shortcut for rows without excess ties."""
-    unit = unit_rows(np.asarray(feats, dtype=np.float64))
-    m = unit.shape[0]
+    """``graph.knn_select``'s rule applied to the whole (m, m) similarity
+    matrix at once: the same product (``graph.self_similarities``), then for
+    every row a full partition, the threshold and the lowest-index tie fill,
+    with no candidate bound."""
+    m = len(feats)
     if m < 2:
         return np.empty(0, np.int64), np.empty(0, np.int64)
-    sims = unit @ unit.T
-    np.fill_diagonal(sims, -np.inf)
+    sims = self_similarities(feats)
     kk = min(k, m - 1)
     kth = -np.partition(-sims, kk - 1, axis=1)[:, kk - 1:kk]
     above, tied = sims > kth, sims == kth

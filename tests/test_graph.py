@@ -1,9 +1,10 @@
 """Multiplex patch-graph construction.
 
-Neighbour selection is checked against a brute-force per-row oracle and, at
-sizes that span several row blocks, against the whole-matrix selection; edge
-weights (dot products of unit rows) against a scalar cosine loop, and the
-node layout / relation typing against hand-enumerable 2-patch cases.
+Neighbour selection is checked against a brute-force per-row oracle and
+against the whole-matrix selection on the same product, at sizes and ties
+that take every path of the candidate bound; edge weights (dot products of
+unit rows) against a scalar cosine loop, and the node layout / relation
+typing against hand-enumerable 2-patch cases.
 """
 
 import tracemalloc
@@ -18,6 +19,7 @@ import graphpan.autodiff as ad
 from graphpan.aggregation import ModelParams, run_pipeline
 from graphpan.config import TrainConfig
 from graphpan.graph import (
+    _KNN_CHUNKS,
     N_RELATIONS,
     band_node,
     build_graph,
@@ -191,17 +193,67 @@ class TestKnnSelect:
         *DRAWS[2:],
     )
     def test_property_multi_block_matches_whole_matrix(self, m, k, seed, kind):
-        # more than one row block, so the block offset and every later
-        # block's tie fill are exercised against the one-pass selection
+        # every column set holds several entries, so the candidate bound sits
+        # below most rows' k-th largest entry; the picks from the candidates
+        # alone must equal the full-row selection on the same product
         feats = self._draw_feats(m, seed, kind)
         src, dst = knn_select(feats, k)
         osrc, odst = knn_select_whole(feats, k)
         np.testing.assert_array_equal(src, osrc)
         np.testing.assert_array_equal(dst, odst)
 
+    @staticmethod
+    def _assert_matches_whole(feats, k):
+        for got, want in zip(knn_select(feats, k), knn_select_whole(feats, k)):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("k", [_KNN_CHUNKS, _KNN_CHUNKS + 1, 150])
+    def test_k_at_or_above_chunk_count(self, k):
+        # k = chunk count takes the smallest set maximum as the bound; above
+        # it the bound is -inf and every entry, the diagonal too, is a candidate
+        rng = np.random.default_rng(12)
+        self._assert_matches_whole(rng.normal(size=(300, 8)), k)
+        self._assert_matches_whole(np.round(rng.normal(size=(300, 3))), k)
+
+    @pytest.mark.parametrize("m", [2, 3, 40, _KNN_CHUNKS, _KNN_CHUNKS + 1, 100, 2 * _KNN_CHUNKS - 1])
+    def test_fewer_rows_than_two_per_chunk(self, m):
+        # below 2 * chunk count some column sets hold one entry, for one row
+        # only the diagonal's -inf, and below the chunk count some are empty
+        rng = np.random.default_rng(m)
+        for k in (1, 5, m - 1):
+            self._assert_matches_whole(rng.normal(size=(m, 4)), k)
+            self._assert_matches_whole(np.round(rng.normal(size=(m, 2))), k)
+
+    @pytest.mark.parametrize("m", [50, 300])
+    def test_all_rows_identical(self, m):
+        # every off-diagonal entry ties, so every entry is a candidate and the
+        # picks are the lowest indices
+        feats = np.tile(np.random.default_rng(13).normal(size=(1, 5)), (m, 1))
+        self._assert_matches_whole(feats, 8)
+        src, dst = knn_select(feats, 8)
+        want = [j for i in range(m) for j in [*range(i), *range(i + 1, m)][:8]]
+        np.testing.assert_array_equal(src, want)
+
+    def test_real_shaped_call(self):
+        # the shape of each of a 128 px scene's five calls: 961 patches, d = 64
+        feats = np.abs(np.random.default_rng(14).normal(size=(961, 64))) + 0.1
+        self._assert_matches_whole(feats, 8)
+
+    def test_duplicate_rows_tie_per_pair(self):
+        # bit-identical rows must get bit-identical cosines from a third row
+        # for the lowest-index tie rule to hold; numpy's symmetric product
+        # (unit @ unit.T) gave them entries 1 ulp apart here, and 106 of 316
+        # rows picked a higher index than the per-pair cosines do
+        feats = self._draw_feats(316, 1, "pooled")
+        src, dst = knn_select(feats, 1)
+        osrc, odst = knn_oracle(feats, 1)
+        np.testing.assert_array_equal(src, osrc)
+        np.testing.assert_array_equal(dst, odst)
+
     def test_peak_memory_bounded(self):
-        # the one (m, m) product plus row-block temporaries: below 1.5 of
-        # those arrays, where a whole-matrix selection holds several
+        # the one (m, m) product plus a boolean candidate mask and
+        # candidate-sized arrays: below 1.5 of the product, where a
+        # whole-matrix selection holds several (m, m) arrays
         m = 3_000
         feats = np.random.default_rng(11).normal(size=(m, 64))
         knn_select(feats[:10], 8)  # first-call allocations out of the count

@@ -24,10 +24,14 @@ the scaled branches, i.e. their weighted sum; at initialisation q = 0 and
 the weights are exactly 1/2, the plain mean.  The dense (n, d) global
 branch is formed once, after this scaling, for the fusion and the heads.
 
-A per-band linear head maps each patch's (pan node, band node) feature pair
-to a pixel block; blocks are overlap-averaged and added to the upsampled
-multispectral input, so training starts from the plain bicubic baseline.
-All bands go through the heads together.
+The bands are embedded from one BANDS-channel patch grid of the upsampled
+multispectral image, cut on the pan grid's windows.  A per-band linear head
+maps each patch's (pan node, band node) feature pair to a pixel block;
+blocks are overlap-averaged and added to the upsampled multispectral input,
+so training starts from the plain bicubic baseline.  All bands go through
+the heads together: the pairs are one gather of the node rows
+(i, band_node(i, b, N)) in (band, patch) order, which reads in place as the
+heads' (BANDS, N, 2d) operand.
 """
 
 from __future__ import annotations
@@ -288,25 +292,16 @@ def fuse(h_local, h_global) -> object:
     return (h_local + h_global) * 0.5
 
 
-def _band_pairs(H, n):
-    """The (BANDS, n, 2d) pairs [h_pan | h_band b] of every band, from one
-    gather of H's (1 + BANDS, n, d) blocks: the pan block once per band,
-    then each band's block.  H's gradient is then one segment sum, and no
-    block read leaves a full-size gradient of its own."""
-    # node ids are band-major (graph.band_node): block 0 is pan, 1 + b band b
-    ids = np.concatenate([np.zeros(BANDS, np.int64), band_node(0, np.arange(BANDS), 1)])
-    halves = ad.reshape(ad.reshape(H, (1 + BANDS, n, -1))[ids], (2, BANDS, n, -1))
-    return ad.reshape(ad.transpose(halves, (1, 2, 0, 3)), (BANDS, n, -1))
-
-
 def reconstruct(H, grid: PatchGrid, recon, lrms_up: Image):
     """Per-band linear heads on (pan, band) node pairs, overlap-averaged and
     added to the upsampled input; clamped to [0, 1].  Returns the raw
     (h, w, bands) array (plain or tensor, matching H).
 
-    Head b maps each pair [h_pan | h_band b] (:func:`_band_pairs`) to the
-    block [h_pan | h_band b] @ recon[b]^T.  The heads are one stacked matmul,
-    and one segment sum along the grid's own pixel index scatters the
+    Head b maps each pair [h_pan i | h_band b, i] to the block
+    [h_pan i | h_band b, i] @ recon[b]^T.  The pairs are one gather of H's
+    rows in (band, patch, pan/band) order, read in place as (BANDS, n, 2d),
+    so H's gradient is one segment sum.  The heads are one stacked matmul,
+    and one segment sum along the pan grid's own pixel index scatters the
     (window pixel, band) rows to the raster, so no per-band index is built.
     """
     n = grid.n_patches
@@ -314,8 +309,11 @@ def reconstruct(H, grid: PatchGrid, recon, lrms_up: Image):
     hw = grid.height * grid.width
     dtype = ad.value(H).dtype
 
+    i = np.broadcast_to(np.arange(n), (BANDS, n))
+    ids = np.stack([i, band_node(i, np.arange(BANDS)[:, None], n)], axis=-1)  # (BANDS, n, 2)
     heads = ad.transpose(ad.concatenate([ad.reshape(r, (1, p2, -1)) for r in recon]), (0, 2, 1))
-    blocks = _band_pairs(H, n) @ heads  # (BANDS, n, p*p); a plain pass frees the pairs here
+    # (BANDS, n, p*p); a plain pass frees the gathered pairs here
+    blocks = ad.reshape(H[ids.reshape(-1)], (BANDS, n, -1)) @ heads
     # one row of BANDS values per window pixel, scattered to the raster's rows
     rows = ad.reshape(ad.transpose(blocks, (1, 2, 0)), (-1, BANDS))
     summed = ad.index_add(hw, grid.pixel_indices.reshape(-1), rows)  # (h*w, BANDS)
@@ -331,8 +329,6 @@ class PipelineOutput:
     repr: NodeRepr
     graph: HetGraph
     patterns: PatternSet
-    lrms_up: Image
-    pan_grid: PatchGrid
 
 
 def run_pipeline(
@@ -347,10 +343,8 @@ def run_pipeline(
     cfg.validate()
     lrms_up = upsample_bicubic(scene.lrms, scene.scale)
     pan_grid = extract_patches(scene.pan, cfg.patch, cfg.stride)
-    band_grids = [
-        extract_patches(lrms_up.band(b), cfg.patch, cfg.stride) for b in range(BANDS)
-    ]
-    xp, ys = embed_patches(pan_grid, band_grids, params.w_pan, params.w_band)
+    ms_grid = extract_patches(lrms_up, cfg.patch, cfg.stride)
+    xp, ys = embed_patches(pan_grid, ms_grid, params.w_pan, params.w_band)
     g = build_graph(xp, ys, cfg.k, structure=structure)
     ps = generate_patterns(g)
 
@@ -372,8 +366,6 @@ def run_pipeline(
         repr=NodeRepr(h_local=h_local, h_global=h_global, h=h),
         graph=g,
         patterns=ps,
-        lrms_up=lrms_up,
-        pan_grid=pan_grid,
     )
 
 

@@ -176,15 +176,22 @@ def cmd_infer(args) -> int:
 
 
 def cmd_patterns_dump(args) -> int:
-    cfg = merge_config(args)
+    if args.checkpoint:
+        # the file fixes the config and the parameters: a flag that would
+        # change either is refused, not ignored
+        given = [f"--{n.replace('_', '-')}" for n in ("config", "param_seed", *TrainConfig.field_names())
+                 if getattr(args, n) is not None]
+        if given:
+            raise CliError(f"--checkpoint sets the model's config and parameters; "
+                           f"drop {', '.join(given)}")
+        params, cfg = load_checkpoint(args.checkpoint)
+    else:
+        cfg = merge_config(args)
+        params = ModelParams.init(cfg, seed=0 if args.param_seed is None else args.param_seed)
     if args.scene:
         scene = ScenePair.load(args.scene)
     else:
         scene = synth_scene(args.scene_seed, size=args.size)
-    if args.checkpoint:
-        params, cfg = load_checkpoint(args.checkpoint)
-    else:
-        params = ModelParams.init(cfg, seed=args.param_seed)
     out = run_pipeline(scene, params, cfg)
     lines = []
     for r in (1, 2, 3):
@@ -295,7 +302,10 @@ def _time_call(fn):
     return best
 
 
-def bench_scaling(sizes=(100, 200, 400, 800), d=32, seed=0):
+BENCH_SIZES = (6400, 12800, 25600, 51200)  # every timed call takes milliseconds
+
+
+def bench_scaling(sizes=BENCH_SIZES, d=32, seed=0):
     """Time pattern generation and global aggregation on random multiplex
     graphs of expected in-degree 8 per relation; returns (rows, fitted
     log-log exponents)."""
@@ -391,7 +401,7 @@ def build_parser() -> _Parser:
     s.add_argument("--scene", default=None)
     s.add_argument("--scene-seed", type=int, default=0)
     s.add_argument("--size", type=int, default=32)
-    s.add_argument("--param-seed", type=int, default=0)
+    s.add_argument("--param-seed", type=int, default=None, help="default 0")
     s.add_argument("--checkpoint", default=None)
     s.add_argument("--out", default=None)
     _add_config_flags(s)
@@ -423,7 +433,7 @@ def build_parser() -> _Parser:
     s.set_defaults(func=cmd_analyze_priors)
 
     s = sub.add_parser("bench", help="runtime scaling of patterns and global aggregation")
-    s.add_argument("--sizes", default="100,200,400,800")
+    s.add_argument("--sizes", default=",".join(map(str, BENCH_SIZES)))
     s.add_argument("--d", type=int, default=32)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", default=None)

@@ -74,14 +74,20 @@ class HetGraph:
         return src, dst, self.weights[r - 1]
 
 
-def embed_patches(pan_grid: PatchGrid, band_grids, w_pan, w_band):
-    """Linear patch embeddings: feature_i = W @ flattened_patch_i.
+def embed_patches(pan_grid: PatchGrid, ms_grid: PatchGrid, w_pan, w_band):
+    """Linear patch embeddings: feature_i = W @ flattened_patch_i.  Band b
+    is channel b of the BANDS-channel ``ms_grid``, embedded as one
+    contiguous (N, p*p) block.
 
-    Returns (pan_feats (N, d), [band_feats (N, d)] * 4).
+    Returns (pan_feats (N, d), [band_feats (N, d)] * BANDS).
     """
+    if ms_grid.channels != BANDS:
+        raise ValueError(f"need a {BANDS}-channel multispectral grid, got {ms_grid.channels}")
     dtype = ad.value(w_pan).dtype
     xp = pan_grid.patches.astype(dtype) @ ad.transpose(w_pan)
-    ys = [g.patches.astype(dtype) @ ad.transpose(w) for g, w in zip(band_grids, w_band)]
+    # channel-last (N, p*p*BANDS) rows -> (BANDS, N, p*p)
+    bands = np.moveaxis(ms_grid.patches.reshape(ms_grid.n_patches, -1, BANDS), -1, 0)
+    ys = [x @ ad.transpose(w) for x, w in zip(np.ascontiguousarray(bands, dtype), w_band)]
     return xp, ys
 
 
@@ -206,14 +212,22 @@ def build_graph(pan_feats, band_feats, k: int, structure: GraphStructure | None 
 def random_multiplex_graph(n_nodes: int, density: float, seed: int) -> HetGraph:
     """Synthetic 3-relation graph for tests and benchmarks: each ordered
     off-diagonal pair enters each relation independently with ``density``,
-    weights uniform in (0, 1]."""
+    weights uniform in (0, 1].
+
+    Each relation is drawn in O(E): a binomial edge count, then that many
+    distinct indices into the n (n - 1) off-diagonal pairs in row-major
+    order, so the same distribution with no (n, n) array."""
     rng = np.random.default_rng(seed)
+    pairs = n_nodes * (n_nodes - 1)
     edges, weights = [], []
-    eye = np.eye(n_nodes, dtype=bool)
     for _ in range(N_RELATIONS):
-        mask = (rng.random((n_nodes, n_nodes)) < density) & ~eye
-        dst, src = np.nonzero(mask)  # row = receiver; row-major, so sorted by (dst, src)
-        weights.append(rng.uniform(1e-6, 1.0, size=len(dst)))
+        e = rng.binomial(pairs, density)
+        flat = np.sort(rng.choice(pairs, e, replace=False, shuffle=False))
+        # row = receiver; index j of row dst's n - 1 off-diagonal columns
+        # skips the diagonal, and sorted indices are sorted by (dst, src)
+        dst, j = np.divmod(flat, n_nodes - 1)
+        src = j + (j >= dst)
+        weights.append(rng.uniform(1e-6, 1.0, size=e))
         edges.append((src.astype(np.int64), dst.astype(np.int64)))
     structure = GraphStructure(n_patches=0, edges=tuple(edges), n_nodes=n_nodes)
     return HetGraph(structure=structure, weights=weights, U=np.zeros((n_nodes, 1)))

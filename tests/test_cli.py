@@ -337,6 +337,27 @@ class TestPatternsDump:
         rel_lines = text.split("\n\n")[0].strip().splitlines()
         assert sum(1 for ln in rel_lines if ln.startswith("1 ")) == 32
 
+    def test_checkpoint_dumps_its_own_graph(self, workdir, capsys):
+        # the checkpoint's k = 1 and 4 px patches: 16 patches of a 16 px scene
+        code = main(["patterns-dump", "--size", "16", "--checkpoint", str(workdir["ckpt"])])
+        assert code == 0
+        rel_lines = capsys.readouterr().out.split("\n\n")[0].strip().splitlines()
+        assert sum(1 for ln in rel_lines if ln.startswith("1 ")) == 16
+
+    @pytest.mark.parametrize("extra", [
+        ["--k", "5"],
+        ["--patch", "8", "--stride", "8"],
+        ["--param-seed", "0"],
+        ["--config", "any.cfg"],
+    ])
+    def test_checkpoint_refuses_model_flags(self, workdir, capsys, extra):
+        code = main(["patterns-dump", "--size", "16", "--checkpoint", str(workdir["ckpt"]), *extra])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --checkpoint")
+        assert extra[0] in captured.err
+
     def test_out_file(self, tmp_path):
         out = tmp_path / "dump.txt"
         code = main(["patterns-dump", "--size", "16", "--patch", "4",

@@ -30,7 +30,7 @@ from graphpan.graph import (
     random_multiplex_graph,
     unit_rows,
 )
-from graphpan.imaging import BANDS, Image, extract_patches, synth_scene
+from graphpan.imaging import BANDS, Image, extract_patches, synth_scene, upsample_bicubic
 from oracles import knn_select_whole
 
 
@@ -68,10 +68,9 @@ class TestNodeLayout:
         img_p = Image.from_array(rng.random((8, 8, 1)))
         img_b = Image.from_array(rng.random((8, 8, BANDS)))
         pan_grid = extract_patches(img_p, 4, 4)
-        band_grids = [extract_patches(img_b.band(b), 4, 4) for b in range(BANDS)]
         w_pan = rng.normal(size=(6, 16))
         w_band = [rng.normal(size=(6, 16)) for _ in range(BANDS)]
-        xp, ys = embed_patches(pan_grid, band_grids, w_pan, w_band)
+        xp, ys = embed_patches(pan_grid, extract_patches(img_b, 4, 4), w_pan, w_band)
         g = build_graph(xp, ys, k=1)
         n = pan_grid.n_patches
         U = ad.value(g.U)
@@ -81,6 +80,30 @@ class TestNodeLayout:
                 np.testing.assert_allclose(
                     U[band_node(i, b, n)], ad.value(ys[b])[i], atol=1e-6
                 )
+
+
+class TestEmbedPatches:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_band_grid_matches_single_band_grids(self, dtype):
+        # channel b of the BANDS-channel grid embeds bit for bit as the
+        # one-band grid of band b does
+        scene = synth_scene(seed=0, size=64)
+        up = upsample_bicubic(scene.lrms, scene.scale)
+        rng = np.random.default_rng(0)
+        w_pan = rng.normal(size=(16, 64)).astype(dtype)
+        w_band = [rng.normal(size=(16, 64)).astype(dtype) for _ in range(BANDS)]
+        _, ys = embed_patches(extract_patches(scene.pan, 8, 4), extract_patches(up, 8, 4),
+                              w_pan, w_band)
+        for b in range(BANDS):
+            patches = extract_patches(up.band(b), 8, 4).patches.astype(dtype)
+            assert ys[b].dtype == dtype
+            assert np.array_equal(ys[b], patches @ w_band[b].T)
+
+    def test_refuses_a_grid_of_other_width(self):
+        grid = extract_patches(Image.from_array(np.zeros((8, 8, 1))), 4, 4)
+        w = np.zeros((2, 16))
+        with pytest.raises(ValueError, match="4-channel"):
+            embed_patches(grid, grid, w, [w] * BANDS)
 
 
 class TestKnnSelect:
@@ -415,6 +438,32 @@ class TestRandomMultiplexGraph:
         total = sum(len(s) for s, _ in g.structure.edges)
         expect = 3 * 50 * 49 * 0.1
         assert 0.5 * expect < total < 1.5 * expect
+
+    def test_pairs_distinct_within_each_relation(self):
+        for n, density in [(2, 0.9), (30, 0.5), (200, 0.04)]:
+            g = random_multiplex_graph(n, density, seed=n)
+            for src, dst in g.structure.edges:
+                assert len(np.unique(dst * n + src)) == len(src)
+                assert src.min(initial=0) >= 0 and src.max(initial=0) < n
+
+    def test_full_density_gives_every_off_diagonal_pair(self):
+        g = random_multiplex_graph(6, 1.0, seed=0)
+        dst, src = np.nonzero(~np.eye(6, dtype=bool))
+        for s, d in g.structure.edges:
+            np.testing.assert_array_equal(s, src)
+            np.testing.assert_array_equal(d, dst)
+
+    def test_memory_is_linear_in_edges(self):
+        # about 32,000 edges per relation; an (n, n) draw per relation would
+        # allocate 8 n^2 bytes = 122 MiB
+        tracemalloc.start()
+        try:
+            g = random_multiplex_graph(4000, 8 / 4000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(len(s) for s, _ in g.structure.edges) > 3 * 30000
+        assert peak < 8 * 2**20
 
     def test_deterministic(self):
         g1 = random_multiplex_graph(15, 0.2, seed=7)

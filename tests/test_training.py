@@ -14,8 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphpan.autodiff as ad
+from graphpan import graph
 from graphpan.aggregation import LowRank, ModelParams, run_pipeline
 from graphpan.config import MAX_PARAMS, TrainConfig
+from graphpan.graph import N_RELATIONS
 from graphpan.imaging import BANDS, Image, ScenePair, degrade_image, synth_scene
 from graphpan.training import (
     ADAM_EPS,
@@ -368,35 +370,73 @@ class TestFiniteDifferences:
         np.testing.assert_array_equal(params.w_pan, before)
 
 
+def edge_gathers(scene, params, cfg, monkeypatch):
+    """(taped take indices that are an edge endpoint vector, shapes of every
+    tape node) of one training.backward pass.
+
+    An endpoint vector is a relation's src or dst, a pattern's rows or cols,
+    or the concatenation of one of these over the relations or the patterns
+    in pipeline order; a take by one of them gathers one row per edge."""
+    out = run_pipeline(scene, params, cfg)
+    rel, ps = out.graph.structure.edges, out.patterns
+    ends = [*(v for pair in rel for v in pair), *(v for p in ps for v in (p.rows, p.cols))]
+    ends += [np.concatenate(vs) for vs in ([s for s, _ in rel], [d for _, d in rel],
+                                           [p.rows for p in ps], [p.cols for p in ps])]
+
+    takes, roots = [], []
+    real_take, real_backward = ad.take, ad.Tensor.backward
+
+    def take(a, idx):
+        if isinstance(a, ad.Tensor):
+            takes.append(idx)
+        return real_take(a, idx)
+
+    def record(self):
+        roots.append(self)
+        real_backward(self)
+
+    with monkeypatch.context() as m:
+        m.setattr(ad, "take", take)
+        m.setattr(ad.Tensor, "backward", record)
+        backward(scene, params, cfg)
+    (root,) = roots
+    shapes = [t.data.shape for t in ad._topo_order(root)]
+    flagged = [
+        idx for idx in takes
+        if isinstance(idx, np.ndarray) and any(np.array_equal(idx, e) for e in ends)
+    ]
+    return flagged, shapes
+
+
 class TestTape:
     def test_no_edge_sized_matrix_on_the_tape(self, monkeypatch):
         # the edge weights and the local branch keep (E,) vectors only: no
-        # node of one training.backward pass is an (E, d) gather or product
+        # taped take of one training.backward pass gathers a row per edge
         scene = synth_scene(seed=0, size=64)
         cfg = TrainConfig()
         params = ModelParams.init(cfg, zero_recon=False)
-        out = run_pipeline(scene, params, cfg)
-        per_relation = [len(src) for src, _ in out.graph.structure.edges]
-        edge_counts = {*per_relation, sum(per_relation), sum(p.nnz for p in out.patterns)}
+        flagged, shapes = edge_gathers(scene, params, cfg, monkeypatch)
+        n_band_edges = 8 * BANDS * 225
+        assert (n_band_edges,) in shapes  # the edge weights are taped
+        assert flagged == []
 
-        roots = []
-        real_backward = ad.Tensor.backward
+    def test_edge_gather_is_flagged(self, monkeypatch):
+        # negative control: edge weights taken from two (E, d) endpoint
+        # gathers are caught by the same check
+        def gathered(unit, src, dst):
+            return ad.clip(ad.sum(unit[dst] * unit[src], axis=1), 0.0, 1.0)
 
-        def record(self):
-            roots.append(self)
-            real_backward(self)
-
-        monkeypatch.setattr(ad.Tensor, "backward", record)
-        backward(scene, params, cfg)
-        (root,) = roots
-        shapes = [t.data.shape for t in ad._topo_order(root)]
-        assert any(s[:1] == (per_relation[1],) for s in shapes)  # the edge weights are taped
-        wide = [s for s in shapes if len(s) >= 2 and s[0] in edge_counts and np.prod(s[1:]) > 1]
-        assert wide == []
+        scene = synth_scene(seed=0, size=64)
+        cfg = TrainConfig()
+        params = ModelParams.init(cfg, zero_recon=False)
+        monkeypatch.setattr(graph, "edge_weights", gathered)
+        flagged, _ = edge_gathers(scene, params, cfg, monkeypatch)
+        assert len(flagged) == 2 * N_RELATIONS
 
     def test_node_blocks_read_by_one_gather(self, monkeypatch):
-        # reconstruct reads the pan and band blocks of H with one gather,
-        # not one slice per block that leaves a full-size zero gradient
+        # reconstruct reads the pan and band rows of H with one gather by a
+        # 1-D node index, not one slice per block that leaves a full-size
+        # zero gradient
         scene = synth_scene(seed=0, size=64)
         cfg = TrainConfig()
         params = ModelParams.init(cfg, zero_recon=False)
@@ -404,14 +444,15 @@ class TestTape:
         real_take = ad.take
 
         def record(a, idx):
-            takes.append((ad.value(a).shape, idx))
+            takes.append((ad.value(a).size, idx))
             return real_take(a, idx)
 
         monkeypatch.setattr(ad, "take", record)
         backward(scene, params, cfg)
-        node_reads = [(shape, idx) for shape, idx in takes if np.prod(shape) == 1125 * cfg.d]
-        assert [shape for shape, _ in node_reads] == [(1 + BANDS, 225, cfg.d)]
-        assert not isinstance(node_reads[0][1], slice)
+        node_reads = [idx for size, idx in takes if size == 1125 * cfg.d]
+        assert len(node_reads) == 1
+        (idx,) = node_reads
+        assert isinstance(idx, np.ndarray) and idx.ndim == 1 and idx.dtype.kind in "iu"
 
 
 class TestAdam:

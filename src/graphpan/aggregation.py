@@ -18,7 +18,9 @@ the layers, the importance score and the contrastive term all work on K.
 
 Fusion weighs the two branches per node with learned importance: a score
 q . tanh(W h + b) for each branch output, softmax-normalised over the two
-branches (semantic-level attention as in HAN, scored per node).  Each branch
+branches (semantic-level attention as in HAN, scored per node).  Each score
+is one row-blocked tape node that keeps only the (n, 1) score and
+recomputes its (n, 2d) hidden layer in the backward.  Each branch
 is scaled by twice its weight and the fused representation is the mean of
 the scaled branches, i.e. their weighted sum; at initialisation q = 0 and
 the weights are exactly 1/2, the plain mean.  The dense (n, d) global
@@ -277,13 +279,20 @@ def weigh_branches(h_local, h_global, importance):
     a_local h_local + a_global h_global.  With q = 0, t is exactly 0 and
     both branches come back unchanged.
 
-    h_global may be a :class:`LowRank` pair left @ K; its W h is then
-    left @ (K W^T), and it comes back as the pair (scaled left, K).
+    Each score is one :func:`autodiff.tanh_score` node, which keeps only
+    the (n, 1) score on the tape and recomputes the (n, 2d) hidden layer in
+    its backward.  h_global may be a :class:`LowRank` pair left @ K; its
+    score is then taken from the factors (left, K W^T), so the branch stays
+    factored, and it comes back as the pair (scaled left, K).
     """
     w, b, q = importance
     w_t = ad.transpose(w)
-    score_l = ad.tanh(h_local @ w_t + b) @ q
-    score_g = ad.tanh(dense(h_global @ w_t) + b) @ q
+
+    def score(h):
+        x, m = (h.left, h.right @ w_t) if isinstance(h, LowRank) else (h, w_t)
+        return ad.tanh_score(x, m, b, q)
+
+    score_l, score_g = score(h_local), score(h_global)
     t = ad.tanh((score_l - score_g) * 0.5)  # (n, 1)
     return (1.0 + t) * h_local, scale_rows(1.0 - t, h_global)
 

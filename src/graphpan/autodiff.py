@@ -9,7 +9,13 @@ Each op is written once: it computes its value from the plain arrays of its
 inputs, defines its VJP as a closure of its own (the bench trace names tape
 bytes by that closure's qualified name) and returns through ``_node``, which
 alone decides the kind.  Work only the derivative needs stays in the VJP, so
-the plain pass does none of it.
+the plain pass does none of it; the arithmetic ops and :func:`matmul` form
+no gradient for an operand that is not a Tensor.
+
+:meth:`Tensor.backward` consumes the tape as it walks it: an interior node
+drops its gradient and its VJP once it has passed them on, so gradients are
+kept on leaves only, and a tape cannot be walked twice.  :func:`tanh_score`
+recomputes its hidden layer in the backward instead of taping it.
 
 The graph ops :func:`spmm` (a sparse matrix, given as index and value
 vectors, times a dense one) and :func:`edge_dots` (one dot product per
@@ -87,21 +93,37 @@ class Tensor:
         return take(self, idx)
 
     def backward(self):
-        """Backpropagate from a scalar; fills ``grad`` on reachable tensors."""
+        """Backpropagate from a scalar; fills ``grad`` on the reachable leaves.
+
+        The tape is consumed as it is walked: once an interior node has
+        passed its gradient to its parents, its ``grad`` and its VJP are
+        dropped, so only the leaves (tensors built without a VJP) keep a
+        gradient.  A second call through a consumed node raises ValueError.
+        """
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar tensor")
         order = _topo_order(self)
+        if any(node._vjp is None and node._parents for node in order):
+            raise ValueError(
+                "backward() already ran through this tape; its interior "
+                "gradients are freed, so build the graph again"
+            )
         self.grad = np.ones_like(self.data)
         for node in reversed(order):
-            if node._vjp is None or node.grad is None:
+            vjp, g = node._vjp, node.grad
+            if vjp is None:
+                continue  # a leaf keeps its gradient
+            node._vjp = node.grad = None
+            if g is None:
                 continue
-            for parent, g in zip(node._parents, node._vjp(node.grad)):
-                if g is None or not isinstance(parent, Tensor):
+            for parent, pg in zip(node._parents, vjp(g)):
+                if pg is None or not isinstance(parent, Tensor):
                     continue
+                # out of place: a VJP may hand the same array to two parents
                 if parent.grad is None:
-                    parent.grad = g
+                    parent.grad = pg
                 else:
-                    parent.grad = parent.grad + g
+                    parent.grad = parent.grad + pg
 
 
 def _topo_order(root):
@@ -158,38 +180,52 @@ def _node(out, parents, vjp):
 
 def add(a, b):
     da, db = _operand(a), _operand(b)
+    ta, tb = isinstance(a, Tensor), isinstance(b, Tensor)
 
     def vjp(g):
-        return _unbroadcast(g, np.shape(da)), _unbroadcast(g, np.shape(db))
+        return (
+            _unbroadcast(g, np.shape(da)) if ta else None,
+            _unbroadcast(g, np.shape(db)) if tb else None,
+        )
 
     return _node(da + db, (a, b), vjp)
 
 
 def subtract(a, b):
     da, db = _operand(a), _operand(b)
+    ta, tb = isinstance(a, Tensor), isinstance(b, Tensor)
 
     def vjp(g):
-        return _unbroadcast(g, np.shape(da)), _unbroadcast(-g, np.shape(db))
+        return (
+            _unbroadcast(g, np.shape(da)) if ta else None,
+            _unbroadcast(-g, np.shape(db)) if tb else None,
+        )
 
     return _node(da - db, (a, b), vjp)
 
 
 def multiply(a, b):
     da, db = _operand(a), _operand(b)
+    ta, tb = isinstance(a, Tensor), isinstance(b, Tensor)
 
     def vjp(g):
-        return _unbroadcast(g * db, np.shape(da)), _unbroadcast(g * da, np.shape(db))
+        return (
+            _unbroadcast(g * db, np.shape(da)) if ta else None,
+            _unbroadcast(g * da, np.shape(db)) if tb else None,
+        )
 
     return _node(da * db, (a, b), vjp)
 
 
 def divide(a, b):
     da, db = _operand(a), _operand(b)
+    ta, tb = isinstance(a, Tensor), isinstance(b, Tensor)
 
     def vjp(g):
-        ga = _unbroadcast(g / db, np.shape(da))
-        gb = _unbroadcast(-g * da / (db * db), np.shape(db))
-        return ga, gb
+        return (
+            _unbroadcast(g / db, np.shape(da)) if ta else None,
+            _unbroadcast(-g * da / (db * db), np.shape(db)) if tb else None,
+        )
 
     return _node(da / db, (a, b), vjp)
 
@@ -204,11 +240,12 @@ def matmul(a, b):
     da, db = value(a), value(b)
     if da.ndim < 2 or db.ndim < 2:
         raise ValueError("matmul needs operands of at least 2 dims")
+    ta, tb = isinstance(a, Tensor), isinstance(b, Tensor)
 
     def vjp(g):
         return (
-            _unbroadcast(g @ np.swapaxes(db, -1, -2), da.shape),
-            _unbroadcast(np.swapaxes(da, -1, -2) @ g, db.shape),
+            _unbroadcast(g @ np.swapaxes(db, -1, -2), da.shape) if ta else None,
+            _unbroadcast(np.swapaxes(da, -1, -2) @ g, db.shape) if tb else None,
         )
 
     return _node(da @ db, (a, b), vjp)
@@ -437,3 +474,46 @@ def info_nce(a, b, tau, right=None):
         return gx @ dr, gb, gr
 
     return _node(np.mean(lse - pos), (a, b, right), vjp)
+
+
+_SCORE_BLOCK = 256  # hidden rows held at once by tanh_score
+
+
+def tanh_score(x, m, b, q):
+    """tanh(x @ m + b) @ q as one node: x (n, k), m (k, h), b (h,), q (h, 1),
+    out (n, 1).
+
+    The (n, h) hidden activations are never held: the forward runs
+    ``_SCORE_BLOCK`` rows at a time and keeps only the (n, 1) output, and
+    the backward recomputes each block's a = tanh(x m + b) to form
+    G_z = (g q^T) * (1 - a^2) and from it the gradients G_z m^T for x,
+    x^T G_z for m, the column sums of G_z for b and a^T g for q, the last
+    three accumulated over the blocks.
+    """
+    dx, dm, db, dq = (value(t) for t in (x, m, b, q))
+    n = len(dx)
+    blocks = [slice(i, i + _SCORE_BLOCK) for i in range(0, n, _SCORE_BLOCK)]
+
+    def hidden(rows):
+        z = dx[rows] @ dm
+        z += db
+        return np.tanh(z, out=z)
+
+    out = np.empty((n, 1), dtype=np.result_type(dx, dm, db, dq))
+    for rows in blocks:
+        out[rows] = hidden(rows) @ dq
+
+    def vjp(g):
+        gx = np.empty_like(dx)
+        gm, gb, gq = np.zeros_like(dm), np.zeros_like(db), np.zeros_like(dq)
+        for rows in blocks:
+            a = hidden(rows)
+            gq += a.T @ g[rows]
+            gz = g[rows] @ dq.T
+            gz *= 1.0 - a * a
+            gb += gz.sum(axis=0)
+            gm += dx[rows].T @ gz
+            gx[rows] = gz @ dm.T
+        return gx, gm, gb, gq
+
+    return _node(out, (x, m, b, q), vjp)

@@ -450,12 +450,69 @@ class TestInfoNce:
         assert peak < n * n * 8 / 4  # a quarter of one (n, n) float64 array
 
 
+def chained_tanh_score(x, m, b, q):
+    """tanh(x @ m + b) @ q composed from the elementwise ops: the oracle for
+    the fused node."""
+    return ad.tanh(x @ m + b) @ q
+
+
+class TestTanhScore:
+    H = 4  # hidden width
+
+    def inputs(self, seed, n, k):
+        rng = np.random.default_rng(seed)
+        return (rng.normal(size=(n, k)), rng.normal(size=(k, self.H)),
+                rng.normal(size=self.H), rng.normal(size=(self.H, 1)))
+
+    @pytest.mark.parametrize("k", [5, 3])  # a dense x, and a 3-wide left factor
+    @pytest.mark.parametrize("n", [7, ad._SCORE_BLOCK, ad._SCORE_BLOCK + 1])
+    def test_coordinate_fd_every_operand(self, n, k):
+        ops = self.inputs(n + k, n, k)
+        u = np.random.default_rng(1).normal(size=(n, 1))
+        for i in range(4):
+            def f(t, i=i):
+                args = list(ops)
+                args[i] = t
+                return ad.sum(ad.tanh_score(*args) * u)
+
+            check_op(f, ops[i])
+
+    @pytest.mark.parametrize("n", [7, ad._SCORE_BLOCK, ad._SCORE_BLOCK + 1, 2 * ad._SCORE_BLOCK + 37])
+    def test_matches_the_op_chain(self, n):
+        ops = self.inputs(n, n, 5)
+        u = np.random.default_rng(2).normal(size=(n, 1))
+        got_t, want_t = [Tensor(a.copy()) for a in ops], [Tensor(a.copy()) for a in ops]
+        got, want = ad.tanh_score(*got_t), chained_tanh_score(*want_t)
+        np.testing.assert_array_equal(got.data, want.data)
+        ad.sum(got * u).backward()
+        ad.sum(want * u).backward()
+        for g, w in zip(got_t, want_t):
+            np.testing.assert_allclose(g.grad, w.grad, rtol=1e-12, atol=1e-14 * np.abs(w.grad).max())
+
+    def test_float32_gradients_stay_float32(self):
+        ops = [Tensor(a.astype(np.float32)) for a in self.inputs(3, 9, 5)]
+        out = ad.tanh_score(*ops)
+        ad.sum(out).backward()
+        assert out.data.dtype == np.float32
+        assert {t.grad.dtype for t in ops} == {np.dtype(np.float32)}
+
+
 class TestTapeMechanics:
     def test_diamond_reuse_accumulates(self):
         x = Tensor(np.array(3.0))
         y = (x + x) * x  # 2x^2 -> dy/dx = 4x
         y.backward()
         assert x.grad == pytest.approx(12.0)
+
+    @pytest.mark.parametrize("first", [True, False])
+    def test_shared_gradient_is_not_mutated(self, first):
+        # add's VJP hands one array to both parents; a later contribution
+        # to one parent must not show up in the other's gradient
+        a, b = Tensor(X23.copy()), Tensor(U23.copy())
+        terms = [ad.sum((a + b) * U23), ad.sum(a * X23)]
+        (terms[0] + terms[1] if first else terms[1] + terms[0]).backward()
+        np.testing.assert_array_equal(a.grad, U23 + X23)
+        np.testing.assert_array_equal(b.grad, U23)
 
     def test_deep_chain_no_recursion_limit(self):
         x = Tensor(np.array(1.0))
@@ -468,6 +525,33 @@ class TestTapeMechanics:
     def test_backward_requires_scalar(self):
         with pytest.raises(ValueError):
             Tensor(np.ones(3)).backward()
+
+    def test_second_backward_is_refused(self):
+        # the walk keeps gradients on the leaves only, so a second walk
+        # through a consumed node would leave them unchanged: it is refused
+        x = Tensor(X23.copy())
+        h = x * 2.0
+        y = ad.sum(h)
+        y.backward()
+        first = x.grad
+        assert first is not None and h.grad is None and y.grad is None
+        with pytest.raises(ValueError, match="already ran"):
+            y.backward()
+        # a new root on top of a consumed node is refused as well
+        with pytest.raises(ValueError, match="already ran"):
+            ad.sum(h * h).backward()
+        assert x.grad is first
+        # a fresh graph from the same leaf works again, adding to its grad
+        ad.sum(x * 3.0).backward()
+        np.testing.assert_array_equal(x.grad, first + 3.0)
+
+    def test_plain_operand_gets_no_gradient(self):
+        # a binary op's VJP forms no gradient for a parent that is not a
+        # Tensor: a Python scalar or a plain array
+        x = Tensor(X23.copy())
+        for out in (x + 1.0, 1.0 - x, x * 0.5, U23 * x, x / 3.0, 2.0 / x, x @ U23.T, U23.T @ x):
+            grads = out._vjp(np.ones_like(out.data))
+            assert [g is None for g in grads] == [p is not x for p in out._parents]
 
     def test_plain_passthrough(self):
         # every op on plain arrays returns a plain array, untaped, holding
@@ -501,6 +585,7 @@ class TestTapeMechanics:
             (lambda a, b: ad.info_nce(a, b, 0.5, U23), (X23, U23[:, :2])),
             (lambda a, b: ad.matmul(a, b), (X23.reshape(2, 3, 1), U23.reshape(2, 1, 3))),
             (lambda a: ad.transpose(a, (1, 0)), (X23,)),
+            (ad.tanh_score, (X23, U23.T @ U23, U23[0], U23[1].reshape(3, 1))),
         ]
         for op, args in cases:
             plain = op(*args)

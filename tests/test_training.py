@@ -370,6 +370,22 @@ class TestFiniteDifferences:
         np.testing.assert_array_equal(params.w_pan, before)
 
 
+def backward_root(scene, params, cfg, monkeypatch):
+    """The root of one training.backward pass's tape, after its backward."""
+    roots = []
+    real_backward = ad.Tensor.backward
+
+    def record(self):
+        roots.append(self)
+        real_backward(self)
+
+    with monkeypatch.context() as m:
+        m.setattr(ad.Tensor, "backward", record)
+        backward(scene, params, cfg)
+    (root,) = roots
+    return root
+
+
 def edge_gathers(scene, params, cfg, monkeypatch):
     """(taped take indices that are an edge endpoint vector, shapes of every
     tape node) of one training.backward pass.
@@ -383,23 +399,17 @@ def edge_gathers(scene, params, cfg, monkeypatch):
     ends += [np.concatenate(vs) for vs in ([s for s, _ in rel], [d for _, d in rel],
                                            [p.rows for p in ps], [p.cols for p in ps])]
 
-    takes, roots = [], []
-    real_take, real_backward = ad.take, ad.Tensor.backward
+    takes = []
+    real_take = ad.take
 
     def take(a, idx):
         if isinstance(a, ad.Tensor):
             takes.append(idx)
         return real_take(a, idx)
 
-    def record(self):
-        roots.append(self)
-        real_backward(self)
-
     with monkeypatch.context() as m:
         m.setattr(ad, "take", take)
-        m.setattr(ad.Tensor, "backward", record)
-        backward(scene, params, cfg)
-    (root,) = roots
+        root = backward_root(scene, params, cfg, monkeypatch)
     shapes = [t.data.shape for t in ad._topo_order(root)]
     flagged = [
         idx for idx in takes
@@ -453,6 +463,46 @@ class TestTape:
         assert len(node_reads) == 1
         (idx,) = node_reads
         assert isinstance(idx, np.ndarray) and idx.ndim == 1 and idx.dtype.kind in "iu"
+
+    def test_no_hidden_layer_sized_array_on_the_tape(self, monkeypatch):
+        # the importance scorer keeps its (5N, 1) scores on the tape, not the
+        # (5N, 2d) hidden layer of either branch
+        scene = synth_scene(seed=0, size=64)
+        cfg = TrainConfig()
+        params = ModelParams.init(cfg, zero_recon=False)
+        root = backward_root(scene, params, cfg, monkeypatch)
+        shapes = [t.data.shape for t in ad._topo_order(root)]
+        assert (1125, 1) in shapes
+        assert (1125, 2 * cfg.d) not in shapes
+
+    def test_backward_leaves_gradients_on_parameters_only(self, monkeypatch):
+        scene = synth_scene(seed=0, size=64)
+        cfg = TrainConfig()
+        params = ModelParams.init(cfg, zero_recon=False)
+        order = ad._topo_order(backward_root(scene, params, cfg, monkeypatch))
+        leaves = [t for t in order if not t._parents]
+        interior = [t for t in order if t._parents]
+        assert len(leaves) == len(params.named_arrays())
+        assert all(t.grad is not None for t in leaves)
+        assert all(t.grad is None and t._vjp is None for t in interior)
+
+    def test_backward_peak_memory_bounded(self):
+        # one 64 px step: the backward frees each interior gradient once it
+        # is passed on, and the scorer recomputes its hidden layer; keeping
+        # every gradient to the end and taping the hidden layer peaks at
+        # about 21 MiB
+        import tracemalloc
+
+        scene = synth_scene(seed=0, size=64)
+        cfg = TrainConfig()
+        params = ModelParams.init(cfg, zero_recon=False)
+        tracemalloc.start()
+        try:
+            backward(scene, params, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestAdam:

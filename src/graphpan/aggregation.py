@@ -54,54 +54,55 @@ _INIT_PATTERNS = 3  # disjoint relation supports give three singleton patterns
 
 def param_layout(cfg: TrainConfig) -> dict:
     """The learned arrays, written once: for each :class:`ModelParams` field,
-    in field order, a (shape, init) pair, or a list of pairs for a list
-    field.  ``init`` is "glorot", "recon" (uniform in [-0.02, 0.02), or
-    zeros for a zero head) or a constant fill value.
+    in field order, a (shape, init) pair; one matrix per band or per layer
+    is one stacked array.  ``init`` is "glorot" (bound from the last two
+    dims, so a stack draws as its matrices in turn), "recon" (uniform in
+    [-0.02, 0.02), or zeros for a zero head) or a constant fill value.
 
-    The importance group is [W, b, q] of :func:`weigh_branches`; the
-    scorer's hidden width 2d is, at the default d = 64, the 128 of HAN's
-    semantic attention, and q = 0 weighs both branches 1/2.
+    importance_w, _b and _q are the W, b and q of :func:`weigh_branches`;
+    the scorer's hidden width 2d is, at the default d = 64, the 128 of
+    HAN's semantic attention, and q = 0 weighs both branches 1/2.
     """
     d, p2 = cfg.d, cfg.patch * cfg.patch
     return {
         "w_pan": ((d, p2), "glorot"),
-        "w_band": [((d, p2), "glorot")] * BANDS,
+        "w_band": ((BANDS, d, p2), "glorot"),
         "alpha": ((MAX_PATTERNS,), 1.0 / _INIT_PATTERNS),
         "beta": ((MAX_PATTERNS,), 1.0),
-        "w_local": [((d, d), "glorot")] * cfg.layers,
-        "w_global": [((d, d), "glorot")] * cfg.layers,
-        "recon": [((p2, 2 * d), "recon")] * BANDS,
-        "importance": [((2 * d, d), "glorot"), ((2 * d,), 0.0), ((2 * d, 1), 0.0)],
+        "w_local": ((cfg.layers, d, d), "glorot"),
+        "w_global": ((cfg.layers, d, d), "glorot"),
+        "recon": ((BANDS, p2, 2 * d), "recon"),
+        "importance_w": ((2 * d, d), "glorot"),
+        "importance_b": ((2 * d,), 0.0),
+        "importance_q": ((2 * d, 1), 0.0),
     }
 
 
 @dataclass
 class ModelParams:
-    """All learned arrays, laid out by :func:`param_layout`.  Scalar groups
-    alpha/beta hold one slot per possible relation-subset bitmask; slot m-1
-    belongs to mask m.
+    """All learned arrays, one per field, laid out by :func:`param_layout`.
+    Scalar groups alpha/beta hold one slot per possible relation-subset
+    bitmask; slot m-1 belongs to mask m.
 
     Field order fixes the order of :meth:`named_arrays` and of the random
-    draws in :meth:`init`; a list field contributes one entry per element."""
+    draws in :meth:`init`."""
 
     w_pan: object
-    w_band: list
+    w_band: object
     alpha: object
     beta: object
-    w_local: list
-    w_global: list
-    recon: list
-    importance: list
+    w_local: object
+    w_global: object
+    recon: object
+    importance_w: object
+    importance_b: object
+    importance_q: object
 
     @staticmethod
     def build(cfg: TrainConfig, make) -> "ModelParams":
         """Every array of the layout from ``make(name, shape, init)``, called
         in :meth:`named_arrays` order."""
-        return ModelParams(**{
-            f: [make(f"{f}_{i}", *e) for i, e in enumerate(spec)]
-            if isinstance(spec, list) else make(f, *spec)
-            for f, spec in param_layout(cfg).items()
-        })
+        return ModelParams(**{f: make(f, *spec) for f, spec in param_layout(cfg).items()})
 
     @staticmethod
     def init(cfg: TrainConfig, seed: int | None = None, zero_recon: bool = True) -> "ModelParams":
@@ -110,7 +111,7 @@ class ModelParams:
 
         def draw(_name, shape, init):
             if init == "glorot":
-                bound = np.sqrt(6.0 / (shape[0] + shape[1]))
+                bound = np.sqrt(6.0 / (shape[-2] + shape[-1]))
                 return rng.uniform(-bound, bound, size=shape).astype(dt)
             if init == "recon":
                 if zero_recon:
@@ -121,29 +122,14 @@ class ModelParams:
         return ModelParams.build(cfg, draw)
 
     def named_arrays(self):
-        """Stable (name, array) list; names double as checkpoint block ids.
-        Element i of a list field is named ``<field>_<i>``."""
-        out = []
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if isinstance(v, list):
-                out += [(f"{f.name}_{i}", a) for i, a in enumerate(v)]
-            else:
-                out.append((f.name, v))
-        return out
-
-    @staticmethod
-    def group_of(name: str) -> str:
-        return name.rsplit("_", 1)[0] if name[-1].isdigit() else name
+        """Stable (field name, array) list; the names are the parameter
+        groups and double as checkpoint block ids."""
+        return [(f.name, getattr(self, f.name)) for f in fields(self)]
 
     def _map(self, fn) -> "ModelParams":
         """Same layout with every array replaced by ``fn(array)``, applied
         in :meth:`named_arrays` order."""
-        return ModelParams(**{
-            f.name: [fn(a) for a in v] if isinstance(v, list) else fn(v)
-            for f in fields(self)
-            for v in (getattr(self, f.name),)
-        })
+        return ModelParams(**{name: fn(a) for name, a in self.named_arrays()})
 
     def copy(self) -> "ModelParams":
         return self._map(np.array)
@@ -154,8 +140,7 @@ class ModelParams:
     def to_tensors(self):
         """(tensor-valued params, name -> tensor map) for differentiation."""
         tensors = {name: ad.Tensor(arr) for name, arr in self.named_arrays()}
-        ordered = iter(tensors.values())
-        return self._map(lambda _: next(ordered)), tensors
+        return ModelParams(**tensors), tensors
 
 
 @dataclass
@@ -172,7 +157,8 @@ class NodeRepr:
 
 
 def aggregate_local(ps: PatternSet, U, alpha, w_local) -> object:
-    """Pattern-weighted local propagation with depth averaging.
+    """Pattern-weighted local propagation with depth averaging; w_local
+    holds one (d, d) layer per index of its first axis.
 
     With A the alpha-scaled pattern entries, the operator is
     D^{-1/2} (A/2 + A^T/2 + I) D^{-1/2}, whose degrees are
@@ -198,8 +184,8 @@ def aggregate_local(ps: PatternSet, U, alpha, w_local) -> object:
     av = ad.spmm(n, rows, cols, vals, v) + ad.spmm(n, cols, rows, vals, v)
     h = dinv * (av * 0.5 + v)
     acc = None
-    for wl in w_local:
-        h = h @ wl
+    for i in range(len(w_local)):
+        h = h @ w_local[i]
         acc = h if acc is None else acc + h
     return acc / float(len(w_local))
 
@@ -260,16 +246,19 @@ def global_similarity(B) -> LowRank:
 
 def aggregate_global(A, U, w_global) -> object:
     """One propagation through A (a :class:`LowRank` pair or a plain
-    matrix); only the deepest layer output is kept.  For a pair the layers
-    act on its (m, d) right factor, and the output is a pair too."""
+    matrix), then the layers w_global[0], w_global[1], ...; only the
+    deepest layer output is kept.  For a pair the layers act on its (m, d)
+    right factor, and the output is a pair too."""
     h = A @ U
-    for wg in w_global:
-        h = h @ wg
+    for i in range(len(w_global)):
+        h = h @ w_global[i]
     return h
 
 
 def weigh_branches(h_local, h_global, importance):
-    """Scale each branch by twice its learned per-node importance.
+    """Scale each branch by twice its learned per-node importance, given
+    as the triple (W, b, q) of :class:`ModelParams`' importance_w,
+    importance_b and importance_q.
 
     Each node scores each branch as q . tanh(W h + b), shared across
     branches and nodes; the two scores of a node are softmax-normalised into
@@ -306,21 +295,21 @@ def reconstruct(H, grid: PatchGrid, recon, lrms_up: Image):
     added to the upsampled input; clamped to [0, 1].  Returns the raw
     (h, w, bands) array (plain or tensor, matching H).
 
-    Head b maps each pair [h_pan i | h_band b, i] to the block
-    [h_pan i | h_band b, i] @ recon[b]^T.  The pairs are one gather of H's
-    rows in (band, patch, pan/band) order, read in place as (BANDS, n, 2d),
-    so H's gradient is one segment sum.  The heads are one stacked matmul,
+    recon is the (BANDS, p*p, 2d) stack of heads: head b maps each pair
+    [h_pan i | h_band b, i] to the block [h_pan i | h_band b, i] @ recon[b]^T.
+    The pairs are one gather of H's rows in (band, patch, pan/band) order,
+    read in place as (BANDS, n, 2d), so H's gradient is one segment sum.
+    The heads are one stacked matmul,
     and one segment sum along the pan grid's own pixel index scatters the
     (window pixel, band) rows to the raster, so no per-band index is built.
     """
     n = grid.n_patches
-    p2 = grid.pixel_indices.shape[1]  # (n, p*p) for the 1-channel pan grid
     hw = grid.height * grid.width
     dtype = ad.value(H).dtype
 
     i = np.broadcast_to(np.arange(n), (BANDS, n))
     ids = np.stack([i, band_node(i, np.arange(BANDS)[:, None], n)], axis=-1)  # (BANDS, n, 2)
-    heads = ad.transpose(ad.concatenate([ad.reshape(r, (1, p2, -1)) for r in recon]), (0, 2, 1))
+    heads = ad.transpose(recon, (0, 2, 1))
     # (BANDS, n, p*p); a plain pass frees the gathered pairs here
     blocks = ad.reshape(H[ids.reshape(-1)], (BANDS, n, -1)) @ heads
     # one row of BANDS values per window pixel, scattered to the raster's rows
@@ -364,7 +353,8 @@ def run_pipeline(
         B = build_global_pattern_matrix(ps, params.beta)
         h_global = aggregate_global(global_similarity(B), g.U, params.w_global)
     if cfg.ablate == "full":
-        h_local, h_global = weigh_branches(h_local, h_global, params.importance)
+        importance = (params.importance_w, params.importance_b, params.importance_q)
+        h_local, h_global = weigh_branches(h_local, h_global, importance)
         h = fuse(h_local, dense(h_global))
     else:
         h = dense(h_global) if h_local is None else h_local

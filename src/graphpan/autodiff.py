@@ -21,8 +21,10 @@ The graph ops :func:`spmm` (a sparse matrix, given as index and value
 vectors, times a dense one) and :func:`edge_dots` (one dot product per
 edge) keep only (E,) vectors and their dense operands on the tape; their
 VJPs are sparse products, and any (E, d) gather is formed a block at a time
-inside the op and dropped.  Every op that takes index arrays refuses an
-index outside the rows it addresses with ValueError.
+inside the op and dropped.  These ops and :func:`index_add` refuse an
+index outside the rows they address with ValueError.  :func:`take`
+(``Tensor[...]``) follows numpy instead: a negative index wraps and an
+index past the end raises IndexError.
 
 Conventions baked in here and relied on elsewhere:
   * piecewise-linear kinks (abs at 0, clip at its bounds) take subgradient 0,

@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands: synth, train, eval, infer, patterns-dump, grad-check, ablate,
-analyze-priors, bench.  Exit codes: 0 success, 1 validation/input error,
-2 failed numeric check (grad-check tolerance, ablate direction) or diverged
-training.
+analyze-priors, bench.  Exit codes: 0 success, 1 validation/input error or
+out of memory, 2 failed numeric check (grad-check tolerance, ablate
+direction) or diverged training.
 
 Configuration merges three layers: built-in defaults, then an optional
 ``key = value`` config file (# comments), then explicit command-line flags.
@@ -226,12 +226,13 @@ def cmd_grad_check(args) -> int:
     worst = grad_check(
         scene, params, cfg, eps=args.eps, max_coords=args.max_coords, seed=0
     )
-    print(f"{'group':<10} {'max_rel_err':>12}")
+    width = max(map(len, ["group", *worst]))
+    print(f"{'group':<{width}} {'max_rel_err':>12}")
     ok = True
     for group, err in sorted(worst.items()):
         mark = "ok" if err <= args.tol else "FAIL"
         ok &= err <= args.tol
-        print(f"{group:<10} {err:12.3e}  {mark}")
+        print(f"{group:<{width}} {err:12.3e}  {mark}")
     print(f"tolerance {args.tol:.1e}: {'pass' if ok else 'fail'}")
     return 0 if ok else 2
 
@@ -315,7 +316,7 @@ def bench_scaling(sizes=BENCH_SIZES, d=32, seed=0):
         rng = np.random.default_rng(seed + 1)
         u = rng.standard_normal((n, d))
         beta = np.ones(7)
-        w_global = [rng.standard_normal((d, d)) / np.sqrt(d)]
+        w_global = rng.standard_normal((1, d, d)) / np.sqrt(d)
         ps = generate_patterns(g)
 
         def run_patterns():
@@ -456,6 +457,9 @@ def main(argv=None) -> int:
         return 2
     except (CliError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except MemoryError as e:  # numpy's message gives the size it could not allocate
+        print(f"error: out of memory: {e}", file=sys.stderr)
         return 1
 
 

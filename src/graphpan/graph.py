@@ -77,9 +77,10 @@ class HetGraph:
 def embed_patches(pan_grid: PatchGrid, ms_grid: PatchGrid, w_pan, w_band):
     """Linear patch embeddings: feature_i = W @ flattened_patch_i.  Band b
     is channel b of the BANDS-channel ``ms_grid``, embedded as one
-    contiguous (N, p*p) block.
+    contiguous (N, p*p) block by w_band[b] of the (BANDS, d, p*p) stack;
+    all bands are one batched matmul.
 
-    Returns (pan_feats (N, d), [band_feats (N, d)] * BANDS).
+    Returns (pan_feats (N, d), band_feats (BANDS, N, d)).
     """
     if ms_grid.channels != BANDS:
         raise ValueError(f"need a {BANDS}-channel multispectral grid, got {ms_grid.channels}")
@@ -87,7 +88,7 @@ def embed_patches(pan_grid: PatchGrid, ms_grid: PatchGrid, w_pan, w_band):
     xp = pan_grid.patches.astype(dtype) @ ad.transpose(w_pan)
     # channel-last (N, p*p*BANDS) rows -> (BANDS, N, p*p)
     bands = np.moveaxis(ms_grid.patches.reshape(ms_grid.n_patches, -1, BANDS), -1, 0)
-    ys = [x @ ad.transpose(w) for x, w in zip(np.ascontiguousarray(bands, dtype), w_band)]
+    ys = np.ascontiguousarray(bands, dtype) @ ad.transpose(w_band, (0, 2, 1))
     return xp, ys
 
 
@@ -173,12 +174,13 @@ def edge_weights(unit, src, dst):
 
 
 def build_structure(pan_feats, band_feats, k: int) -> GraphStructure:
-    """Select graph topology from detached feature values."""
+    """Select graph topology from detached feature values; band_feats is
+    the (BANDS, N, d) stack of :func:`embed_patches`."""
     xp = ad.value(pan_feats)
     n = xp.shape[0]
     s1, d1 = knn_select(xp, k)
 
-    knn = [knn_select(ad.value(yb), k) for yb in band_feats]
+    knn = [knn_select(yb, k) for yb in ad.value(band_feats)]
     s2 = np.concatenate([band_node(sb, b, n) for b, (sb, _) in enumerate(knn)])
     d2 = np.concatenate([band_node(db, b, n) for b, (_, db) in enumerate(knn)])
 
@@ -203,7 +205,7 @@ def build_graph(pan_feats, band_feats, k: int, structure: GraphStructure | None 
     """
     if structure is None:
         structure = build_structure(pan_feats, band_feats, k)
-    U = ad.concatenate([pan_feats, *band_feats], axis=0)
+    U = ad.concatenate([pan_feats, ad.reshape(band_feats, (-1, ad.value(pan_feats).shape[1]))])
     unit = unit_rows(U)
     weights = [edge_weights(unit, src, dst) for src, dst in structure.edges]
     return HetGraph(structure=structure, weights=weights, U=U)

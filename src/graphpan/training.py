@@ -27,7 +27,7 @@ from . import autodiff as ad
 from .aggregation import LowRank, ModelParams, run_pipeline
 from .config import ABLATION_MODES, TrainConfig
 from .graph import band_node, unit_rows
-from .imaging import BANDS, FormatError, Image, ScenePair, degrade_image
+from .imaging import BANDS, FormatError, Image, ScenePair, wald_degrade
 
 CHECKPOINT_MAGIC = b"HSSN"
 CHECKPOINT_VERSION = 1
@@ -210,10 +210,10 @@ def _coords(arr, limit, rng):
 def grad_check(scene, params, cfg, eps=1e-4, max_coords=None, seed=0):
     """Compare tape gradients against central differences.
 
-    Returns {parameter group: max relative error}; relative error uses
-    |a - b| / max(|a|, |b|, 1e-6) so near-zero gradients compare at an
-    absolute scale.  A NaN error is kept as the group's maximum, so it fails
-    every tolerance.
+    Returns {parameter group, i.e. :class:`ModelParams` field: max relative
+    error}; relative error uses |a - b| / max(|a|, |b|, 1e-6) so near-zero
+    gradients compare at an absolute scale.  A NaN error is kept as the
+    group's maximum, so it fails every tolerance.
     """
     params = params.astype(np.float64)
     structure = run_pipeline(scene, params, cfg).graph.structure
@@ -221,13 +221,12 @@ def grad_check(scene, params, cfg, eps=1e-4, max_coords=None, seed=0):
     rng = np.random.default_rng(seed)
     worst = {}
     for name, arr in params.named_arrays():
-        group = ModelParams.group_of(name)
-        worst.setdefault(group, 0.0)
+        worst[name] = 0.0
         for idx in _coords(arr, max_coords, rng):
             fd = finite_diff_grad(scene, params, cfg, name, idx, eps, structure)
             an = float(grads[name][idx])
             rel = abs(fd - an) / max(abs(fd), abs(an), _REL_FLOOR)
-            worst[group] = float(np.maximum(worst[group], rel))
+            worst[name] = float(np.maximum(worst[name], rel))
     return worst
 
 
@@ -236,9 +235,7 @@ def toy_scene(seed=0, height=4, width=8, scale=4):
     at patch size 4)."""
     rng = np.random.default_rng(seed)
     gt = Image.from_array(0.2 + 0.6 * rng.random((height, width, BANDS)))
-    pan = Image.from_array(gt.data.mean(axis=2, keepdims=True))
-    lrms = degrade_image(gt, scale)
-    return ScenePair(pan=pan, lrms=lrms, gt=gt, scale=scale).validate()
+    return wald_degrade(gt, Image.from_array(gt.data.mean(axis=2, keepdims=True)), scale)
 
 
 def toy_config(**overrides):
@@ -407,7 +404,7 @@ def load_checkpoint(path):
     try:
         cfg = _decode_config(meta)
         # a count that the file cannot hold, reported before the model-size
-        # bound of validate; a smaller one is reported as a missing block
+        # bound of validate; a smaller one is reported by the dims of w_local
         if cfg.layers > len(blob):
             raise ValueError(f"layers {cfg.layers} is more than the file's {len(blob)} bytes")
         cfg.validate()

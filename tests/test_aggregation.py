@@ -328,8 +328,8 @@ class TestFuse:
 
 class TestWeighBranches:
     def _importance(self, rng, d, q_scale=1.0):
-        layout = param_layout(TrainConfig(d=d))["importance"]
-        w, b, q = (rng.normal(size=shape) for shape, _ in layout)
+        layout = param_layout(TrainConfig(d=d))
+        w, b, q = (rng.normal(size=layout[f"importance_{x}"][0]) for x in "wbq")
         return [w, b, q_scale * q]
 
     def test_neutral_q_returns_branches_unchanged(self):
@@ -474,15 +474,15 @@ class TestModelParams:
         cfg = TrainConfig(d=16, patch=4, layers=3)
         p = ModelParams.init(cfg, seed=0)
         assert p.w_pan.shape == (16, 16)
-        assert len(p.w_band) == BANDS and p.w_band[0].shape == (16, 16)
+        assert p.w_band.shape == (BANDS, 16, 16)
         assert p.alpha.shape == (7,) and p.beta.shape == (7,)
         np.testing.assert_allclose(p.alpha, 1.0 / 3.0)
         np.testing.assert_allclose(p.beta, 1.0)
-        assert len(p.w_local) == 3 and p.w_local[0].shape == (16, 16)
-        assert len(p.w_global) == 3
-        assert len(p.recon) == BANDS and p.recon[0].shape == (16, 32)
-        np.testing.assert_array_equal(p.recon[0], 0.0)
-        w, b, q = p.importance
+        assert p.w_local.shape == (3, 16, 16)
+        assert p.w_global.shape == (3, 16, 16)
+        assert p.recon.shape == (BANDS, 16, 32)
+        np.testing.assert_array_equal(p.recon, 0.0)
+        w, b, q = p.importance_w, p.importance_b, p.importance_q
         assert w.shape == (32, 16) and b.shape == (32,) and q.shape == (32, 1)
         assert np.any(w != 0.0)
         np.testing.assert_array_equal(b, 0.0)
@@ -492,13 +492,10 @@ class TestModelParams:
         cfg = TrainConfig(d=8, patch=4, layers=3)
         layout = param_layout(cfg)
         assert list(layout) == [f.name for f in fields(ModelParams)]
-        shapes = [
-            shape
-            for spec in layout.values()
-            for shape, _ in (spec if isinstance(spec, list) else [spec])
-        ]
         p = ModelParams.init(cfg, seed=0)
-        assert [a.shape for _, a in p.named_arrays()] == shapes
+        assert [(n, a.shape) for n, a in p.named_arrays()] == [
+            (n, shape) for n, (shape, _) in layout.items()
+        ]
         assert cfg.param_count == sum(a.size for _, a in p.named_arrays())
 
     def test_importance_drawn_last(self):
@@ -519,22 +516,51 @@ class TestModelParams:
                 for r in p.recon:
                     want = rng.uniform(-0.02, 0.02, size=r.shape).astype(np.float32)
                     np.testing.assert_array_equal(r, want)
-            np.testing.assert_array_equal(p.importance[0], glorot(p.importance[0]))
+            np.testing.assert_array_equal(p.importance_w, glorot(p.importance_w))
+
+    @pytest.mark.parametrize("precision", ["standard", "high"])
+    @pytest.mark.parametrize("zero_recon", [True, False])
+    def test_init_matches_per_matrix_draws(self, precision, zero_recon):
+        # a stacked group is drawn as its matrices one after another, each
+        # with the glorot bound of its own (rows, cols)
+        cfg = TrainConfig(d=8, patch=4, layers=3, precision=precision)
+        rng = np.random.default_rng(11)
+        dt = cfg.dtype
+
+        def glorot(rows, cols):
+            bound = np.sqrt(6.0 / (rows + cols))
+            return rng.uniform(-bound, bound, size=(rows, cols)).astype(dt)
+
+        def head():
+            if zero_recon:
+                return np.zeros((16, 16), dtype=dt)
+            return rng.uniform(-0.02, 0.02, size=(16, 16)).astype(dt)
+
+        want = {  # drawn in field order
+            "w_pan": glorot(8, 16),
+            "w_band": np.stack([glorot(8, 16) for _ in range(BANDS)]),
+            "alpha": np.full(7, 1.0 / 3.0, dtype=dt),
+            "beta": np.ones(7, dtype=dt),
+            "w_local": np.stack([glorot(8, 8) for _ in range(3)]),
+            "w_global": np.stack([glorot(8, 8) for _ in range(3)]),
+            "recon": np.stack([head() for _ in range(BANDS)]),
+            "importance_w": glorot(16, 8),
+            "importance_b": np.zeros(16, dtype=dt),
+            "importance_q": np.zeros((16, 1), dtype=dt),
+        }
+        got = ModelParams.init(cfg, seed=11, zero_recon=zero_recon).named_arrays()
+        assert [n for n, _ in got] == list(want)
+        for name, a in got:
+            assert a.dtype == dt and np.array_equal(a, want[name]), name
 
     def test_named_arrays_order_and_groups(self):
         cfg = TrainConfig(d=8, patch=4, layers=2)
         p = ModelParams.init(cfg, seed=0)
         names = [n for n, _ in p.named_arrays()]
         assert names == [
-            "w_pan", "w_band_0", "w_band_1", "w_band_2", "w_band_3",
-            "alpha", "beta", "w_local_0", "w_local_1",
-            "w_global_0", "w_global_1",
-            "recon_0", "recon_1", "recon_2", "recon_3",
-            "importance_0", "importance_1", "importance_2",
+            "w_pan", "w_band", "alpha", "beta", "w_local", "w_global", "recon",
+            "importance_w", "importance_b", "importance_q",
         ]
-        assert ModelParams.group_of("w_band_2") == "w_band"
-        assert ModelParams.group_of("alpha") == "alpha"
-        assert ModelParams.group_of("recon_0") == "recon"
 
     def test_copy_is_deep(self):
         p = ModelParams.init(TrainConfig(d=8, patch=4), seed=0)
@@ -553,7 +579,7 @@ class TestModelParams:
         p = ModelParams.init(TrainConfig(d=8, patch=4), seed=0)
         q = p.astype(np.float64)
         assert q.w_pan.dtype == np.float64
-        assert q.recon[0].dtype == np.float64
+        assert q.recon.dtype == np.float64
 
     def test_init_deterministic_from_seed(self):
         cfg = TrainConfig(d=8, patch=4)

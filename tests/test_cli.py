@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from graphpan import graph
 from graphpan.aggregation import ModelParams, forward
 from graphpan.cli import bench_scaling, main, merge_config, parse_config_file
 from graphpan.config import TrainConfig
@@ -266,14 +267,14 @@ class TestEval:
 
     def test_non_finite_checkpoint_exit_1(self, workdir, tmp_path):
         params, cfg = load_checkpoint(workdir["ckpt"])
-        params.recon[1][0, 0] = np.nan
+        params.recon[1][0, 0] = np.nan  # the first sample of head 1
         bad = tmp_path / "nan.hssn"
         save_checkpoint(bad, params, cfg)
         blob = bad.read_bytes()
-        payload = blob.index(b"recon_1") + len(b"recon_1") + 12  # after the three dims
+        payload = blob.index(b"recon") + len(b"recon") + 12  # after the three dims
         done = run_cli("eval", "--checkpoint", bad, "--data", workdir["data"])
-        assert_cli_error(done, "non-finite sample in checkpoint block 'recon_1'")
-        assert f"byte offset {payload})" in done.stderr
+        assert_cli_error(done, "non-finite sample in checkpoint block 'recon'")
+        assert f"byte offset {payload + 4 * params.recon[0].size})" in done.stderr
 
     def test_scale_two_scenes(self, workdir, tmp_path, capsys):
         data = tmp_path / "s2"
@@ -358,6 +359,19 @@ class TestPatternsDump:
         assert captured.err.startswith("error: --checkpoint")
         assert extra[0] in captured.err
 
+    def test_out_of_memory_exit_1(self, monkeypatch, capsys):
+        # kNN's (m, m) cosine matrix is what runs out first on a large scene
+        def refuse(feats):
+            raise MemoryError(f"Unable to allocate the ({len(feats)}, {len(feats)}) cosines")
+
+        monkeypatch.setattr(graph, "self_similarities", refuse)
+        code = main(["patterns-dump", "--size", "16", "--patch", "4",
+                     "--stride", "4", "--d", "8", "--k", "1"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: out of memory: Unable to allocate the (16, 16) cosines\n"
+
     def test_out_file(self, tmp_path):
         out = tmp_path / "dump.txt"
         code = main(["patterns-dump", "--size", "16", "--patch", "4",
@@ -373,6 +387,10 @@ class TestGradCheck:
         out = capsys.readouterr().out
         assert "pass" in out
         assert out.count("ok") >= 7
+        # the error column lines up under its header, past the longest group
+        header, *rows = out.splitlines()[:-1]
+        assert {len(r) - len("  ok") for r in rows} == {len(header)}
+        assert any(r.startswith("importance_w ") for r in rows)
 
     def test_impossible_tol_exit_2(self, capsys):
         code = main(["grad-check", "--max-coords", "2", "--tol", "1e-15"])

@@ -309,7 +309,7 @@ class TestFiniteDifferences:
         worst = grad_check(scene, params, cfg, max_coords=3, seed=0)
         assert set(worst) == {
             "w_pan", "w_band", "alpha", "beta", "w_local", "w_global", "recon",
-            "importance",
+            "importance_w", "importance_b", "importance_q",
         }
         assert max(worst.values()) <= 1e-4
 
@@ -328,10 +328,10 @@ class TestFiniteDifferences:
         cfg = toy_config(gamma=0.01)
         params = ModelParams.init(cfg, seed=1, zero_recon=False)
         rng = np.random.default_rng(2)
-        params.importance = [rng.normal(size=a.shape) * 0.5 for a in params.importance]
+        set_random_importance(params, rng, 0.5)
         _, grads = backward(scene, params.astype(np.float64), cfg)
-        for i in range(3):
-            assert np.any(grads[f"importance_{i}"] != 0.0)
+        for name in IMPORTANCE:
+            assert np.any(grads[name] != 0.0)
         worst = grad_check(scene, params, cfg, max_coords=6, seed=1)
         assert max(worst.values()) <= 1e-4, worst
 
@@ -566,6 +566,16 @@ class TestLrSchedule:
         assert all(b <= a for a, b in zip(vals, vals[1:]))
 
 
+IMPORTANCE = ("importance_w", "importance_b", "importance_q")
+
+
+def set_random_importance(params, rng, scale=1.0):
+    """Draw the importance group's W, b and q, in that order, from a
+    standard normal (float64) times ``scale``."""
+    for name in IMPORTANCE:
+        setattr(params, name, rng.normal(size=getattr(params, name).shape) * scale)
+
+
 def write_blocks(path, blocks):
     """Write (name, array) blocks in the .hssn layout; returns each block's
     payload offset."""
@@ -610,14 +620,14 @@ class TestCheckpoints:
 
     def test_round_trip_importance_group(self, tmp_path):
         cfg = toy_config()
-        params = ModelParams.init(cfg, seed=5, zero_recon=False).astype(np.float32)
-        rng = np.random.default_rng(0)
-        params.importance = [rng.normal(size=a.shape).astype(np.float32) for a in params.importance]
+        params = ModelParams.init(cfg, seed=5, zero_recon=False)
+        set_random_importance(params, np.random.default_rng(0))
+        params = params.astype(np.float32)
         path = tmp_path / "ck.hssn"
         save_checkpoint(path, params, cfg)
         back, _ = load_checkpoint(path)
-        for want, got in zip(params.importance, back.importance):
-            np.testing.assert_array_equal(got, want)
+        for name in IMPORTANCE:
+            np.testing.assert_array_equal(getattr(back, name), getattr(params, name))
         scene = toy_scene(0)
         np.testing.assert_array_equal(
             ad.value(run_pipeline(scene, back, cfg).fused),
@@ -633,14 +643,34 @@ class TestCheckpoints:
         blocks.append(("_config", [4, 4, 8, 2, 1, 0.7, 0.02, 0]))
         path = tmp_path / "old.hssn"
         write_blocks(path, blocks)
-        with pytest.raises(CheckpointFormatError, match="checkpoint missing block 'importance_0'") as err:
+        with pytest.raises(CheckpointFormatError, match="checkpoint missing block 'importance_w'") as err:
             load_checkpoint(path)
         assert err.value.offset == path.stat().st_size
 
+    def test_per_element_layout_is_refused(self, tmp_path):
+        # a file from before each group became one array: one block per
+        # band, layer and head, and importance_0..2 for W, b and q
+        cfg = toy_config()
+        params = ModelParams.init(cfg, seed=5, zero_recon=False)
+        blocks = []
+        for name, a in params.named_arrays():
+            if name in ("w_band", "w_local", "w_global", "recon"):
+                blocks += [(f"{name}_{i}", m) for i, m in enumerate(a)]
+            elif name in IMPORTANCE:
+                blocks.append((f"importance_{IMPORTANCE.index(name)}", a))
+            else:
+                blocks.append((name, a))
+        blocks.append(("_config", [4, 4, 8, 2, 1, 0.5, 0.01, 0]))
+        path = tmp_path / "per_element.hssn"
+        offsets = write_blocks(path, blocks)
+        with pytest.raises(CheckpointFormatError, match="unknown checkpoint block 'w_band_0'") as err:
+            load_checkpoint(path)
+        assert err.value.offset == offsets["w_band_0"]
+
     @pytest.mark.parametrize("edit,message,at", [
-        # one flipped byte in a name: importance_1 and _2 are still there
-        pytest.param("rename", "unknown checkpoint block 'importance_9'", "importance_9", id="rename"),
-        pytest.param("drop", "checkpoint missing block 'importance_0'", None, id="drop"),
+        # one flipped byte in a name: importance_b and _q are still there
+        pytest.param("rename", "unknown checkpoint block 'importance_v'", "importance_v", id="rename"),
+        pytest.param("drop", "checkpoint missing block 'importance_w'", None, id="drop"),
         # a second w_pan used to replace the first one silently
         pytest.param("duplicate", "duplicate checkpoint block 'w_pan'", "w_pan", id="duplicate"),
         pytest.param("extra", "unknown checkpoint block 'bias'", "bias", id="extra"),
@@ -648,13 +678,12 @@ class TestCheckpoints:
     def test_each_block_used_exactly_once(self, tmp_path, edit, message, at):
         cfg = toy_config()
         params = ModelParams.init(cfg, seed=5, zero_recon=False)
-        rng = np.random.default_rng(0)
-        params.importance = [rng.normal(size=a.shape) for a in params.importance]
+        set_random_importance(params, np.random.default_rng(0))
         blocks = params.named_arrays()
         if edit == "rename":
-            blocks = [("importance_9" if n == "importance_0" else n, a) for n, a in blocks]
+            blocks = [("importance_v" if n == "importance_w" else n, a) for n, a in blocks]
         elif edit == "drop":
-            blocks = [(n, a) for n, a in blocks if n != "importance_0"]
+            blocks = [(n, a) for n, a in blocks if n != "importance_w"]
         elif edit == "duplicate":
             blocks.append(("w_pan", np.zeros_like(params.w_pan)))
         else:
@@ -715,7 +744,7 @@ class TestCheckpoints:
             load_checkpoint(path)
         assert err.value.offset == offsets["_config"]
 
-    @pytest.mark.parametrize("name,shape", [("w_pan", (8, 17)), ("alpha", (8,)), ("w_local_0", (8, 4))])
+    @pytest.mark.parametrize("name,shape", [("w_pan", (8, 17)), ("alpha", (8,)), ("w_local", (2, 8, 4))])
     def test_block_dims_must_match_exactly(self, tmp_path, name, shape):
         # a larger block used to be cut silently; any mismatch now raises
         cfg = toy_config()
@@ -730,7 +759,7 @@ class TestCheckpoints:
         assert err.value.offset == offsets[name]
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("name", ["w_pan", "recon_0", "importance_2"])
+    @pytest.mark.parametrize("name", ["w_pan", "recon", "importance_q"])
     def test_non_finite_weight_rejected_with_offset(self, tmp_path, name, value):
         cfg = toy_config()
         params = ModelParams.init(cfg, seed=0, zero_recon=False)

@@ -43,41 +43,12 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import autodiff as ad
-from .config import TrainConfig
+from .config import TrainConfig, param_layout
 from .graph import HetGraph, band_node, build_graph, embed_patches
 from .imaging import BANDS, Image, PatchGrid, ScenePair, extract_patches, upsample_bicubic
-from .patterns import MAX_PATTERNS, PatternSet, generate_patterns
+from .patterns import PatternSet, generate_patterns
 
 _DEGREE_FLOOR = 1e-12
-_INIT_PATTERNS = 3  # disjoint relation supports give three singleton patterns
-
-
-def param_layout(cfg: TrainConfig) -> dict:
-    """The learned arrays, written once: for each :class:`ModelParams` field,
-    in field order, a (shape, init) pair; one matrix per band or per layer
-    is one stacked array.  ``init`` is "glorot" (bound from the last two
-    dims, so a stack draws as its matrices in turn), "recon" (uniform in
-    [-0.02, 0.02), or zeros for a zero head) or a constant fill value.
-
-    importance_w, _b and _q are the W, b and q of :func:`weigh_branches`;
-    the scorer's hidden width 2d is, at the default d = 64, the 128 of
-    HAN's semantic attention, and q = 0 weighs both branches 1/2.
-    """
-    d, p2 = cfg.d, cfg.patch * cfg.patch
-    return {
-        "w_pan": ((d, p2), "glorot"),
-        "w_band": ((BANDS, d, p2), "glorot"),
-        "alpha": ((MAX_PATTERNS,), 1.0 / _INIT_PATTERNS),
-        "beta": ((MAX_PATTERNS,), 1.0),
-        "w_local": ((cfg.layers, d, d), "glorot"),
-        "w_global": ((cfg.layers, d, d), "glorot"),
-        "recon": ((BANDS, p2, 2 * d), "recon"),
-        "importance_w": ((2 * d, d), "glorot"),
-        "importance_b": ((2 * d,), 0.0),
-        "importance_q": ((2 * d, 1), 0.0),
-    }
-
-
 @dataclass
 class ModelParams:
     """All learned arrays, one per field, laid out by :func:`param_layout`.
@@ -160,21 +131,21 @@ def aggregate_local(ps: PatternSet, U, alpha, w_local) -> object:
     """Pattern-weighted local propagation with depth averaging; w_local
     holds one (d, d) layer per index of its first axis.
 
-    With A the alpha-scaled pattern entries, the operator is
+    With A the pattern table's entries, each scaled by its pattern's alpha
+    (one gather and one product for the whole table), the operator is
     D^{-1/2} (A/2 + A^T/2 + I) D^{-1/2}, whose degrees are
     deg = A 1/2 + A^T 1/2 + 1.  It is applied as
     D^{-1/2} (A V/2 + A^T V/2 + V) with V = D^{-1/2} U, where A V and
     A^T V are two sparse products (:func:`autodiff.spmm`), so the tape keeps
     only (E,) entry vectors and no (E, d) gather.  Every step is linear in
-    the entries, so entries that share a (row, col) need no merging.  A node
-    of degree at most the floor is dropped (its rows and columns are zero).
+    the entries, so entries that share a (row, col), which a hand-built
+    table may hold, need no merging.  A node of degree at most the floor is
+    dropped (its rows and columns are zero).
     """
     if len(ps) == 0:
         raise ValueError("empty pattern set")
-    n = ps.n_nodes
-    rows = np.concatenate([p.rows for p in ps])
-    cols = np.concatenate([p.cols for p in ps])
-    vals = ad.concatenate([p.vals * alpha[p.mask - 1] for p in ps], axis=0)
+    n, rows, cols = ps.n_nodes, ps.rows, ps.cols
+    vals = ps.vals * alpha[ps.masks[ps.slot] - 1]
 
     deg = (ad.index_add(n, rows, vals) + ad.index_add(n, cols, vals)) * 0.5 + 1.0
     dtype = ad.value(deg).dtype
@@ -191,15 +162,14 @@ def aggregate_local(ps: PatternSet, U, alpha, w_local) -> object:
 
 
 def build_global_pattern_matrix(ps: PatternSet, beta) -> object:
-    """Stack per-pattern incoming-weight totals, columns scaled by beta."""
+    """The (n, m) matrix of per-pattern incoming-weight totals, one column
+    per live pattern scaled by its beta: one segment sum of the table into
+    the (row, pattern) cells, then one column scaling."""
     if len(ps) == 0:
         raise ValueError("empty pattern set")
-    n = ps.n_nodes
-    cols = []
-    for p in ps:
-        totals = ad.index_add(n, p.rows, p.vals)
-        cols.append(ad.reshape(totals * beta[p.mask - 1], (n, 1)))
-    return ad.concatenate(cols, axis=1)
+    n, m = ps.n_nodes, len(ps)
+    totals = ad.index_add(n * m, ps.rows * m + ps.slot, ps.vals)
+    return ad.reshape(totals, (n, m)) * beta[ps.masks - 1]
 
 
 @dataclass

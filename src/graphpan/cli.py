@@ -143,7 +143,7 @@ def cmd_eval(args) -> int:
     dirs = _scene_dirs(args.data)
     rows = []
     for d in dirs:
-        scene = ScenePair.load(d, need_gt=(args.mode == "reduced"))
+        scene = ScenePair.load(d)
         if args.mode == "reduced" and scene.gt is None:
             raise CliError(f"{d} has no gt.hsif, required for reduced mode")
         fused = forward(scene, params, mcfg).fused

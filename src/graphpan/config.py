@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,6 +13,36 @@ from .patterns import MAX_PATTERNS
 
 ABLATION_MODES = ("full", "local-only", "global-only")
 MAX_PARAMS = 1 << 24  # learned values a model may hold: 64 MiB in float32
+
+_INIT_PATTERNS = 3  # disjoint relation supports give three singleton patterns
+
+
+def param_layout(cfg: TrainConfig) -> dict:
+    """The learned arrays, written once: for each
+    :class:`aggregation.ModelParams` field, in field order, a (shape, init)
+    pair; one matrix per band or per layer is one stacked array.  ``init``
+    is "glorot" (bound from the last two dims, so a stack draws as its
+    matrices in turn), "recon" (uniform in [-0.02, 0.02), or zeros for a
+    zero head) or a constant fill value.
+
+    importance_w, _b and _q are the W, b and q of
+    :func:`aggregation.weigh_branches`; the scorer's hidden width 2d is, at
+    the default d = 64, the 128 of HAN's semantic attention, and q = 0
+    weighs both branches 1/2.
+    """
+    d, p2 = cfg.d, cfg.patch * cfg.patch
+    return {
+        "w_pan": ((d, p2), "glorot"),
+        "w_band": ((BANDS, d, p2), "glorot"),
+        "alpha": ((MAX_PATTERNS,), 1.0 / _INIT_PATTERNS),
+        "beta": ((MAX_PATTERNS,), 1.0),
+        "w_local": ((cfg.layers, d, d), "glorot"),
+        "w_global": ((cfg.layers, d, d), "glorot"),
+        "recon": ((BANDS, p2, 2 * d), "recon"),
+        "importance_w": ((2 * d, d), "glorot"),
+        "importance_b": ((2 * d,), 0.0),
+        "importance_q": ((2 * d, 1), 0.0),
+    }
 
 
 @dataclass
@@ -51,9 +82,8 @@ class TrainConfig:
 
     @property
     def param_count(self) -> int:
-        """The total size of the arrays of ``aggregation.param_layout``."""
-        d, p2 = self.d, self.patch * self.patch
-        return (1 + 3 * BANDS) * d * p2 + 2 * (self.layers + 1) * d * d + 4 * d + 2 * MAX_PATTERNS
+        """The total size of the arrays of :func:`param_layout`."""
+        return sum(math.prod(shape) for shape, _ in param_layout(self).values())
 
     def validate(self):
         for f in dataclasses.fields(self):

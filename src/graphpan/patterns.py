@@ -8,6 +8,10 @@ with empty support are dropped, so a 3-relation graph yields at most 7
 patterns whose supports are pairwise disjoint and together tile the union
 of the relation supports.
 
+All patterns are held as one COO table (:class:`PatternSet`) sorted by
+(pattern, row, col), so each consumer reads every pattern with one op;
+iterating a table yields each pattern's span of it.
+
 Membership is structural: an edge present with weight 0 still counts.
 """
 
@@ -34,13 +38,14 @@ def mask_label(mask: int) -> str:
 
 @dataclass
 class RelationPattern:
-    """One pattern: its relation-subset bitmask and COO entries sorted by
-    (row, col); row i, col j encodes the edge j -> i."""
+    """One pattern's span of a :class:`PatternSet`: its relation-subset
+    bitmask and plain-valued COO entries sorted by (row, col); row i, col j
+    encodes the edge j -> i."""
 
     mask: int
     rows: np.ndarray
     cols: np.ndarray
-    vals: object  # ndarray or autodiff tensor
+    vals: np.ndarray
 
     @property
     def nnz(self):
@@ -49,14 +54,31 @@ class RelationPattern:
 
 @dataclass
 class PatternSet:
-    n_nodes: int
-    patterns: list
+    """Every pattern of a graph as one COO table sorted by (pattern, row,
+    col).  ``masks`` lists the m live masks in ascending order, and entry e
+    belongs to pattern ``masks[slot[e]]``; ``rows``, ``cols`` and ``slot``
+    are (E,) index arrays and ``vals`` is the (E,) entry values, a plain
+    array or a tensor.
 
-    def __iter__(self):
-        return iter(self.patterns)
+    ``len`` is m, and iteration yields each pattern's span as a plain-valued
+    :class:`RelationPattern`, so it tapes nothing."""
+
+    n_nodes: int
+    masks: np.ndarray
+    slot: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: object
 
     def __len__(self):
-        return len(self.patterns)
+        return len(self.masks)
+
+    def __iter__(self):
+        vals = ad.value(self.vals)
+        bounds = np.searchsorted(self.slot, np.arange(len(self.masks) + 1))
+        for s, mask in enumerate(self.masks):
+            span = slice(bounds[s], bounds[s + 1])
+            yield RelationPattern(int(mask), self.rows[span], self.cols[span], vals[span])
 
 
 def generate_patterns(g: HetGraph) -> PatternSet:
@@ -69,26 +91,25 @@ def generate_patterns(g: HetGraph) -> PatternSet:
         bits.append(np.full(len(src), 1 << (r - 1), dtype=np.uint8))
         vals.append(w)
     all_keys = np.concatenate(keys)
-    if len(all_keys) == 0:
-        return PatternSet(n_nodes=n, patterns=[])
-    all_bits = np.concatenate(bits)
     all_vals = ad.concatenate(vals, axis=0)
 
     uniq, inv = np.unique(all_keys, return_inverse=True)
-    masks = np.zeros(len(uniq), dtype=np.uint8)
-    np.bitwise_or.at(masks, inv, all_bits)
+    key_masks = np.zeros(len(uniq), dtype=np.uint8)
+    np.bitwise_or.at(key_masks, inv, np.concatenate(bits))
     counts = np.bincount(inv, minlength=len(uniq))
     sums = ad.index_add(len(uniq), inv, all_vals)
     means = sums / counts.astype(ad.value(all_vals).dtype)
 
-    out = []
-    for mask in range(1, MAX_PATTERNS + 1):
-        sel = np.flatnonzero(masks == mask)
-        if sel.size == 0:
-            continue
-        kk = uniq[sel]  # ascending key = sorted by (row, col)
-        out.append(
-            RelationPattern(mask=mask, rows=kk // n, cols=kk % n, vals=means[sel])
-        )
-    return PatternSet(n_nodes=n, patterns=out)
-
+    # uniq ascends by key = (row, col), so a stable sort on the masks gives
+    # the (pattern, row, col) order
+    order = np.argsort(key_masks, kind="stable")
+    live = np.flatnonzero(np.bincount(key_masks, minlength=MAX_PATTERNS + 1)[1:]) + 1
+    kk = uniq[order]
+    return PatternSet(
+        n_nodes=n,
+        masks=live,
+        slot=np.searchsorted(live, key_masks[order]),
+        rows=kk // n,
+        cols=kk % n,
+        vals=means[order],
+    )

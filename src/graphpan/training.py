@@ -25,7 +25,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .aggregation import LowRank, ModelParams, run_pipeline
-from .config import ABLATION_MODES, TrainConfig
+from .config import ABLATION_MODES, TrainConfig, param_layout
 from .graph import band_node, unit_rows
 from .imaging import BANDS, FormatError, Image, ScenePair, wald_degrade
 
@@ -411,7 +411,7 @@ def load_checkpoint(path):
     except (ValueError, OverflowError) as e:
         raise CheckpointFormatError(f"bad checkpoint _config: {e}", offset=start) from None
 
-    names = {name for name, _ in ModelParams.build(cfg, lambda *_: None).named_arrays()}
+    names = param_layout(cfg).keys()
     for name, (_, _, start) in raw_blocks.items():
         if name != "_config" and name not in names:
             raise CheckpointFormatError(f"unknown checkpoint block {name!r}", offset=start)

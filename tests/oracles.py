@@ -46,6 +46,25 @@ def to_dense(p: RelationPattern, n):
     return m
 
 
+def pattern_set(n, patterns) -> PatternSet:
+    """The table of hand-built :class:`RelationPattern` objects with
+    distinct masks, each sorted by (row, col)."""
+    patterns = sorted(patterns, key=lambda p: p.mask)
+
+    def cat(field, dtype):
+        parts = [getattr(p, field) for p in patterns]
+        return np.concatenate(parts) if parts else np.empty(0, dtype)
+
+    return PatternSet(
+        n_nodes=n,
+        masks=np.array([p.mask for p in patterns], dtype=np.int64),
+        slot=np.repeat(np.arange(len(patterns)), [p.nnz for p in patterns]),
+        rows=cat("rows", np.int64),
+        cols=cat("cols", np.int64),
+        vals=cat("vals", np.float64),
+    )
+
+
 def masks(ps: PatternSet):
     return [p.mask for p in ps]
 
@@ -86,14 +105,14 @@ def pattern_oracle(g) -> PatternSet:
         rows, cols = pairs[:, 0], pairs[:, 1]
         vals = dense[inside][:, rows, cols].mean(axis=0)
         out.append(RelationPattern(mask=mask, rows=rows, cols=cols, vals=vals))
-    return PatternSet(n_nodes=n, patterns=out)
+    return pattern_set(n, out)
 
 
 def patterns_allclose(a: PatternSet, b: PatternSet, tol: float = 1e-9) -> bool:
     """Same masks, identical supports, weights equal within tol."""
     if a.n_nodes != b.n_nodes or masks(a) != masks(b):
         return False
-    for pa, pb in zip(a.patterns, b.patterns):
+    for pa, pb in zip(a, b):
         if not (
             np.array_equal(pa.rows, pb.rows)
             and np.array_equal(pa.cols, pb.cols)

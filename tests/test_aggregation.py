@@ -21,17 +21,16 @@ from graphpan.aggregation import (
     forward,
     fuse,
     global_similarity,
-    param_layout,
     reconstruct,
     run_pipeline,
     weigh_branches,
 )
-from graphpan.config import TrainConfig
+from graphpan.config import TrainConfig, param_layout
 from graphpan.graph import random_multiplex_graph
 from graphpan.imaging import BANDS, Image, extract_patches, synth_scene, upsample_bicubic
-from graphpan.patterns import PatternSet, RelationPattern, generate_patterns
+from graphpan.patterns import RelationPattern, generate_patterns
 
-from oracles import masks, to_dense
+from oracles import masks, pattern_set, to_dense
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +70,7 @@ def global_oracle(ps, U, beta, w_chain):
 
 def self_loop_pattern(n, mask=1):
     idx = np.arange(n)
-    return PatternSet(n, [RelationPattern(mask, idx, idx, np.ones(n))])
+    return pattern_set(n, [RelationPattern(mask, idx, idx, np.ones(n))])
 
 
 def random_patternset(n, seed, density=0.2):
@@ -115,7 +114,7 @@ class TestAggregateLocal:
         # (2, 1) sits in two patterns, (1, 2) is its reverse, (3, 3) is on
         # the diagonal, and node 4 has no entries at all
         n, d = 5, 3
-        ps = PatternSet(n, [
+        ps = pattern_set(n, [
             RelationPattern(1, np.array([1, 2, 3]), np.array([2, 1, 3]), np.array([0.4, 0.7, 0.9])),
             RelationPattern(4, np.array([0, 2]), np.array([3, 1]), np.array([0.2, 0.5])),
         ])
@@ -160,13 +159,13 @@ class TestAggregateLocal:
 
     def test_empty_patternset_rejected(self):
         with pytest.raises(ValueError):
-            aggregate_local(PatternSet(3, []), np.zeros((3, 2)), np.ones(7), [np.eye(2)])
+            aggregate_local(pattern_set(3, []), np.zeros((3, 2)), np.ones(7), [np.eye(2)])
 
 
 class TestGlobalPatternMatrix:
     def test_binary_count_example(self):
         # node 1 receives edges from nodes 0 and 2 in a single pattern
-        ps = PatternSet(
+        ps = pattern_set(
             3, [RelationPattern(1, np.array([1, 1]), np.array([0, 2]), np.ones(2))]
         )
         B = ad.value(build_global_pattern_matrix(ps, np.ones(7)))
@@ -191,6 +190,27 @@ class TestGlobalPatternMatrix:
     def test_columns_in_ascending_mask_order(self):
         ps = random_patternset(10, seed=13)
         assert masks(ps) == sorted(masks(ps))
+
+
+class TestOneOpPerTable:
+    def test_tape_does_not_grow_with_live_patterns(self):
+        """Both branches read the whole pattern table at once, so they tape
+        as many nodes for one live pattern as for seven."""
+        n, d = 8, 3
+        U = np.random.default_rng(14).normal(size=(n, d))
+        local_nodes, global_nodes = set(), set()
+        for live in ([2], [1, 2, 4], list(range(1, 8))):
+            ps = pattern_set(n, [
+                RelationPattern(m, np.array([0, m]), np.array([m, 0]), np.array([0.3, 0.6]))
+                for m in live
+            ])
+            ps.vals = ad.Tensor(ps.vals)
+            h = aggregate_local(ps, ad.Tensor(U), ad.Tensor(np.ones(7)), [np.eye(d)])
+            B = build_global_pattern_matrix(ps, ad.Tensor(np.ones(7)))
+            assert ad.value(B).shape == (n, len(live))
+            local_nodes.add(len(ad._topo_order(h)))
+            global_nodes.add(len(ad._topo_order(B)))
+        assert len(local_nodes) == 1 and len(global_nodes) == 1
 
 
 def densify(op):

@@ -230,6 +230,8 @@ class TestEval:
         ScenePair(scene.pan, scene.lrms, None, scene.scale).save(tmp_path / "s0")
         code = main(["eval", "--checkpoint", str(workdir["ckpt"]), "--data", str(tmp_path)])
         assert code == 1
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 's0'} has no gt.hsif, required for reduced mode" in err
 
     def test_global_only_checkpoint_runs_global_only(self, workdir, tmp_path, capsys):
         cfg = TrainConfig(patch=4, stride=4, d=8, layers=1, k=1, ablate="global-only")

@@ -5,14 +5,19 @@ that classifies every ordered pair by direct membership tests, plus a fully
 hand-computed 4-node example covering overlapping relations.
 """
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphpan.autodiff as ad
+from graphpan.aggregation import ModelParams, run_pipeline
+from graphpan.config import TrainConfig
 from graphpan.graph import GraphStructure, HetGraph, build_graph, random_multiplex_graph
-from graphpan.imaging import BANDS
+from graphpan.imaging import BANDS, synth_scene
 from graphpan.patterns import (
     MAX_PATTERNS,
     PatternSet,
@@ -22,7 +27,7 @@ from graphpan.patterns import (
     subset_of_mask,
 )
 
-from oracles import get, masks, pattern_oracle, patterns_allclose, to_dense
+from oracles import get, masks, pattern_oracle, pattern_set, patterns_allclose, to_dense
 
 
 def make_graph(n, rel_edges):
@@ -182,6 +187,29 @@ class TestStructuralMembership:
         assert masks(pattern_oracle(g)) == []
 
 
+class TestTable:
+    @pytest.mark.parametrize("density, seed", [(0.3, 0), (0.05, 3), (0.02, 1), (0.02, 0)])
+    def test_one_sorted_table_of_the_live_masks(self, density, seed):
+        g = random_multiplex_graph(25, density, seed=seed)
+        ps = generate_patterns(g)
+        assert isinstance(ps, PatternSet)
+        # sorted by (slot, row, col), one entry per pair
+        keys = list(zip(ps.slot.tolist(), ps.rows.tolist(), ps.cols.tolist()))
+        assert keys == sorted(set(keys))
+        # masks are exactly the live masks, ascending, and every slot is used
+        assert ps.masks.tolist() == masks(pattern_oracle(g))
+        assert np.array_equal(np.unique(ps.slot), np.arange(len(ps)))
+        # the spans, put back together, are the table
+        spans = list(ps)
+        assert [p.mask for p in spans] == ps.masks.tolist()
+        np.testing.assert_array_equal(np.concatenate([p.rows for p in spans]), ps.rows)
+        np.testing.assert_array_equal(np.concatenate([p.cols for p in spans]), ps.cols)
+        np.testing.assert_array_equal(np.concatenate([p.vals for p in spans]), ad.value(ps.vals))
+        np.testing.assert_array_equal(
+            np.repeat(np.arange(len(ps)), [p.nnz for p in spans]), ps.slot
+        )
+
+
 class TestOrdering:
     def test_entries_sorted_row_major(self):
         g = random_multiplex_graph(20, 0.2, seed=5)
@@ -209,7 +237,8 @@ class TestDifferentiability:
         g = make_graph(3, [[(0, 1, 0.5)], [(0, 1, 0.3)], []])
         g.weights = [ad.Tensor(w) for w in g.weights]
         ps = generate_patterns(g)
-        ad.sum(get(ps, 3).vals).backward()
+        assert masks(ps) == [3]
+        ad.sum(ps.vals).backward()
         # the pair's value is (w1 + w2)/2, so each weight gets gradient 1/2
         np.testing.assert_allclose(g.weights[0].grad, [0.5])
         np.testing.assert_allclose(g.weights[1].grad, [0.5])
@@ -230,13 +259,29 @@ class TestRealGraphPatterns:
 
 class TestPatternsAllclose:
     def test_detects_differences(self):
-        base = PatternSet(3, [RelationPattern(1, np.array([0]), np.array([1]), np.array([0.5]))])
-        same = PatternSet(3, [RelationPattern(1, np.array([0]), np.array([1]), np.array([0.5]))])
+        base = pattern_set(3, [RelationPattern(1, np.array([0]), np.array([1]), np.array([0.5]))])
+        same = pattern_set(3, [RelationPattern(1, np.array([0]), np.array([1]), np.array([0.5]))])
         assert patterns_allclose(base, same)
-        other_mask = PatternSet(3, [RelationPattern(2, np.array([0]), np.array([1]), np.array([0.5]))])
+        other_mask = pattern_set(3, [RelationPattern(2, np.array([0]), np.array([1]), np.array([0.5]))])
         assert not patterns_allclose(base, other_mask)
-        other_support = PatternSet(3, [RelationPattern(1, np.array([1]), np.array([0]), np.array([0.5]))])
+        other_support = pattern_set(3, [RelationPattern(1, np.array([1]), np.array([0]), np.array([0.5]))])
         assert not patterns_allclose(base, other_support)
-        other_val = PatternSet(3, [RelationPattern(1, np.array([0]), np.array([1]), np.array([0.5 + 1e-6]))])
+        other_val = pattern_set(3, [RelationPattern(1, np.array([0]), np.array([1]), np.array([0.5 + 1e-6]))])
         assert not patterns_allclose(base, other_val)
         assert patterns_allclose(base, other_val, tol=1e-5)
+
+
+class TestBenchCounters:
+    def test_frozen_counters_read_the_table(self):
+        """The bench's graph and pattern counters, run on a 64 px pipeline
+        output: three live singleton patterns that hold every edge."""
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+        spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        cfg = TrainConfig()
+        out = run_pipeline(synth_scene(0, size=64), ModelParams.init(cfg, seed=0), cfg)
+        graph_counts = spans._graph_counts(out.graph)
+        pattern_counts = spans._pattern_counts(out.patterns)
+        assert pattern_counts["patterns.live"] == 3
+        assert pattern_counts["patterns.nnz"] == graph_counts["graph.edges"] == 10_800

@@ -12,10 +12,31 @@ alone decides the kind.  Work only the derivative needs stays in the VJP, so
 the plain pass does none of it; the arithmetic ops and :func:`matmul` form
 no gradient for an operand that is not a Tensor.
 
+The tape entry is apart from the value: a Tensor holds its array and a
+:class:`_Node`, and a node holds only its gradient, its parents' nodes and
+its VJP.  So the tape keeps an array only where a VJP's closure saved it,
+and any other interior value is freed as soon as the forward code drops it.
+What each VJP saves:
+  * :func:`add`, :func:`subtract`, :func:`sum`, :func:`reshape`,
+    :func:`concatenate`, :func:`negative` and :func:`transpose`: shapes,
+    split sizes or axes only; :func:`take` its source's shape and dtype and
+    the index; :func:`index_add` the index;
+  * :func:`multiply` and :func:`matmul`: each operand only when the other
+    one is a Tensor; :func:`divide`: the divisor, and the dividend only when
+    the divisor is a Tensor;
+  * :func:`absolute` and :func:`clip` their input, :func:`sqrt` and
+    :func:`tanh` their output;
+  * :func:`spmm` its entry indices, its sparse matrix and V, and
+    :func:`edge_dots` its indices and operand;
+  * :func:`info_nce` its operands, x = a right^T and the sums P b and
+    P^T x of its forward, and :func:`tanh_score` its operands, from which
+    it recomputes its hidden layer in the backward instead of taping it.
+
 :meth:`Tensor.backward` consumes the tape as it walks it: an interior node
 drops its gradient and its VJP once it has passed them on, so gradients are
-kept on leaves only, and a tape cannot be walked twice.  :func:`tanh_score`
-recomputes its hidden layer in the backward instead of taping it.
+kept on leaves only, and a tape cannot be walked twice.  A node's second
+gradient contribution is added out of place, since a VJP may hand one array
+to two parents; its third and later ones go in place into that sum.
 
 The graph ops :func:`spmm` (a sparse matrix, given as index and value
 vectors, times a dense one) and :func:`edge_dots` (one dot product per
@@ -40,19 +61,39 @@ import numpy as np
 from scipy import sparse
 
 
+class _Node:
+    """A tape entry: the gradient accumulated so far, the parents' nodes
+    (None for an operand that is not a Tensor) and the VJP, whose closure
+    holds only what its formula reads.  A leaf has no parents and no VJP."""
+
+    __slots__ = ("grad", "parents", "vjp")
+
+    def __init__(self, parents, vjp):
+        self.grad = None
+        self.parents = parents
+        self.vjp = vjp
+
+
 class Tensor:
-    """A node on the differentiation tape."""
+    """A value and its tape entry: ``data`` holds the array, ``_node`` the
+    :class:`_Node` that links it into the tape.  The tape never refers to
+    the Tensor, so its array is freed once the forward code drops it unless
+    a VJP saved it."""
 
     # Make numpy defer binary ops to our reflected operators instead of
     # trying to coerce Tensor into an object array.
     __array_ufunc__ = None
-    __slots__ = ("data", "grad", "_parents", "_vjp")
+    __slots__ = ("data", "_node")
 
     def __init__(self, data, parents=(), vjp=None):
         self.data = np.asarray(data)
-        self.grad = None
-        self._parents = tuple(parents)
-        self._vjp = vjp
+        self._node = _Node(
+            tuple(p._node if isinstance(p, Tensor) else None for p in parents), vjp
+        )
+
+    @property
+    def grad(self):
+        return self._node.grad
 
     def __len__(self):
         return len(self.data)
@@ -105,31 +146,47 @@ class Tensor:
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar tensor")
         order = _topo_order(self)
-        if any(node._vjp is None and node._parents for node in order):
+        if any(node.vjp is None and node.parents for node in order):
             raise ValueError(
                 "backward() already ran through this tape; its interior "
                 "gradients are freed, so build the graph again"
             )
-        self.grad = np.ones_like(self.data)
+        self._node.grad = np.ones_like(self.data)
+        owned = set()  # nodes whose grad is a sum this walk allocated
         for node in reversed(order):
-            vjp, g = node._vjp, node.grad
+            vjp, g = node.vjp, node.grad
             if vjp is None:
                 continue  # a leaf keeps its gradient
-            node._vjp = node.grad = None
+            node.vjp = node.grad = None
             if g is None:
                 continue
-            for parent, pg in zip(node._parents, vjp(g)):
-                if pg is None or not isinstance(parent, Tensor):
+            for parent, pg in zip(node.parents, vjp(g)):
+                if pg is None or parent is None:
                     continue
-                # out of place: a VJP may hand the same array to two parents
-                if parent.grad is None:
+                acc = parent.grad
+                if acc is None:
                     parent.grad = pg
+                elif parent in owned and _adds_in_place(acc, pg):
+                    acc += pg
                 else:
-                    parent.grad = parent.grad + pg
+                    # out of place: a VJP may hand the same array to two
+                    # parents, and a leaf's grad may be an earlier walk's
+                    parent.grad = acc + pg
+                    owned.add(parent)
+
+
+def _adds_in_place(acc, pg):
+    """Whether ``acc += pg`` gives the bits of ``acc + pg`` in ``acc``."""
+    return (
+        isinstance(acc, np.ndarray)
+        and np.shape(pg) == acc.shape
+        and np.result_type(acc, pg) == acc.dtype
+    )
 
 
 def _topo_order(root):
-    order, seen, stack = [], set(), [(root, False)]
+    """The tape nodes reachable from Tensor ``root``, parents first."""
+    order, seen, stack = [], set(), [(root._node, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -139,8 +196,8 @@ def _topo_order(root):
             continue
         seen.add(id(node))
         stack.append((node, True))
-        for p in node._parents:
-            if isinstance(p, Tensor) and id(p) not in seen:
+        for p in node.parents:
+            if p is not None and id(p) not in seen:
                 stack.append((p, False))
     return order
 
@@ -183,11 +240,12 @@ def _node(out, parents, vjp):
 def add(a, b):
     da, db = _operand(a), _operand(b)
     ta, tb = isinstance(a, Tensor), isinstance(b, Tensor)
+    sa, sb = np.shape(da), np.shape(db)
 
     def vjp(g):
         return (
-            _unbroadcast(g, np.shape(da)) if ta else None,
-            _unbroadcast(g, np.shape(db)) if tb else None,
+            _unbroadcast(g, sa) if ta else None,
+            _unbroadcast(g, sb) if tb else None,
         )
 
     return _node(da + db, (a, b), vjp)
@@ -196,11 +254,12 @@ def add(a, b):
 def subtract(a, b):
     da, db = _operand(a), _operand(b)
     ta, tb = isinstance(a, Tensor), isinstance(b, Tensor)
+    sa, sb = np.shape(da), np.shape(db)
 
     def vjp(g):
         return (
-            _unbroadcast(g, np.shape(da)) if ta else None,
-            _unbroadcast(-g, np.shape(db)) if tb else None,
+            _unbroadcast(g, sa) if ta else None,
+            _unbroadcast(-g, sb) if tb else None,
         )
 
     return _node(da - db, (a, b), vjp)
@@ -209,11 +268,14 @@ def subtract(a, b):
 def multiply(a, b):
     da, db = _operand(a), _operand(b)
     ta, tb = isinstance(a, Tensor), isinstance(b, Tensor)
+    sa, sb = np.shape(da), np.shape(db)
+    # each operand is read only by the other one's gradient
+    ka, kb = (da if tb else None), (db if ta else None)
 
     def vjp(g):
         return (
-            _unbroadcast(g * db, np.shape(da)) if ta else None,
-            _unbroadcast(g * da, np.shape(db)) if tb else None,
+            _unbroadcast(g * kb, sa) if ta else None,
+            _unbroadcast(g * ka, sb) if tb else None,
         )
 
     return _node(da * db, (a, b), vjp)
@@ -222,11 +284,13 @@ def multiply(a, b):
 def divide(a, b):
     da, db = _operand(a), _operand(b)
     ta, tb = isinstance(a, Tensor), isinstance(b, Tensor)
+    sa, sb = np.shape(da), np.shape(db)
+    ka = da if tb else None  # read by b's gradient only
 
     def vjp(g):
         return (
-            _unbroadcast(g / db, np.shape(da)) if ta else None,
-            _unbroadcast(-g * da / (db * db), np.shape(db)) if tb else None,
+            _unbroadcast(g / db, sa) if ta else None,
+            _unbroadcast(-g * ka / (db * db), sb) if tb else None,
         )
 
     return _node(da / db, (a, b), vjp)
@@ -243,11 +307,13 @@ def matmul(a, b):
     if da.ndim < 2 or db.ndim < 2:
         raise ValueError("matmul needs operands of at least 2 dims")
     ta, tb = isinstance(a, Tensor), isinstance(b, Tensor)
+    sa, sb = da.shape, db.shape
+    ka, kb = (da if tb else None), (db if ta else None)
 
     def vjp(g):
         return (
-            _unbroadcast(g @ np.swapaxes(db, -1, -2), da.shape) if ta else None,
-            _unbroadcast(np.swapaxes(da, -1, -2) @ g, db.shape) if tb else None,
+            _unbroadcast(g @ np.swapaxes(kb, -1, -2), sa) if ta else None,
+            _unbroadcast(np.swapaxes(ka, -1, -2) @ g, sb) if tb else None,
         )
 
     return _node(da @ db, (a, b), vjp)
@@ -255,12 +321,13 @@ def matmul(a, b):
 
 def sum(a, axis=None, keepdims=False):
     da = value(a)
+    shape = da.shape
 
     def vjp(g):
         if axis is None:
-            return (np.broadcast_to(g, da.shape).copy(),)
+            return (np.broadcast_to(g, shape).copy(),)
         gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, da.shape).copy(),)
+        return (np.broadcast_to(gg, shape).copy(),)
 
     return _node(da.sum(axis=axis, keepdims=keepdims), (a,), vjp)
 
@@ -312,15 +379,16 @@ def transpose(a, axes=None):
 
 def reshape(a, shape):
     da = value(a)
-    return _node(da.reshape(shape), (a,), lambda g: (g.reshape(da.shape),))
+    back = da.shape
+    return _node(da.reshape(shape), (a,), lambda g: (g.reshape(back),))
 
 
 def concatenate(parts, axis=0):
     datas = [value(p) for p in parts]
+    sizes = [d.shape[axis] for d in datas]
 
     def vjp(g):
-        splits = np.cumsum([d.shape[axis] for d in datas])[:-1]
-        return tuple(np.split(g, splits, axis=axis))
+        return tuple(np.split(g, np.cumsum(sizes)[:-1], axis=axis))
 
     return _node(np.concatenate(datas, axis=axis), tuple(parts), vjp)
 
@@ -328,11 +396,12 @@ def concatenate(parts, axis=0):
 def take(a, idx):
     """Indexing/gather; gradient scatter-adds into the source."""
     da = value(a)
+    shape, dtype = da.shape, da.dtype
 
     def vjp(g):
         if isinstance(idx, np.ndarray) and idx.ndim == 1 and idx.dtype.kind in "iu":
-            return (_segment_sum(len(da), idx % len(da), g),)
-        z = np.zeros_like(da)
+            return (_segment_sum(shape[0], idx % shape[0], g),)
+        z = np.zeros(shape, dtype)
         if isinstance(idx, (slice, int, np.integer)):
             z[idx] = g  # every element is selected at most once
         else:

@@ -81,6 +81,19 @@ class PatternSet:
             yield RelationPattern(int(mask), self.rows[span], self.cols[span], vals[span])
 
 
+def _unique_inverse(keys):
+    """``np.unique(keys, return_inverse=True)`` for keys that arrive as
+    ascending runs, one per relation: a stable sort merges the runs instead
+    of a full sort, and each run of equal keys is one entry."""
+    by_key = np.argsort(keys, kind="stable")
+    ordered = keys[by_key]
+    starts = np.ones(len(keys), dtype=bool)
+    starts[1:] = ordered[1:] != ordered[:-1]
+    inv = np.empty(len(keys), dtype=np.intp)
+    inv[by_key] = np.cumsum(starts) - 1
+    return ordered[starts], inv
+
+
 def generate_patterns(g: HetGraph) -> PatternSet:
     """Sparse pattern extraction; weight averaging stays differentiable."""
     n = g.n_nodes
@@ -93,7 +106,7 @@ def generate_patterns(g: HetGraph) -> PatternSet:
     all_keys = np.concatenate(keys)
     all_vals = ad.concatenate(vals, axis=0)
 
-    uniq, inv = np.unique(all_keys, return_inverse=True)
+    uniq, inv = _unique_inverse(all_keys)
     key_masks = np.zeros(len(uniq), dtype=np.uint8)
     np.bitwise_or.at(key_masks, inv, np.concatenate(bits))
     counts = np.bincount(inv, minlength=len(uniq))

@@ -156,8 +156,9 @@ def backward(scene, params: ModelParams, cfg: TrainConfig):
     pattern weights and everything downstream.
     """
     tparams, tensors = params.to_tensors()
-    out = run_pipeline(scene, tparams, cfg)
-    l1, lcl, total = _losses(out, scene, cfg)
+    # no name holds the pipeline's output, so each interior value is freed
+    # once no VJP reads it
+    l1, lcl, total = _losses(run_pipeline(scene, tparams, cfg), scene, cfg)
     total.backward()
     grads = {}
     for name, t in tensors.items():

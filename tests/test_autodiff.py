@@ -6,6 +6,9 @@ to state. Subgradient conventions at kinks (abs/clip) are pinned
 exactly: the tape must return 0 there.
 """
 
+import itertools
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -550,8 +553,60 @@ class TestTapeMechanics:
         # Tensor: a Python scalar or a plain array
         x = Tensor(X23.copy())
         for out in (x + 1.0, 1.0 - x, x * 0.5, U23 * x, x / 3.0, 2.0 / x, x @ U23.T, U23.T @ x):
-            grads = out._vjp(np.ones_like(out.data))
-            assert [g is None for g in grads] == [p is not x for p in out._parents]
+            node = out._node
+            grads = node.vjp(np.ones_like(out.data))
+            assert [g is None for g in grads] == [p is not x._node for p in node.parents]
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+    def test_third_contribution_leaves_shared_arrays_alone(self, order):
+        # a takes three contributions, one of them the array add hands to
+        # both a and b: the walk adds the third in place into the sum it
+        # allocated for the second, never into the shared array, and a
+        # second walk never adds into the gradient the first one left
+        a, b = Tensor(X23.copy()), Tensor(U23.copy())
+
+        def step():
+            terms = [ad.sum((a + b) * U23), ad.sum(a * X23), ad.sum(a * 2.0)]
+            i, j, k = order
+            (terms[i] + terms[j] + terms[k]).backward()
+
+        step()
+        np.testing.assert_array_equal(b.grad, U23)
+        np.testing.assert_allclose(a.grad, U23 + X23 + 2.0, rtol=1e-15)
+        first_a, first_b = a.grad, b.grad
+        step()
+        np.testing.assert_array_equal(first_b, U23)
+        np.testing.assert_allclose(first_a, U23 + X23 + 2.0, rtol=1e-15)
+        np.testing.assert_allclose(a.grad, 2.0 * (U23 + X23 + 2.0), rtol=1e-15)
+
+    def test_tape_frees_values_no_vjp_reads(self):
+        # add, subtract and sum save no operand, and multiply and divide
+        # save none of a Tensor times or over a plain one, so each value
+        # of the chain is freed once the forward code drops it
+        x = Tensor(X23.copy())
+        h = x * 1.0
+        k = h - 3.0
+        l = k + 1.0
+        m = l * 2.0
+        q = m / 4.0
+        freed = [weakref.ref(v.data) for v in (h, k, l, m, q)]
+        y = ad.sum(q)
+        del h, k, l, m, q
+        assert [r() for r in freed] == [None] * 5
+        y.backward()
+        np.testing.assert_array_equal(x.grad, np.full_like(X23, 0.5))
+
+    def test_tape_keeps_operands_of_a_tensor_product(self):
+        # each operand of x * w is read by the other one's gradient
+        a, b = Tensor(X23.copy()), Tensor(U23.copy())
+        x, w = a + 1.0, b + 0.0
+        kept = [weakref.ref(x.data), weakref.ref(w.data)]
+        y = ad.sum(x * w)
+        del x, w
+        assert all(r() is not None for r in kept)
+        y.backward()
+        np.testing.assert_array_equal(a.grad, U23 + 0.0)
+        np.testing.assert_array_equal(b.grad, X23 + 1.0)
 
     def test_plain_passthrough(self):
         # every op on plain arrays returns a plain array, untaped, holding

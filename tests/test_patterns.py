@@ -22,6 +22,7 @@ from graphpan.patterns import (
     MAX_PATTERNS,
     PatternSet,
     RelationPattern,
+    _unique_inverse,
     generate_patterns,
     mask_label,
     subset_of_mask,
@@ -230,6 +231,24 @@ class TestOrdering:
             rng.shuffle(t)
         g2 = make_graph(3, shuffled)
         assert patterns_allclose(generate_patterns(g1), generate_patterns(g2))
+
+
+class TestUniqueInverse:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("runs_sorted", [True, False])
+    def test_matches_np_unique(self, seed, runs_sorted):
+        # three runs of keys that repeat within and across runs, each run
+        # ascending or shuffled: the merge gives np.unique's table
+        rng = np.random.default_rng(seed)
+        runs = [rng.integers(0, 40, size=rng.integers(0, 30)) for _ in range(3)]
+        if runs_sorted:
+            runs = [np.sort(r) for r in runs]
+        keys = np.concatenate(runs).astype(np.int64)
+        uniq, inv = _unique_inverse(keys)
+        want_uniq, want_inv = np.unique(keys, return_inverse=True)
+        np.testing.assert_array_equal(uniq, want_uniq)
+        np.testing.assert_array_equal(inv, want_inv)
+        assert inv.dtype == want_inv.dtype
 
 
 class TestDifferentiability:

@@ -26,8 +26,9 @@ the scaled branches, i.e. their weighted sum; at initialisation q = 0 and
 the weights are exactly 1/2, the plain mean.  The dense (n, d) global
 branch is formed once, after this scaling, for the fusion and the heads.
 
-The bands are embedded from one BANDS-channel patch grid of the upsampled
-multispectral image, cut on the pan grid's windows.  A per-band linear head
+The pan patches and the bands (one BANDS-channel patch grid of the
+upsampled multispectral image, cut on the pan grid's windows) are embedded
+as one (1 + BANDS, N, d) stack whose reshape is U.  A per-band linear head
 maps each patch's (pan node, band node) feature pair to a pixel block;
 blocks are overlap-averaged and added to the upsampled multispectral input,
 so training starts from the plain bicubic baseline.  All bands go through
@@ -58,8 +59,7 @@ class ModelParams:
     Field order fixes the order of :meth:`named_arrays` and of the random
     draws in :meth:`init`."""
 
-    w_pan: object
-    w_band: object
+    w_embed: object
     alpha: object
     beta: object
     w_local: object
@@ -312,8 +312,8 @@ def run_pipeline(
     lrms_up = upsample_bicubic(scene.lrms, scene.scale)
     pan_grid = extract_patches(scene.pan, cfg.patch, cfg.stride)
     ms_grid = extract_patches(lrms_up, cfg.patch, cfg.stride)
-    xp, ys = embed_patches(pan_grid, ms_grid, params.w_pan, params.w_band)
-    g = build_graph(xp, ys, cfg.k, structure=structure)
+    feats = embed_patches(pan_grid, ms_grid, params.w_embed)
+    g = build_graph(feats, cfg.k, structure=structure)
     ps = generate_patterns(g)
 
     h_local = h_global = None

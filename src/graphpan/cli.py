@@ -78,14 +78,18 @@ def _add_config_flags(p: argparse.ArgumentParser):
 
 
 def merge_config(args) -> TrainConfig:
-    updates = {}
+    given = []  # (key, raw value, the file or flag it came from)
     if getattr(args, "config", None):
-        for key, raw in parse_config_file(args.config).items():
-            updates[key] = TrainConfig.coerce(key, raw)
+        given += [(key, raw, args.config) for key, raw in parse_config_file(args.config).items()]
     for name in TrainConfig.field_names():
-        raw = getattr(args, name, None)
+        given.append((name, getattr(args, name, None), "--" + name.replace("_", "-")))
+    updates = {}
+    for key, raw, source in given:
         if raw is not None:
-            updates[name] = TrainConfig.coerce(name, raw)
+            try:
+                updates[key] = TrainConfig.coerce(key, raw)
+            except ValueError as e:
+                raise CliError(f"{source}: {e}") from None
     return TrainConfig().replace(**updates).validate()
 
 
@@ -342,7 +346,10 @@ def bench_scaling(sizes=BENCH_SIZES, d=32, seed=0):
 
 
 def cmd_bench(args) -> int:
-    sizes = tuple(int(s) for s in args.sizes.split(","))
+    try:
+        sizes = tuple(int(s) for s in args.sizes.split(","))
+    except ValueError:
+        raise CliError(f"--sizes must be comma-separated integers, got {args.sizes}") from None
     if min(sizes) < 2:
         raise CliError(f"--sizes must each be at least 2, got {args.sizes}")
     if len(set(sizes)) < 2:

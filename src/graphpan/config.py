@@ -20,10 +20,10 @@ _INIT_PATTERNS = 3  # disjoint relation supports give three singleton patterns
 def param_layout(cfg: TrainConfig) -> dict:
     """The learned arrays, written once: for each
     :class:`aggregation.ModelParams` field, in field order, a (shape, init)
-    pair; one matrix per band or per layer is one stacked array.  ``init``
-    is "glorot" (bound from the last two dims, so a stack draws as its
-    matrices in turn), "recon" (uniform in [-0.02, 0.02), or zeros for a
-    zero head) or a constant fill value.
+    pair; one matrix per node kind, layer or band is one stacked array.
+    ``init`` is "glorot" (bound from the last two dims, so a stack draws as
+    its matrices in turn), "recon" (uniform in [-0.02, 0.02), or zeros for
+    a zero head) or a constant fill value.
 
     importance_w, _b and _q are the W, b and q of
     :func:`aggregation.weigh_branches`; the scorer's hidden width 2d is, at
@@ -32,8 +32,7 @@ def param_layout(cfg: TrainConfig) -> dict:
     """
     d, p2 = cfg.d, cfg.patch * cfg.patch
     return {
-        "w_pan": ((d, p2), "glorot"),
-        "w_band": ((BANDS, d, p2), "glorot"),
+        "w_embed": ((1 + BANDS, d, p2), "glorot"),
         "alpha": ((MAX_PATTERNS,), 1.0 / _INIT_PATTERNS),
         "beta": ((MAX_PATTERNS,), 1.0),
         "w_local": ((cfg.layers, d, d), "glorot"),
@@ -123,8 +122,8 @@ class TrainConfig:
         if name not in types:
             raise ValueError(f"unknown config key {name!r}")
         t = types[name]
-        if t == "int":
-            return int(raw)
-        if t == "float":
-            return float(raw)
-        return raw
+        try:
+            return {"int": int, "float": float}.get(t, str)(raw)
+        except ValueError:
+            kind = "an integer" if t == "int" else "a number"
+            raise ValueError(f"{name} must be {kind}, got {raw!r}") from None

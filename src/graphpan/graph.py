@@ -26,7 +26,7 @@ from . import autodiff as ad
 from .imaging import BANDS, PatchGrid
 
 N_RELATIONS = 3
-_KNN_CHUNKS = 64  # disjoint strided column sets whose maxima bound knn_select's threshold
+_KNN_CHUNKS = 64  # fewest strided column sets whose maxima bound knn_select's threshold
 
 
 def band_node(i, b, n_patches):
@@ -74,22 +74,19 @@ class HetGraph:
         return src, dst, self.weights[r - 1]
 
 
-def embed_patches(pan_grid: PatchGrid, ms_grid: PatchGrid, w_pan, w_band):
-    """Linear patch embeddings: feature_i = W @ flattened_patch_i.  Band b
-    is channel b of the BANDS-channel ``ms_grid``, embedded as one
-    contiguous (N, p*p) block by w_band[b] of the (BANDS, d, p*p) stack;
-    all bands are one batched matmul.
-
-    Returns (pan_feats (N, d), band_feats (BANDS, N, d)).
-    """
+def embed_patches(pan_grid: PatchGrid, ms_grid: PatchGrid, w_embed):
+    """Linear patch embeddings: feature_i = W @ flattened_patch_i, one W per
+    node kind.  The pan patches, then channel b of the BANDS-channel
+    ``ms_grid`` as band b, form one (1 + BANDS, N, p*p) stack in the node
+    order of :func:`band_node`; slot s of the (1 + BANDS, d, p*p) ``w_embed``
+    embeds block s.  Returns the (1 + BANDS, N, d) features."""
     if ms_grid.channels != BANDS:
         raise ValueError(f"need a {BANDS}-channel multispectral grid, got {ms_grid.channels}")
-    dtype = ad.value(w_pan).dtype
-    xp = pan_grid.patches.astype(dtype) @ ad.transpose(w_pan)
-    # channel-last (N, p*p*BANDS) rows -> (BANDS, N, p*p)
-    bands = np.moveaxis(ms_grid.patches.reshape(ms_grid.n_patches, -1, BANDS), -1, 0)
-    ys = np.ascontiguousarray(bands, dtype) @ ad.transpose(w_band, (0, 2, 1))
-    return xp, ys
+    # one C-ordered copy; channel-last (N, p*p*BANDS) rows -> (BANDS, N, p*p)
+    patches = np.empty((1 + BANDS, *pan_grid.patches.shape), ad.value(w_embed).dtype)
+    patches[0] = pan_grid.patches
+    patches[1:] = np.moveaxis(ms_grid.patches.reshape(ms_grid.n_patches, -1, BANDS), -1, 0)
+    return patches @ ad.transpose(w_embed, (0, 2, 1))
 
 
 def unit_rows(x, right=None):
@@ -138,19 +135,14 @@ def knn_select(feats: np.ndarray, k: int):
         return np.empty(0, np.int64), np.empty(0, np.int64)
     sims = self_similarities(feats)
     kk = min(k, m - 1)
-    # the kk largest maxima of _KNN_CHUNKS disjoint column sets (column j in
-    # set j mod _KNN_CHUNKS) are kk distinct entries of the row, so the
-    # smallest of them, lo, is at most the row's kk-th largest entry: every
-    # entry the rule can pick is at or above lo
-    if kk > _KNN_CHUNKS:
-        lo = np.full((m, 1), -np.inf)
-    else:
-        q, r = divmod(m, _KNN_CHUNKS)
-        maxima = np.full((m, _KNN_CHUNKS), -np.inf)
-        if q:
-            sims[:, :q * _KNN_CHUNKS].reshape(m, q, _KNN_CHUNKS).max(axis=1, out=maxima)
-        np.maximum(maxima[:, :r], sims[:, q * _KNN_CHUNKS:], out=maxima[:, :r])
-        lo = np.partition(maxima, _KNN_CHUNKS - kk, axis=1)[:, _KNN_CHUNKS - kk, None]
+    # the kk largest maxima of c >= kk disjoint column sets (column j in set
+    # j mod c) are kk distinct entries of the row, so their smallest, lo, is
+    # at most the row's kk-th largest entry, and so at most every pick
+    c = max(_KNN_CHUNKS, kk)
+    q, r = divmod(m, c)
+    maxima = sims[:, :q * c].reshape(m, q, c).max(axis=1, initial=-np.inf)
+    np.maximum(maxima[:, :r], sims[:, q * c:], out=maxima[:, :r])
+    lo = np.partition(maxima, c - kk, axis=1)[:, c - kk, None]
     # the candidates, in row-major order and so sorted by (dst, src)
     flat = np.flatnonzero(sims >= lo)
     dst = flat // m
@@ -173,14 +165,13 @@ def edge_weights(unit, src, dst):
     return ad.clip(ad.edge_dots(unit, src, dst), 0.0, 1.0)
 
 
-def build_structure(pan_feats, band_feats, k: int) -> GraphStructure:
-    """Select graph topology from detached feature values; band_feats is
-    the (BANDS, N, d) stack of :func:`embed_patches`."""
-    xp = ad.value(pan_feats)
-    n = xp.shape[0]
-    s1, d1 = knn_select(xp, k)
-
-    knn = [knn_select(yb, k) for yb in ad.value(band_feats)]
+def build_structure(feats, k: int) -> GraphStructure:
+    """Select graph topology from detached feature values; feats is the
+    (1 + BANDS, N, d) stack of :func:`embed_patches`, whose block 0 gives
+    relation 1 and blocks 1..BANDS relation 2."""
+    blocks = ad.value(feats)
+    n = blocks.shape[1]
+    (s1, d1), *knn = [knn_select(x, k) for x in blocks]
     s2 = np.concatenate([band_node(sb, b, n) for b, (sb, _) in enumerate(knn)])
     d2 = np.concatenate([band_node(db, b, n) for b, (_, db) in enumerate(knn)])
 
@@ -196,16 +187,17 @@ def build_structure(pan_feats, band_feats, k: int) -> GraphStructure:
     )
 
 
-def build_graph(pan_feats, band_feats, k: int, structure: GraphStructure | None = None) -> HetGraph:
-    """Assemble the multiplex graph from patch embeddings.
+def build_graph(feats, k: int, structure: GraphStructure | None = None) -> HetGraph:
+    """Assemble the multiplex graph from the (1 + BANDS, N, d) patch
+    embeddings; U is their (node, d) reshape, in node-id order.
 
     When ``structure`` is given, neighbour selection is skipped and only the
     edge weights are recomputed (used to freeze topology for finite
     differences).
     """
     if structure is None:
-        structure = build_structure(pan_feats, band_feats, k)
-    U = ad.concatenate([pan_feats, ad.reshape(band_feats, (-1, ad.value(pan_feats).shape[1]))])
+        structure = build_structure(feats, k)
+    U = ad.reshape(feats, (-1, ad.value(feats).shape[-1]))
     unit = unit_rows(U)
     weights = [edge_weights(unit, src, dst) for src, dst in structure.edges]
     return HetGraph(structure=structure, weights=weights, U=U)

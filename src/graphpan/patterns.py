@@ -84,14 +84,15 @@ class PatternSet:
 def _unique_inverse(keys):
     """``np.unique(keys, return_inverse=True)`` for keys that arrive as
     ascending runs, one per relation: a stable sort merges the runs instead
-    of a full sort, and each run of equal keys is one entry."""
+    of a full sort, and each run of equal keys is one entry.  Also returns
+    the sorting permutation and each run's start in the sorted order."""
     by_key = np.argsort(keys, kind="stable")
     ordered = keys[by_key]
     starts = np.ones(len(keys), dtype=bool)
     starts[1:] = ordered[1:] != ordered[:-1]
     inv = np.empty(len(keys), dtype=np.intp)
     inv[by_key] = np.cumsum(starts) - 1
-    return ordered[starts], inv
+    return ordered[starts], inv, by_key, np.flatnonzero(starts)
 
 
 def generate_patterns(g: HetGraph) -> PatternSet:
@@ -106,10 +107,9 @@ def generate_patterns(g: HetGraph) -> PatternSet:
     all_keys = np.concatenate(keys)
     all_vals = ad.concatenate(vals, axis=0)
 
-    uniq, inv = _unique_inverse(all_keys)
-    key_masks = np.zeros(len(uniq), dtype=np.uint8)
-    np.bitwise_or.at(key_masks, inv, np.concatenate(bits))
-    counts = np.bincount(inv, minlength=len(uniq))
+    uniq, inv, by_key, starts = _unique_inverse(all_keys)
+    key_masks = np.bitwise_or.reduceat(np.concatenate(bits)[by_key], starts)
+    counts = np.diff(starts, append=len(all_keys))
     sums = ad.index_add(len(uniq), inv, all_vals)
     means = sums / counts.astype(ad.value(all_vals).dtype)
 

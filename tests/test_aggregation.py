@@ -493,8 +493,7 @@ class TestModelParams:
     def test_init_shapes(self):
         cfg = TrainConfig(d=16, patch=4, layers=3)
         p = ModelParams.init(cfg, seed=0)
-        assert p.w_pan.shape == (16, 16)
-        assert p.w_band.shape == (BANDS, 16, 16)
+        assert p.w_embed.shape == (1 + BANDS, 16, 16)
         assert p.alpha.shape == (7,) and p.beta.shape == (7,)
         np.testing.assert_allclose(p.alpha, 1.0 / 3.0)
         np.testing.assert_allclose(p.beta, 1.0)
@@ -530,7 +529,7 @@ class TestModelParams:
                 bound = np.sqrt(6.0 / sum(a.shape))
                 return rng.uniform(-bound, bound, size=a.shape).astype(np.float32)
 
-            for a in [p.w_pan, *p.w_band, *p.w_local, *p.w_global]:
+            for a in [*p.w_embed, *p.w_local, *p.w_global]:
                 np.testing.assert_array_equal(a, glorot(a))
             if not zero_recon:
                 for r in p.recon:
@@ -557,8 +556,7 @@ class TestModelParams:
             return rng.uniform(-0.02, 0.02, size=(16, 16)).astype(dt)
 
         want = {  # drawn in field order
-            "w_pan": glorot(8, 16),
-            "w_band": np.stack([glorot(8, 16) for _ in range(BANDS)]),
+            "w_embed": np.stack([glorot(8, 16) for _ in range(1 + BANDS)]),  # pan, then each band
             "alpha": np.full(7, 1.0 / 3.0, dtype=dt),
             "beta": np.ones(7, dtype=dt),
             "w_local": np.stack([glorot(8, 8) for _ in range(3)]),
@@ -578,33 +576,33 @@ class TestModelParams:
         p = ModelParams.init(cfg, seed=0)
         names = [n for n, _ in p.named_arrays()]
         assert names == [
-            "w_pan", "w_band", "alpha", "beta", "w_local", "w_global", "recon",
+            "w_embed", "alpha", "beta", "w_local", "w_global", "recon",
             "importance_w", "importance_b", "importance_q",
         ]
 
     def test_copy_is_deep(self):
         p = ModelParams.init(TrainConfig(d=8, patch=4), seed=0)
         q = p.copy()
-        q.w_pan[0, 0] += 1.0
-        assert p.w_pan[0, 0] != q.w_pan[0, 0]
+        q.w_embed[0, 0, 0] += 1.0
+        assert p.w_embed[0, 0, 0] != q.w_embed[0, 0, 0]
 
     def test_to_tensors_shares_values(self):
         p = ModelParams.init(TrainConfig(d=8, patch=4), seed=0, zero_recon=False)
         tp, tensors = p.to_tensors()
-        assert isinstance(tp.w_pan, ad.Tensor)
-        np.testing.assert_array_equal(tensors["w_pan"].data, p.w_pan)
+        assert isinstance(tp.w_embed, ad.Tensor)
+        np.testing.assert_array_equal(tensors["w_embed"].data, p.w_embed)
         assert set(tensors) == {n for n, _ in p.named_arrays()}
 
     def test_astype(self):
         p = ModelParams.init(TrainConfig(d=8, patch=4), seed=0)
         q = p.astype(np.float64)
-        assert q.w_pan.dtype == np.float64
+        assert q.w_embed.dtype == np.float64
         assert q.recon.dtype == np.float64
 
     def test_init_deterministic_from_seed(self):
         cfg = TrainConfig(d=8, patch=4)
         a = ModelParams.init(cfg, seed=5)
         b = ModelParams.init(cfg, seed=5)
-        np.testing.assert_array_equal(a.w_pan, b.w_pan)
+        np.testing.assert_array_equal(a.w_embed, b.w_embed)
         c = ModelParams.init(cfg, seed=6)
-        assert not np.array_equal(a.w_pan, c.w_pan)
+        assert not np.array_equal(a.w_embed, c.w_embed)

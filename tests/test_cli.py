@@ -186,6 +186,16 @@ class TestConfigMerging:
         assert main(argv + ["--gamma", value]) == 1
         assert capsys.readouterr().err == "error: gamma must be finite\n"
 
+    def test_bad_number_flag_names_the_flag(self, tmp_path):
+        done = run_cli("train", "--data", tmp_path, "--out", tmp_path / "r", "--iters", "abc")
+        assert_cli_error(done, "--iters: iters must be an integer, got 'abc'")
+
+    def test_bad_number_in_config_names_file_and_key(self, tmp_path):
+        p = tmp_path / "c.cfg"
+        p.write_text("patch = abc\n")
+        done = run_cli("train", "--data", tmp_path, "--out", tmp_path / "r", "--config", p)
+        assert_cli_error(done, f"{p}: patch must be an integer, got 'abc'")
+
     def test_invalid_value_exit_1(self, tmp_path, capsys):
         data = tmp_path / "d"
         main(["synth", "--out", str(data), "--size", "16"])
@@ -469,6 +479,7 @@ class TestBench:
             (["--sizes", "40"], "--sizes needs two distinct sizes to fit an exponent, got 40"),
             (["--sizes", "40,40"], "--sizes needs two distinct sizes to fit an exponent, got 40,40"),
             (["--sizes", "40,80", "--d", "0"], "--d must be at least 1, got 0"),
+            (["--sizes", "abc"], "--sizes must be comma-separated integers, got abc"),
         ],
     )
     def test_bad_flags_exit_1(self, argv, message):

@@ -68,17 +68,16 @@ class TestNodeLayout:
         img_p = Image.from_array(rng.random((8, 8, 1)))
         img_b = Image.from_array(rng.random((8, 8, BANDS)))
         pan_grid = extract_patches(img_p, 4, 4)
-        w_pan = rng.normal(size=(6, 16))
-        w_band = [rng.normal(size=(6, 16)) for _ in range(BANDS)]
-        xp, ys = embed_patches(pan_grid, extract_patches(img_b, 4, 4), w_pan, w_band)
-        g = build_graph(xp, ys, k=1)
+        w_embed = rng.normal(size=(1 + BANDS, 6, 16))
+        feats = embed_patches(pan_grid, extract_patches(img_b, 4, 4), w_embed)
+        g = build_graph(feats, k=1)
         n = pan_grid.n_patches
         U = ad.value(g.U)
-        np.testing.assert_allclose(U[1], ad.value(xp)[1], atol=1e-6)
+        np.testing.assert_allclose(U[1], ad.value(feats)[0, 1], atol=1e-6)
         for i in range(n):
             for b in range(BANDS):
                 np.testing.assert_allclose(
-                    U[band_node(i, b, n)], ad.value(ys[b])[i], atol=1e-6
+                    U[band_node(i, b, n)], ad.value(feats)[1 + b, i], atol=1e-6
                 )
 
 
@@ -90,20 +89,19 @@ class TestEmbedPatches:
         scene = synth_scene(seed=0, size=64)
         up = upsample_bicubic(scene.lrms, scene.scale)
         rng = np.random.default_rng(0)
-        w_pan = rng.normal(size=(16, 64)).astype(dtype)
-        w_band = [rng.normal(size=(16, 64)).astype(dtype) for _ in range(BANDS)]
-        _, ys = embed_patches(extract_patches(scene.pan, 8, 4), extract_patches(up, 8, 4),
-                              w_pan, w_band)
+        w_embed = rng.normal(size=(1 + BANDS, 16, 64)).astype(dtype)
+        pan_grid = extract_patches(scene.pan, 8, 4)
+        feats = embed_patches(pan_grid, extract_patches(up, 8, 4), w_embed)
+        assert feats.dtype == dtype
+        assert np.array_equal(feats[0], pan_grid.patches.astype(dtype) @ w_embed[0].T)
         for b in range(BANDS):
             patches = extract_patches(up.band(b), 8, 4).patches.astype(dtype)
-            assert ys[b].dtype == dtype
-            assert np.array_equal(ys[b], patches @ w_band[b].T)
+            assert np.array_equal(feats[1 + b], patches @ w_embed[1 + b].T)
 
     def test_refuses_a_grid_of_other_width(self):
         grid = extract_patches(Image.from_array(np.zeros((8, 8, 1))), 4, 4)
-        w = np.zeros((2, 16))
         with pytest.raises(ValueError, match="4-channel"):
-            embed_patches(grid, grid, w, [w] * BANDS)
+            embed_patches(grid, grid, np.zeros((1 + BANDS, 2, 16)))
 
 
 class TestKnnSelect:
@@ -233,7 +231,8 @@ class TestKnnSelect:
     @pytest.mark.parametrize("k", [_KNN_CHUNKS, _KNN_CHUNKS + 1, 150])
     def test_k_at_or_above_chunk_count(self, k):
         # k = chunk count takes the smallest set maximum as the bound; above
-        # it the bound is -inf and every entry, the diagonal too, is a candidate
+        # it there are k column sets, and the bound is again the smallest
+        # set maximum
         rng = np.random.default_rng(12)
         self._assert_matches_whole(rng.normal(size=(300, 8)), k)
         self._assert_matches_whole(np.round(rng.normal(size=(300, 3))), k)
@@ -318,12 +317,10 @@ class TestCosineRows:
 class TestBuildGraph:
     def _two_patch_graph(self):
         rng = np.random.default_rng(6)
-        xp = rng.normal(size=(2, 4))
-        ys = [rng.normal(size=(2, 4)) for _ in range(BANDS)]
-        return xp, ys, build_graph(xp, ys, k=1)
+        return build_graph(rng.normal(size=(1 + BANDS, 2, 4)), k=1)
 
     def test_edge_counts_two_patches(self):
-        _, _, g = self._two_patch_graph()
+        g = self._two_patch_graph()
         s1, d1 = g.structure.edges[0]
         s2, d2 = g.structure.edges[1]
         s3, d3 = g.structure.edges[2]
@@ -332,7 +329,7 @@ class TestBuildGraph:
         assert len(s3) == 2 * BANDS * 2  # band<->pan both directions
 
     def test_relation_type_purity(self):
-        _, _, g = self._two_patch_graph()
+        g = self._two_patch_graph()
         n = g.n_patches
         s1, d1 = g.structure.edges[0]
         assert np.all(np.concatenate([s1, d1]) < n)  # pan nodes
@@ -344,9 +341,7 @@ class TestBuildGraph:
 
     def test_band_knn_stays_within_band(self):
         rng = np.random.default_rng(7)
-        xp = rng.normal(size=(5, 4))
-        ys = [rng.normal(size=(5, 4)) for _ in range(BANDS)]
-        g = build_graph(xp, ys, k=2)
+        g = build_graph(rng.normal(size=(1 + BANDS, 5, 4)), k=2)
         n = g.n_patches
         bands = np.arange(BANDS)[:, None]
         band_of = np.full(g.n_nodes, -1)
@@ -356,7 +351,7 @@ class TestBuildGraph:
         np.testing.assert_array_equal(band_of[s2], band_of[d2])
 
     def test_same_patch_relation_pairs(self):
-        _, _, g = self._two_patch_graph()
+        g = self._two_patch_graph()
         n = g.n_patches
         s3, d3 = g.structure.edges[2]
         pairs = set(zip(s3.tolist(), d3.tolist()))
@@ -374,7 +369,7 @@ class TestBuildGraph:
             assert np.all(np.diff(key) > 0)
 
     def test_edges_sorted_by_dst_src(self):
-        _, _, g = self._two_patch_graph()
+        g = self._two_patch_graph()
         self._assert_sorted_by_dst_src(g.structure)
 
     @pytest.mark.parametrize("size", [64, 128])
@@ -384,7 +379,7 @@ class TestBuildGraph:
         self._assert_sorted_by_dst_src(out.graph.structure)
 
     def test_same_patch_weights_match_cosine(self):
-        xp, ys, g = self._two_patch_graph()
+        g = self._two_patch_graph()
         s3, d3, w3 = g.relation(3)
         U = ad.value(g.U)
         w3 = ad.value(w3)
@@ -394,28 +389,25 @@ class TestBuildGraph:
 
     def test_deterministic(self):
         rng = np.random.default_rng(8)
-        xp = rng.normal(size=(6, 5))
-        ys = [rng.normal(size=(6, 5)) for _ in range(BANDS)]
-        g1 = build_graph(xp, ys, k=3)
-        g2 = build_graph(xp, ys, k=3)
+        feats = rng.normal(size=(1 + BANDS, 6, 5))
+        g1 = build_graph(feats, k=3)
+        g2 = build_graph(feats, k=3)
         for r in range(N_RELATIONS):
             np.testing.assert_array_equal(g1.structure.edges[r][0], g2.structure.edges[r][0])
             np.testing.assert_array_equal(ad.value(g1.weights[r]), ad.value(g2.weights[r]))
 
     def test_pinned_structure_skips_selection(self):
         rng = np.random.default_rng(9)
-        xp = rng.normal(size=(4, 3))
-        ys = [rng.normal(size=(4, 3)) for _ in range(BANDS)]
-        structure = build_structure(xp, ys, k=2)
-        xp2 = xp + 10.0 * rng.normal(size=xp.shape)  # would reshuffle the kNN
-        g = build_graph(xp2, ys, k=2, structure=structure)
+        feats = rng.normal(size=(1 + BANDS, 4, 3))
+        structure = build_structure(feats, k=2)
+        moved = feats.copy()
+        moved[0] += 10.0 * rng.normal(size=(4, 3))  # would reshuffle the pan kNN
+        g = build_graph(moved, k=2, structure=structure)
         assert g.structure is structure
 
     def test_weights_within_unit_interval(self):
         rng = np.random.default_rng(10)
-        xp = rng.normal(size=(7, 4))
-        ys = [rng.normal(size=(7, 4)) for _ in range(BANDS)]
-        g = build_graph(xp, ys, k=3)
+        g = build_graph(rng.normal(size=(1 + BANDS, 7, 4)), k=3)
         for r in range(1, N_RELATIONS + 1):
             w = ad.value(g.relation(r)[2])
             assert w.min() >= 0.0 and w.max() <= 1.0

@@ -244,11 +244,15 @@ class TestUniqueInverse:
         if runs_sorted:
             runs = [np.sort(r) for r in runs]
         keys = np.concatenate(runs).astype(np.int64)
-        uniq, inv = _unique_inverse(keys)
-        want_uniq, want_inv = np.unique(keys, return_inverse=True)
+        uniq, inv, by_key, starts = _unique_inverse(keys)
+        want_uniq, want_first, want_inv = np.unique(keys, return_index=True, return_inverse=True)
         np.testing.assert_array_equal(uniq, want_uniq)
         np.testing.assert_array_equal(inv, want_inv)
         assert inv.dtype == want_inv.dtype
+        # by_key sorts the keys stably, and each run starts at its key's
+        # first occurrence
+        assert np.all(np.diff(keys[by_key]) >= 0)
+        np.testing.assert_array_equal(by_key[starts], want_first)
 
 
 class TestDifferentiability:
@@ -266,9 +270,8 @@ class TestDifferentiability:
 class TestRealGraphPatterns:
     def test_image_graph_yields_singleton_masks(self):
         rng = np.random.default_rng(7)
-        xp = rng.normal(size=(6, 5))
-        ys = [rng.normal(size=(6, 5)) for _ in range(BANDS)]
-        g = build_graph(xp, ys, k=2)
+        feats = rng.normal(size=(1 + BANDS, 6, 5))  # the same draws as pan, then each band
+        g = build_graph(feats, k=2)
         ps = generate_patterns(g)
         # relations are type-disjoint on the image graph, so only the
         # single-relation subsets can be populated

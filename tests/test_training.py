@@ -308,7 +308,7 @@ class TestFiniteDifferences:
         params = ModelParams.init(cfg, seed=1, zero_recon=False)
         worst = grad_check(scene, params, cfg, max_coords=3, seed=0)
         assert set(worst) == {
-            "w_pan", "w_band", "alpha", "beta", "w_local", "w_global", "recon",
+            "w_embed", "alpha", "beta", "w_local", "w_global", "recon",
             "importance_w", "importance_b", "importance_q",
         }
         assert max(worst.values()) <= 1e-4
@@ -344,10 +344,10 @@ class TestFiniteDifferences:
         params = ModelParams.init(cfg, seed=1, zero_recon=False).astype(np.float64)
         structure = run_pipeline(scene, params, cfg).graph.structure
         _, grads = backward(scene, params, cfg)
-        an = float(grads["w_pan"][0, 0])
+        an = float(grads["w_embed"][0, 0, 0])
         errs = {}
         for eps in (1e-3, 1e-4, 1e-7):
-            fd = finite_diff_grad(scene, params, cfg, "w_pan", (0, 0), eps, structure)
+            fd = finite_diff_grad(scene, params, cfg, "w_embed", (0, 0, 0), eps, structure)
             errs[eps] = abs(fd - an) / max(abs(fd), abs(an), 1e-6)
         assert errs[1e-3] > errs[1e-4]  # left limb: truncation
         assert errs[1e-7] > errs[1e-4]  # right limb: roundoff
@@ -358,16 +358,16 @@ class TestFiniteDifferences:
         cfg = toy_config()
         params = ModelParams.init(cfg, seed=3, zero_recon=False).astype(np.float64)
         structure = run_pipeline(scene, params, cfg).graph.structure
-        fd = finite_diff_grad(scene, params, cfg, "w_pan", (0, 0), 1e-4, structure)
+        fd = finite_diff_grad(scene, params, cfg, "w_embed", (0, 0, 0), 1e-4, structure)
         assert np.isfinite(fd)
 
     def test_params_restored_after_fd(self):
         scene = toy_scene(0)
         cfg = toy_config()
         params = ModelParams.init(cfg, seed=4, zero_recon=False).astype(np.float64)
-        before = params.w_pan.copy()
-        finite_diff_grad(scene, params, cfg, "w_pan", (1, 1), 1e-4)
-        np.testing.assert_array_equal(params.w_pan, before)
+        before = params.w_embed.copy()
+        finite_diff_grad(scene, params, cfg, "w_embed", (0, 1, 1), 1e-4)
+        np.testing.assert_array_equal(params.w_embed, before)
 
 
 def backward_root(scene, params, cfg, monkeypatch):
@@ -529,10 +529,10 @@ class TestAdam:
 
     def test_zero_gradient_no_move(self):
         cfg, params, state = self._setup()
-        before = params.w_pan.copy()
+        before = params.w_embed.copy()
         grads = {n: np.zeros_like(a) for n, a in params.named_arrays()}
         adam_step(params, grads, state, lr=1e-2)
-        np.testing.assert_array_equal(params.w_pan, before)
+        np.testing.assert_array_equal(params.w_embed, before)
         assert state.t == 1
 
     def test_first_step_closed_form(self):
@@ -631,7 +631,7 @@ class TestCheckpoints:
         assert version == 1
         assert n_blocks == len(params.named_arrays()) + 1  # + _config
         nlen = struct.unpack("<I", blob[12:16])[0]
-        assert blob[16 : 16 + nlen].decode() == "w_pan"
+        assert blob[16 : 16 + nlen].decode() == "w_embed"
 
     def test_round_trip_importance_group(self, tmp_path):
         cfg = toy_config()
@@ -663,13 +663,15 @@ class TestCheckpoints:
         assert err.value.offset == path.stat().st_size
 
     def test_per_element_layout_is_refused(self, tmp_path):
-        # a file from before each group became one array: one block per
-        # band, layer and head, and importance_0..2 for W, b and q
+        # a file from before each group became one array: w_pan, one block
+        # per band, layer and head, and importance_0..2 for W, b and q
         cfg = toy_config()
         params = ModelParams.init(cfg, seed=5, zero_recon=False)
         blocks = []
         for name, a in params.named_arrays():
-            if name in ("w_band", "w_local", "w_global", "recon"):
+            if name == "w_embed":
+                blocks += [("w_pan", a[0])] + [(f"w_band_{i}", m) for i, m in enumerate(a[1:])]
+            elif name in ("w_local", "w_global", "recon"):
                 blocks += [(f"{name}_{i}", m) for i, m in enumerate(a)]
             elif name in IMPORTANCE:
                 blocks.append((f"importance_{IMPORTANCE.index(name)}", a))
@@ -678,16 +680,35 @@ class TestCheckpoints:
         blocks.append(("_config", [4, 4, 8, 2, 1, 0.5, 0.01, 0]))
         path = tmp_path / "per_element.hssn"
         offsets = write_blocks(path, blocks)
-        with pytest.raises(CheckpointFormatError, match="unknown checkpoint block 'w_band_0'") as err:
+        with pytest.raises(CheckpointFormatError, match="unknown checkpoint block 'w_pan'") as err:
             load_checkpoint(path)
-        assert err.value.offset == offsets["w_band_0"]
+        assert err.value.offset == offsets["w_pan"]
+
+    def test_two_group_embedding_layout_is_refused(self, tmp_path):
+        # a file from before the node kinds shared one embedding stack: the
+        # pan matrix as w_pan and the band stack as w_band, never read as
+        # the slots of w_embed
+        cfg = toy_config()
+        params = ModelParams.init(cfg, seed=5, zero_recon=False)
+        blocks = []
+        for name, a in params.named_arrays():
+            if name == "w_embed":
+                blocks += [("w_pan", a[0]), ("w_band", a[1:])]
+            else:
+                blocks.append((name, a))
+        blocks.append(("_config", [4, 4, 8, 2, 1, 0.5, 0.01, 0]))
+        path = tmp_path / "two_group.hssn"
+        offsets = write_blocks(path, blocks)
+        with pytest.raises(CheckpointFormatError, match="unknown checkpoint block 'w_pan'") as err:
+            load_checkpoint(path)
+        assert err.value.offset == offsets["w_pan"]
 
     @pytest.mark.parametrize("edit,message,at", [
         # one flipped byte in a name: importance_b and _q are still there
         pytest.param("rename", "unknown checkpoint block 'importance_v'", "importance_v", id="rename"),
         pytest.param("drop", "checkpoint missing block 'importance_w'", None, id="drop"),
-        # a second w_pan used to replace the first one silently
-        pytest.param("duplicate", "duplicate checkpoint block 'w_pan'", "w_pan", id="duplicate"),
+        # a second w_embed used to replace the first one silently
+        pytest.param("duplicate", "duplicate checkpoint block 'w_embed'", "w_embed", id="duplicate"),
         pytest.param("extra", "unknown checkpoint block 'bias'", "bias", id="extra"),
     ])
     def test_each_block_used_exactly_once(self, tmp_path, edit, message, at):
@@ -700,7 +721,7 @@ class TestCheckpoints:
         elif edit == "drop":
             blocks = [(n, a) for n, a in blocks if n != "importance_w"]
         elif edit == "duplicate":
-            blocks.append(("w_pan", np.zeros_like(params.w_pan)))
+            blocks.append(("w_embed", np.zeros_like(params.w_embed)))
         else:
             blocks.append(("bias", np.ones(3)))
         blocks.append(("_config", [4, 4, 8, 2, 1, 0.5, 0.01, 0]))
@@ -759,7 +780,7 @@ class TestCheckpoints:
             load_checkpoint(path)
         assert err.value.offset == offsets["_config"]
 
-    @pytest.mark.parametrize("name,shape", [("w_pan", (8, 17)), ("alpha", (8,)), ("w_local", (2, 8, 4))])
+    @pytest.mark.parametrize("name,shape", [("w_embed", (5, 8, 17)), ("alpha", (8,)), ("w_local", (2, 8, 4))])
     def test_block_dims_must_match_exactly(self, tmp_path, name, shape):
         # a larger block used to be cut silently; any mismatch now raises
         cfg = toy_config()
@@ -774,7 +795,7 @@ class TestCheckpoints:
         assert err.value.offset == offsets[name]
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("name", ["w_pan", "recon", "importance_q"])
+    @pytest.mark.parametrize("name", ["w_embed", "recon", "importance_q"])
     def test_non_finite_weight_rejected_with_offset(self, tmp_path, name, value):
         cfg = toy_config()
         params = ModelParams.init(cfg, seed=0, zero_recon=False)
@@ -796,7 +817,7 @@ class TestCheckpoints:
 
     def test_missing_config_rejected(self, tmp_path):
         p = tmp_path / "m.hssn"
-        name = b"w_pan"
+        name = b"w_embed"
         block = struct.pack("<I", len(name)) + name + struct.pack("<III", 1, 1, 1) + b"\x00" * 4
         p.write_bytes(CHECKPOINT_MAGIC + struct.pack("<II", 1, 1) + block)
         with pytest.raises(ValueError):
@@ -844,7 +865,7 @@ class TestCheckpoints:
         blob += struct.pack("<I", len(name)) + name + struct.pack("<III", 8, 1, 1) + meta.tobytes()
         path = tmp_path / "m.hssn"
         path.write_bytes(blob)
-        with pytest.raises(CheckpointFormatError, match="missing block 'w_pan'") as err:
+        with pytest.raises(CheckpointFormatError, match="missing block 'w_embed'") as err:
             load_checkpoint(path)
         assert err.value.offset == len(blob)
 

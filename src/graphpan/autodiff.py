@@ -28,9 +28,10 @@ What each VJP saves:
     :func:`tanh` their output;
   * :func:`spmm` its entry indices, its sparse matrix and V, and
     :func:`edge_dots` its indices and operand;
-  * :func:`info_nce` its operands, x = a right^T and the sums P b and
-    P^T x of its forward, and :func:`tanh_score` its operands, from which
-    it recomputes its hidden layer in the backward instead of taping it.
+  * :func:`info_nce` its operands, x' = a right^T / tau and the sums P b
+    and P^T x' of its forward, and :func:`tanh_score` its operands, from
+    which it recomputes its hidden layer a block at a time in the backward
+    (each block then overwritten in place by its G_z) instead of taping it.
 
 :meth:`Tensor.backward` consumes the tape as it walks it: an interior node
 drops its gradient and its VJP once it has passed them on, so gradients are
@@ -502,43 +503,51 @@ def info_nce(a, b, tau, right=None):
     itself: anchor i of a block takes its negatives from that block only,
     and the value is the mean over all k n anchors.  With ``right`` the
     logits a c^T = (a right^T) b^T are taken at b's width m, and a enters
-    only through x = a right^T; without it, x = a.  The (n, n) logits are
-    never held: each block's rows are processed ``_NCE_BLOCK`` at a time
-    with a per-row max.  Each row block holds whole rows of
-    P = softmax(x b^T / tau), so on the tape the same pass accumulates P b
-    and P^T x, two arrays shaped like x and b; the backward forms the
-    gradients G_x = (P b - b) / (k n tau) for x and (P^T x - x) / (k n tau)
-    for b, and from G_x those for a (G_x right) and right (G_x^T a).
+    only through x = a right^T; without it, x = a.  1/tau is folded into x
+    once, as x' = x / tau.  The (n, n) logits are never held: each block's
+    rows go ``_NCE_BLOCK`` at a time through one reused buffer, which takes
+    x' b^T, subtracts its per-row max and is exponentiated in place to
+    e = exp(x' b^T - max).  One product e [b | 1], b with a column of ones,
+    gives e b and the row sums z; P = e / z is never formed.  The plain pass
+    runs the same arithmetic, so its value has the taped value's bits.  On
+    the tape the row blocks also accumulate P b = (e b) / z and
+    P^T x' = e^T (x' / z), two arrays shaped like x and b; the backward
+    forms the gradients G_x = (P b - b) / (k n tau) for x and
+    (P^T x' - x') / (k n) for b, and from G_x those for a (G_x right) and
+    right (G_x^T a).
     """
     da, db = value(a), value(b)
     dr = None if right is None else value(right)
-    dx = da if dr is None else da @ dr.T
-    n = db.shape[-2]
+    xs = (da if dr is None else da @ dr.T) / tau
+    n, w = db.shape[-2:]
     taped = any(isinstance(t, Tensor) for t in (a, b, right))
-    lse = np.empty(dx.shape[:-1], dtype=np.result_type(dx, db))
+    dtype = np.result_type(xs, db)
+    lse = np.empty(xs.shape[:-1], dtype)
+    b1 = np.empty(db.shape[:-1] + (w + 1,), dtype)  # [b | 1]
+    b1[..., :w], b1[..., w] = db, 1.0
+    buf = np.empty((min(n, _NCE_BLOCK), n), dtype)
     if taped:
-        pb, ptx = np.empty_like(dx), np.zeros_like(db)  # P b and P^T x
-    for blk in np.ndindex(dx.shape[:-2]):  # the one index () for 2-D operands
-        xa, xb = dx[blk], db[blk]
+        pb, ptx = np.empty_like(xs), np.zeros_like(db)  # P b and P^T x'
+    for blk in np.ndindex(xs.shape[:-2]):  # the one index () for 2-D operands
+        xa, xb = xs[blk], db[blk]
         for i in range(0, n, _NCE_BLOCK):
             rows = slice(i, i + _NCE_BLOCK)
-            s = xa[rows] @ xb.T
-            s /= tau
-            m = s.max(axis=1, keepdims=True)
-            s -= m
-            np.exp(s, out=s)
-            z = s.sum(axis=1, keepdims=True)
+            e = np.matmul(xa[rows], xb.T, out=buf[: min(_NCE_BLOCK, n - i)])
+            m = e.max(axis=1, keepdims=True)
+            e -= m
+            np.exp(e, out=e)
+            ebz = e @ b1[blk]
+            z = ebz[:, w:]
             lse[blk][rows] = (np.log(z) + m)[:, 0]
             if taped:
-                s /= z
-                pb[blk][rows] = s @ xb
-                ptx[blk] += s.T @ xa[rows]
-    pos = np.einsum("...ij,...ij->...i", dx, db) / tau
+                pb[blk][rows] = ebz[:, :w] / z
+                ptx[blk] += e.T @ (xa[rows] / z)
+    pos = np.einsum("...ij,...ij->...i", xs, db)
+    scale = 1.0 / lse.size  # the mean over every anchor
 
     def vjp(g):
-        scale = 1.0 / (lse.size * tau)
-        gx = (pb - db) * scale * g
-        gb = (ptx - dx) * scale * g
+        gx = (pb - db) * (scale / tau) * g
+        gb = (ptx - xs) * scale * g
         if dr is None:
             return gx, gb, None
         gr = gx.reshape(-1, gx.shape[-1]).T @ da.reshape(-1, da.shape[-1])
@@ -556,10 +565,11 @@ def tanh_score(x, m, b, q):
 
     The (n, h) hidden activations are never held: the forward runs
     ``_SCORE_BLOCK`` rows at a time and keeps only the (n, 1) output, and
-    the backward recomputes each block's a = tanh(x m + b) to form
-    G_z = (g q^T) * (1 - a^2) and from it the gradients G_z m^T for x,
-    x^T G_z for m, the column sums of G_z for b and a^T g for q, the last
-    three accumulated over the blocks.
+    the backward recomputes each block's a = tanh(x m + b), takes a^T g for
+    q from it, then overwrites a in place with G_z = (g q^T) * (1 - a^2),
+    by broadcasts against q^T and g with no (n, h) temporary, and from G_z
+    forms the gradients G_z m^T for x, x^T G_z for m and the column sums of
+    G_z for b; those for m, b and q are accumulated over the blocks.
     """
     dx, dm, db, dq = (value(t) for t in (x, m, b, q))
     n = len(dx)
@@ -578,10 +588,13 @@ def tanh_score(x, m, b, q):
         gx = np.empty_like(dx)
         gm, gb, gq = np.zeros_like(dm), np.zeros_like(db), np.zeros_like(dq)
         for rows in blocks:
-            a = hidden(rows)
-            gq += a.T @ g[rows]
-            gz = g[rows] @ dq.T
-            gz *= 1.0 - a * a
+            a, gr = hidden(rows), g[rows]
+            gq += a.T @ gr
+            gz = a  # G_z = (g q^T) * (1 - a^2), formed in a's own buffer
+            gz *= gz
+            np.subtract(1.0, gz, out=gz)
+            gz *= dq.T
+            gz *= gr
             gb += gz.sum(axis=0)
             gm += dx[rows].T @ gz
             gx[rows] = gz @ dm.T

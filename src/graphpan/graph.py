@@ -129,6 +129,12 @@ def knn_select(feats: np.ndarray, k: int):
     can still get cosines 1 ulp apart from a third.  Zero-norm vectors are
     treated as similarity 0 to everything.  Returns (src, dst) arrays sorted
     by (dst, src).
+
+    The selection runs on candidates only: the entries of a row at or above
+    a bound lo, taken from the maxima of strided column sets read down the
+    columns of the (near-symmetric) product and lowered by 2 d eps, so lo
+    never exceeds the row's own k-th largest entry and the picks are those
+    of a selection on the whole row.
     """
     m = len(feats)
     if m < 2:
@@ -136,13 +142,18 @@ def knn_select(feats: np.ndarray, k: int):
     sims = self_similarities(feats)
     kk = min(k, m - 1)
     # the kk largest maxima of c >= kk disjoint column sets (column j in set
-    # j mod c) are kk distinct entries of the row, so their smallest, lo, is
-    # at most the row's kk-th largest entry, and so at most every pick
+    # j mod c) are kk distinct entries of the row, so their smallest is at
+    # most the row's kk-th largest entry, and so at most every pick.  The
+    # maxima are read down the columns, as those of row sets of column i:
+    # entry (j, i) is the dot product of the same unit rows as (i, j) summed
+    # in another order, each within d u of the exact value (u = eps / 2), so
+    # lowering the bound by 2 d eps keeps lo below every pick
     c = max(_KNN_CHUNKS, kk)
     q, r = divmod(m, c)
-    maxima = sims[:, :q * c].reshape(m, q, c).max(axis=1, initial=-np.inf)
-    np.maximum(maxima[:, :r], sims[:, q * c:], out=maxima[:, :r])
-    lo = np.partition(maxima, c - kk, axis=1)[:, c - kk, None]
+    maxima = sims[:q * c].reshape(q, c, m).max(axis=0, initial=-np.inf)
+    np.maximum(maxima[:r], sims[q * c:], out=maxima[:r])
+    lo = np.partition(maxima, c - kk, axis=0)[c - kk, :, None]
+    lo -= 2 * np.shape(feats)[1] * np.finfo(np.float64).eps
     # the candidates, in row-major order and so sorted by (dst, src)
     flat = np.flatnonzero(sims >= lo)
     dst = flat // m

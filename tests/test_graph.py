@@ -28,6 +28,7 @@ from graphpan.graph import (
     embed_patches,
     knn_select,
     random_multiplex_graph,
+    self_similarities,
     unit_rows,
 )
 from graphpan.imaging import BANDS, Image, extract_patches, synth_scene, upsample_bicubic
@@ -260,6 +261,26 @@ class TestKnnSelect:
         # the shape of each of a 128 px scene's five calls: 961 patches, d = 64
         feats = np.abs(np.random.default_rng(14).normal(size=(961, 64))) + 0.1
         self._assert_matches_whole(feats, 8)
+
+    @pytest.mark.parametrize("variant", ["plain", "rounded", "duplicated"])
+    @pytest.mark.parametrize("m, d", [(961, 64), (300, 512)])
+    def test_asymmetric_product_keeps_every_pick(self, m, d, variant):
+        # the bound is read down the columns, so row i's bound comes from
+        # entries (j, i) that differ from its own (i, j) in the last bits
+        # here; without the 2 d eps margin a pick can fall below the bound
+        rng = np.random.default_rng(2)
+        feats = np.abs(rng.normal(size=(m, d))) + 0.1
+        if variant == "rounded":
+            feats = np.round(feats, 1)
+        elif variant == "duplicated":
+            feats = feats[rng.integers(0, m // 3, size=m)]
+        sims = self_similarities(feats)
+        assert not np.array_equal(sims, sims.T)
+        # the margin's premise: an entry and its transpose differ by <= d eps
+        gap = np.triu(sims, 1) - np.triu(sims.T, 1)  # off the -inf diagonal
+        assert np.abs(gap).max() <= d * np.finfo(np.float64).eps
+        for k in (1, 8):
+            self._assert_matches_whole(feats, k)
 
     def test_duplicate_rows_tie_per_pair(self):
         # bit-identical rows must get bit-identical cosines from a third row

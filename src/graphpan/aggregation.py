@@ -40,13 +40,15 @@ heads' (BANDS, N, 2d) operand.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import lru_cache
 
 import numpy as np
 
 from . import autodiff as ad
 from .config import TrainConfig, param_layout
 from .graph import HetGraph, band_node, build_graph, embed_patches
-from .imaging import BANDS, Image, PatchGrid, ScenePair, extract_patches, upsample_bicubic
+from .imaging import BANDS, Image, PatchGrid, ScenePair, extract_patches, window_indices
+from .imaging import upsample_bicubic  # noqa: F401  (a stage name perfbench/spans.py wraps)
 from .patterns import PatternSet, generate_patterns
 
 _DEGREE_FLOOR = 1e-12
@@ -260,6 +262,30 @@ def fuse(h_local, h_global) -> object:
     return (h_local + h_global) * 0.5
 
 
+@lru_cache(maxsize=8)
+def _recon_operators(height, width, patch, stride, dtype):
+    """The two constant 0/1 operators of :func:`reconstruct` for one pan
+    grid geometry, as CSR matrices of ``dtype`` entries (only their int32
+    index arrays and their ones are held):
+
+    * G, (2 BANDS n, (1 + BANDS) n): row (b, i, s) picks node i for s = 0
+      and band node (i, b) for s = 1, the heads' pairs in (band, patch,
+      pan/band) order;
+    * P, (h w, n p p): row q adds every window pixel that lies on raster
+      pixel q, in window order, so its row lengths are the coverage counts.
+
+    G^T g and P x add in the order of a segment sum over the entries, so
+    they have its bits."""
+    pix = window_indices(height, width, 1, patch, stride).reshape(-1)
+    n = len(pix) // (patch * patch)
+    i = np.broadcast_to(np.arange(n), (BANDS, n))
+    ids = np.stack([i, band_node(i, np.arange(BANDS)[:, None], n)], axis=-1).reshape(-1)
+    G = ad.sparse_matrix(len(ids), (1 + BANDS) * n, np.arange(len(ids)), ids, np.ones(len(ids), dtype))
+    by_pixel = np.argsort(pix, kind="stable")  # P as CSR: its indptr is h w + 1 long, not n p p + 1
+    P = ad.sparse_matrix(height * width, len(pix), pix[by_pixel], by_pixel, np.ones(len(pix), dtype))
+    return G, P
+
+
 def reconstruct(H, grid: PatchGrid, recon, lrms_up: Image):
     """Per-band linear heads on (pan, band) node pairs, overlap-averaged and
     added to the upsampled input; clamped to [0, 1].  Returns the raw
@@ -267,26 +293,25 @@ def reconstruct(H, grid: PatchGrid, recon, lrms_up: Image):
 
     recon is the (BANDS, p*p, 2d) stack of heads: head b maps each pair
     [h_pan i | h_band b, i] to the block [h_pan i | h_band b, i] @ recon[b]^T.
-    The pairs are one gather of H's rows in (band, patch, pan/band) order,
-    read in place as (BANDS, n, 2d), so H's gradient is one segment sum.
-    The heads are one stacked matmul,
-    and one segment sum along the pan grid's own pixel index scatters the
-    (window pixel, band) rows to the raster, so no per-band index is built.
+    Two constant sparse operators, built once per grid geometry and dtype
+    and applied by :func:`autodiff.sparse_apply`, do the index work: G
+    gathers H's rows in (band, patch, pan/band) order, read in place as
+    (BANDS, n, 2d), so H's gradient is G^T g; after the one stacked matmul
+    of the heads, P adds the (window pixel, band) rows into the raster's
+    rows, so no per-band index is built and the gradient is P^T g.
     """
     n = grid.n_patches
-    hw = grid.height * grid.width
     dtype = ad.value(H).dtype
+    G, P = _recon_operators(grid.height, grid.width, grid.patch, grid.stride, dtype)
 
-    i = np.broadcast_to(np.arange(n), (BANDS, n))
-    ids = np.stack([i, band_node(i, np.arange(BANDS)[:, None], n)], axis=-1)  # (BANDS, n, 2)
     heads = ad.transpose(recon, (0, 2, 1))
     # (BANDS, n, p*p); a plain pass frees the gathered pairs here
-    blocks = ad.reshape(H[ids.reshape(-1)], (BANDS, n, -1)) @ heads
-    # one row of BANDS values per window pixel, scattered to the raster's rows
+    blocks = ad.reshape(ad.sparse_apply(G, H), (BANDS, n, -1)) @ heads
+    # one row of BANDS values per window pixel, added into the raster's rows
     rows = ad.reshape(ad.transpose(blocks, (1, 2, 0)), (-1, BANDS))
-    summed = ad.index_add(hw, grid.pixel_indices.reshape(-1), rows)  # (h*w, BANDS)
-    counts = np.maximum(grid.coverage_counts, 1).astype(dtype)[:, None]
-    base = lrms_up.data.reshape(hw, BANDS).astype(dtype)
+    summed = ad.sparse_apply(P, rows)  # (h*w, BANDS)
+    counts = np.maximum(np.diff(P.indptr), 1).astype(dtype)[:, None]
+    base = lrms_up.data.reshape(-1, BANDS).astype(dtype)
     fused = ad.clip(summed / counts + base, 0.0, 1.0)
     return ad.reshape(fused, (grid.height, grid.width, BANDS))
 
@@ -309,7 +334,7 @@ def run_pipeline(
     carries autodiff tensors."""
     scene.validate()
     cfg.validate()
-    lrms_up = upsample_bicubic(scene.lrms, scene.scale)
+    lrms_up = scene.lrms_up
     pan_grid = extract_patches(scene.pan, cfg.patch, cfg.stride)
     ms_grid = extract_patches(lrms_up, cfg.patch, cfg.stride)
     feats = embed_patches(pan_grid, ms_grid, params.w_embed)

@@ -26,8 +26,9 @@ What each VJP saves:
     the divisor is a Tensor;
   * :func:`absolute` and :func:`clip` their input, :func:`sqrt` and
     :func:`tanh` their output;
-  * :func:`spmm` its entry indices, its sparse matrix and V, and
-    :func:`edge_dots` its indices and operand;
+  * :func:`spmm` its entry indices, its sparse matrix and V,
+    :func:`edge_dots` its indices and operand, and :func:`sparse_apply` its
+    constant matrix;
   * :func:`info_nce` its operands, x' = a right^T / tau and the sums P b
     and P^T x' of its forward, and :func:`tanh_score` its operands, from
     which it recomputes its hidden layer a block at a time in the backward
@@ -43,8 +44,11 @@ The graph ops :func:`spmm` (a sparse matrix, given as index and value
 vectors, times a dense one) and :func:`edge_dots` (one dot product per
 edge) keep only (E,) vectors and their dense operands on the tape; their
 VJPs are sparse products, and any (E, d) gather is formed a block at a time
-inside the op and dropped.  These ops and :func:`index_add` refuse an
-index outside the rows they address with ValueError.  :func:`take`
+inside the op and dropped.  Each builds its sparse matrix with
+:func:`sparse_matrix`, straight from the order its entries come in, with
+no COO conversion; :func:`sparse_apply` applies a constant sparse matrix
+that its caller built once.  These ops and :func:`index_add` refuse an index outside the
+rows they address with ValueError.  :func:`take`
 (``Tensor[...]``) follows numpy instead: a negative index wraps and an
 index past the end raises IndexError.
 
@@ -426,15 +430,16 @@ def spmm(n, rows, cols, vals, V):
     """A @ V for the (n, len(V)) sparse matrix A holding vals at (rows, cols);
     entries that share a (row, col) add.  V is 2-D.
 
-    The tape keeps only the entry vectors and V: the gradient for V is
-    A^T g, and the one for vals is the row dots sum_k g[rows, k] V[cols, k],
-    formed in the backward.
+    A is built by :func:`sparse_matrix` straight from the entries, so no
+    COO conversion runs.  The tape keeps only the entry vectors, A and V:
+    the gradient for V is A^T g, and the one for vals is the row dots
+    sum_k g[rows, k] V[cols, k], formed in the backward.
     """
     dv, dV = value(vals), value(V)
     if dV.ndim != 2:
         raise ValueError("spmm supports a 2-D right operand only")
     rows, cols = _indices(rows, n), _indices(cols, len(dV))
-    a = sparse.csr_matrix((dv, (rows, cols)), shape=(n, len(dV)))
+    a = sparse_matrix(n, len(dV), rows, cols, dv)
 
     def vjp(g):
         return _row_dots(g, rows, dV, cols), a.T @ g
@@ -446,16 +451,62 @@ def edge_dots(unit, src, dst):
     """Per-edge dot products sum_k unit[dst, k] unit[src, k] of a 2-D array.
 
     The (E, d) gathers are never kept: the gradient is (S + S^T) unit with
-    S the sparse matrix holding g at (dst, src).
+    S the sparse matrix holding g at (dst, src), built by
+    :func:`sparse_matrix`; edges that arrive sorted by (dst, src), as a
+    graph's relations do, need no sort.
     """
     du = value(unit)
     src, dst = _indices(src, len(du)), _indices(dst, len(du))
 
     def vjp(g):
-        s = sparse.csr_matrix((g, (dst, src)), shape=(len(du), len(du)))
+        s = sparse_matrix(len(du), len(du), dst, src, g)
         return (s @ du + s.T @ du,)
 
     return _node(_row_dots(du, dst, du, src), (unit,), vjp)
+
+
+def sparse_apply(M, X):
+    """M @ X for a constant scipy sparse matrix M and a 2-D X; the gradient
+    for X is M^T g, and the tape keeps only M.  The product takes the
+    result type of M's and X's entries, so M holds X's dtype to keep it."""
+    dX = value(X)
+    if dX.ndim != 2 or M.shape[1] != len(dX):
+        raise ValueError(f"sparse_apply: a {M.shape} matrix cannot apply to shape {dX.shape}")
+    return _node(M @ dX, (X,), lambda g: (M.T @ g,))
+
+
+def sparse_matrix(n, m, rows, cols, vals):
+    """The (n, m) sparse matrix holding vals at (rows, cols), built straight
+    from the entries, with no COO conversion.
+
+    Entries in (row, col) order become a CSR matrix as they come, with
+    indptr from the row counts, and entries in (col, row) order a CSC
+    matrix likewise.  Other entries take one stable argsort into whichever
+    of the two orders has fewer descents, so a table of a few sorted runs,
+    or its transpose, sorts in about linear time.  Entries that share a
+    (row, col) are kept apart, and a product adds them one at a time,
+    within round-off of their sum.
+
+    With no (row, col) repeated, either form's products M @ X and M^T @ X
+    have the bits of those of ``csr_matrix((vals, (rows, cols)))``: scipy
+    adds each output row's terms in the order of their other index in all
+    of them.  The indices are taken as given: check them with
+    :func:`_indices` first.
+    """
+    rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+    vals = np.asarray(vals)
+    form, major, minor, size, key = sparse.csr_matrix, rows, cols, n, rows * m + cols
+    down = np.count_nonzero(key[1:] < key[:-1])
+    if down:
+        tkey = cols * n + rows
+        if np.count_nonzero(tkey[1:] < tkey[:-1]) < down:
+            form, major, minor, size, key = sparse.csc_matrix, cols, rows, m, tkey
+        order = np.argsort(key, kind="stable")
+        minor, vals = minor[order], vals[order]
+    itype = np.int32 if max(n, m, len(vals)) < np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(size + 1, dtype=itype)
+    np.cumsum(np.bincount(major, minlength=size), out=indptr[1:])
+    return form((vals, minor.astype(itype), indptr), shape=(n, m))
 
 
 def _indices(idx, n):
@@ -564,7 +615,8 @@ def tanh_score(x, m, b, q):
     out (n, 1).
 
     The (n, h) hidden activations are never held: the forward runs
-    ``_SCORE_BLOCK`` rows at a time and keeps only the (n, 1) output, and
+    ``_SCORE_BLOCK`` rows at a time (a one-row tail joins the block before
+    it) and keeps only the (n, 1) output, and
     the backward recomputes each block's a = tanh(x m + b), takes a^T g for
     q from it, then overwrites a in place with G_z = (g q^T) * (1 - a^2),
     by broadcasts against q^T and g with no (n, h) temporary, and from G_z
@@ -573,7 +625,12 @@ def tanh_score(x, m, b, q):
     """
     dx, dm, db, dq = (value(t) for t in (x, m, b, q))
     n = len(dx)
-    blocks = [slice(i, i + _SCORE_BLOCK) for i in range(0, n, _SCORE_BLOCK)]
+    # a one-row tail joins the block before it: numpy would send it through
+    # BLAS's matrix-vector product, which rounds otherwise than a GEMM row
+    starts = list(range(0, n, _SCORE_BLOCK))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    blocks = [slice(i, j) for i, j in zip(starts, starts[1:] + [n])]
 
     def hidden(rows):
         z = dx[rows] @ dm

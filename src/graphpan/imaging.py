@@ -215,12 +215,27 @@ def write_image(path, img: Image):
 @dataclass
 class ScenePair:
     """A pansharpening work unit: full-res pan, low-res multispectral bands,
-    and (for reduced-resolution experiments) the ground truth."""
+    and (for reduced-resolution experiments) the ground truth.
+
+    :attr:`lrms_up` is memoised on the scene, so the image arrays are not
+    to be modified in place once the scene has been run; assign a new
+    Image to a field instead."""
 
     pan: Image
     lrms: Image
     gt: Image | None = None
     scale: int = 4
+
+    @property
+    def lrms_up(self) -> Image:
+        """``upsample_bicubic(lrms, scale)``, built on first use and kept
+        with the ``lrms`` object and ``scale`` it was built from: assigning
+        either field builds it again."""
+        memo = self.__dict__.get("_lrms_up")
+        if memo is None or memo[0] is not self.lrms or memo[1] != self.scale:
+            memo = (self.lrms, self.scale, upsample_bicubic(self.lrms, self.scale))
+            self.__dict__["_lrms_up"] = memo
+        return memo[2]
 
     def validate(self) -> "ScenePair":
         if self.pan.channels != 1:
@@ -347,6 +362,13 @@ def _windows(raster: np.ndarray, patch: int, stride: int) -> np.ndarray:
     return win.reshape(win.shape[0] * win.shape[1], -1)
 
 
+def window_indices(height: int, width: int, channels: int, patch: int, stride: int) -> np.ndarray:
+    """The flat indices into an (height, width, channels) raster of every
+    window's pixels, one row per window as :func:`_windows` lays them out."""
+    shape = (height, width, channels)
+    return _windows(np.arange(np.prod(shape)).reshape(shape), patch, stride)
+
+
 @dataclass
 class PatchGrid:
     """Sliding-window decomposition of an image.
@@ -373,8 +395,7 @@ class PatchGrid:
     def pixel_indices(self) -> np.ndarray:
         """(n_patches, patch*patch*channels) flat indices into the raster:
         the windows of an index raster, laid out as ``patches``."""
-        shape = (self.height, self.width, self.channels)
-        return _windows(np.arange(np.prod(shape)).reshape(shape), self.patch, self.stride)
+        return window_indices(self.height, self.width, self.channels, self.patch, self.stride)
 
     @cached_property
     def coverage_counts(self) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 from scipy import ndimage
 
-from .imaging import Image, ScenePair, degrade_image, gaussian_blur, upsample_bicubic
+from .imaging import Image, ScenePair, degrade_image, gaussian_blur
 
 PSNR_CAP = 99.0
 _SSIM_C1 = 0.01**2
@@ -245,7 +245,7 @@ def prior_analysis(scene: ScenePair, bins: int = 64):
     """
     if scene.gt is None:
         raise ValueError("prior analysis needs ground truth")
-    lrms_up = upsample_bicubic(scene.lrms, scene.scale)
+    lrms_up = scene.lrms_up
     pan_h = intensity_histogram(scene.pan.data, bins)
     gt_h = [intensity_histogram(scene.gt.data[:, :, b], bins) for b in range(scene.gt.channels)]
     lr_h = [intensity_histogram(lrms_up.data[:, :, b], bins) for b in range(lrms_up.channels)]

@@ -125,6 +125,31 @@ class TestAggregateLocal:
         got = ad.value(aggregate_local(ps, U, alpha, chain))
         np.testing.assert_allclose(got, local_oracle(ps, U, alpha, chain), rtol=1e-12, atol=1e-14)
 
+    def test_repeated_entries_match_the_merged_table(self):
+        # the sparse products keep a repeated (row, col) as two entries, and
+        # add them one at a time: within round-off of the table that holds
+        # their sum, in value and in U's gradient
+        n, d = 6, 3
+        rows, cols = np.array([0, 1, 1, 1, 2, 4, 4]), np.array([3, 2, 2, 5, 0, 1, 1])
+        vals = np.array([0.3, 0.25, 0.5, 0.9, 0.4, 0.6, 0.15])
+        ps = pattern_set(n, [RelationPattern(1, rows, cols, vals),
+                             RelationPattern(2, np.array([1, 4]), np.array([2, 1]), np.array([0.7, 0.2]))])
+        merged = pattern_set(n, [RelationPattern(
+            1, np.array([0, 1, 1, 2, 4]), np.array([3, 2, 5, 0, 1]),
+            np.array([0.3, 0.25 + 0.5 + 0.7, 0.9, 0.4, 0.6 + 0.15 + 0.2]))])
+        rng = np.random.default_rng(11)
+        U, g = rng.normal(size=(n, d)), rng.normal(size=(n, d))
+        chain = [rng.normal(size=(d, d)) for _ in range(2)]
+        outs = []
+        for table in (ps, merged):
+            ut = ad.Tensor(U.copy())
+            h = aggregate_local(table, ut, np.ones(7), chain)
+            ad.sum(h * g).backward()
+            outs.append((h.data, ut.grad))
+        (h, gu), (h_m, gu_m) = outs
+        np.testing.assert_allclose(h, h_m, rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(gu, gu_m, rtol=1e-13, atol=1e-15)
+
     def test_depth_averaging_exact(self):
         rng = np.random.default_rng(4)
         n, d = 8, 3

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 import graphpan.autodiff as ad
 from graphpan.autodiff import Tensor
@@ -324,6 +325,104 @@ class TestSparseOps:
             ad.spmm(self.N, self.ROWS, self.COLS, vals, v[:3])
 
 
+def coo_csr(n, m, rows, cols, vals):
+    """The matrix the sparse ops built before :func:`autodiff.sparse_matrix`:
+    scipy's COO conversion, with rows sorted by column and repeats merged."""
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(n, m))
+
+
+class TestSparseMatrix:
+    """Matrices built straight from their entries give the COO-built
+    matrix's products bit for bit when no (row, col) repeats, in any entry
+    order."""
+
+    N, M = 40, 30
+
+    def entries(self, seed, e=150):
+        rng = np.random.default_rng(seed)
+        flat = rng.choice(self.N * self.M, e, replace=False)
+        rows, cols = np.divmod(flat, self.M)
+        return rows, cols, rng.normal(size=e)
+
+    @pytest.mark.parametrize("order", ["row-major", "column-major", "runs", "random"])
+    def test_products_match_the_coo_matrix(self, order):
+        rows, cols, vals = self.entries(11)
+        keys = {"row-major": rows * self.M + cols, "column-major": cols * self.N + rows,
+                "runs": np.arange(len(rows)) % 3 * self.N * self.M + rows * self.M + cols,
+                "random": np.random.default_rng(12).permutation(len(rows))}
+        perm = np.argsort(keys[order], kind="stable")
+        r, c, v = rows[perm], cols[perm], vals[perm]
+        got, want = ad.sparse_matrix(self.N, self.M, r, c, v), coo_csr(self.N, self.M, r, c, v)
+        if order != "random":
+            assert got.format == {"column-major": "csc"}.get(order, "csr")
+        x = np.random.default_rng(13).normal(size=(self.M, 5))
+        y = np.random.default_rng(14).normal(size=(self.N, 5))
+        assert (got @ x).tobytes() == (want @ x).tobytes()
+        assert (got.T @ y).tobytes() == (want.T @ y).tobytes()
+
+    def test_repeats_stay_apart_within_round_off(self):
+        rows, cols, vals = self.entries(15)
+        rows, cols = np.concatenate([rows, rows[::3]]), np.concatenate([cols, cols[::3]])
+        vals = np.concatenate([vals, np.arange(len(vals[::3])) * 0.1])
+        got = ad.sparse_matrix(self.N, self.M, rows, cols, vals)
+        assert got.nnz == len(vals)
+        np.testing.assert_allclose(got.toarray(), dense_matrix(self.N, self.M, rows, cols, vals),
+                                   rtol=1e-15, atol=1e-15)
+
+    def test_empty(self):
+        got = ad.sparse_matrix(3, 4, np.zeros(0, int), np.zeros(0, int), np.zeros(0))
+        assert got.shape == (3, 4) and got.nnz == 0
+
+    def test_spmm_and_edge_dots_on_unsorted_indices(self):
+        rng = np.random.default_rng(16)
+        rows, cols, vals = self.entries(17)
+        perm = rng.permutation(len(rows))
+        rows, cols, vals = rows[perm], cols[perm], vals[perm]
+        v, g = rng.normal(size=(self.M, 4)), rng.normal(size=(self.N, 4))
+        a = coo_csr(self.N, self.M, rows, cols, vals)
+        vt, wt = Tensor(v.copy()), Tensor(vals.copy())
+        out = ad.spmm(self.N, rows, cols, wt, vt)
+        assert out.data.tobytes() == (a @ v).tobytes()
+        ad.sum(out * g).backward()
+        assert vt.grad.tobytes() == (a.T @ g).tobytes()
+        # edge_dots' VJP on the same unsorted pairs as (dst, src), M < N
+        unit, w = rng.normal(size=(self.N, 4)), rng.normal(size=len(rows))
+        src, dst = cols, rows
+        ut = Tensor(unit.copy())
+        ad.sum(ad.edge_dots(ut, src, dst) * w).backward()
+        s = coo_csr(self.N, self.N, dst, src, w)
+        assert ut.grad.tobytes() == (s @ unit + s.T @ unit).tobytes()
+
+
+class TestSparseApply:
+    """A constant sparse matrix applied on the tape."""
+
+    def operands(self, seed):
+        rng = np.random.default_rng(seed)
+        m = sparse.random(6, 4, density=0.5, random_state=seed, format="csr")
+        return m, rng.normal(size=(4, 3)), rng.normal(size=(6, 3))
+
+    def test_value_and_fd(self):
+        m, x, u = self.operands(20)
+        np.testing.assert_array_equal(ad.sparse_apply(m, x), m @ x)
+        check_op(lambda t: ad.sum(ad.sparse_apply(m, t) * u), x)
+        # CSC and a gather (one 1 per row, rows repeated)
+        g = sparse.csc_matrix((np.ones(5), ([0, 1, 2, 3, 4], [2, 0, 2, 3, 2])), shape=(5, 4))
+        check_op(lambda t: ad.sum(ad.sparse_apply(g, t) * u[:5]), x)
+
+    def test_vjp_is_the_transpose_product(self):
+        m, x, u = self.operands(21)
+        xt = Tensor(x.copy())
+        ad.sum(ad.sparse_apply(m, xt) * u).backward()
+        assert xt.grad.tobytes() == (m.T @ u).tobytes()
+
+    @pytest.mark.parametrize("shape", [(5, 3), (4,), (4, 3, 1)])
+    def test_shape_mismatch(self, shape):
+        m, _, _ = self.operands(22)
+        with pytest.raises(ValueError, match="sparse_apply"):
+            ad.sparse_apply(m, np.ones(shape))
+
+
 def dense_info_nce(a, b, tau):
     """InfoNCE through the (n, n) logits, composed from the elementwise ops:
     the oracle for the fused node."""
@@ -522,14 +621,9 @@ class TestTanhScore:
             u = np.random.default_rng(2).normal(size=(n, 1))
             got_t, want_t = [Tensor(a.copy()) for a in ops], [Tensor(a.copy()) for a in ops]
             got, want = ad.tanh_score(*got_t), chained_tanh_score(*want_t)
-            if k == 3 and n % ad._SCORE_BLOCK == 1:
-                # the one-row tail block of a 3-wide x goes through BLAS's
-                # matrix-vector product, whose row differs from the whole
-                # product's in the last bit here, so this case is held to
-                # round-off
-                np.testing.assert_allclose(got.data, want.data, rtol=1e-14, atol=0)
-            else:
-                np.testing.assert_array_equal(got.data, want.data)
+            # a one-row tail joins the block before it, so no row goes
+            # through BLAS's matrix-vector product, which rounds otherwise
+            np.testing.assert_array_equal(got.data, want.data)
             ad.sum(got * u).backward()
             ad.sum(want * u).backward()
             for g, w in zip(got_t, want_t):
@@ -678,6 +772,7 @@ class TestTapeMechanics:
             (lambda a: ad.index_add(3, np.array([2, 0]), a), (X23,)),
             (lambda a, b: ad.spmm(3, np.array([2, 0, 2]), np.array([1, 0, 1]), a, b), (X23[0], U23)),
             (lambda a: ad.edge_dots(a, np.array([0, 1, 1]), np.array([1, 0, 1])), (X23,)),
+            (lambda a: ad.sparse_apply(sparse.csr_matrix(U23[:, :2]), a), (X23,)),
             (lambda a, b: ad.info_nce(a, b, 0.5), (X23, U23)),
             (lambda a, b: ad.info_nce(a, b, 0.5), (X23.reshape(2, 3, 1), U23.reshape(2, 3, 1))),
             (lambda a, b: ad.info_nce(a, b, 0.5, U23), (X23, U23[:, :2])),

@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 import graphpan.autodiff as ad
-from graphpan import graph
+from graphpan import graph, imaging
 from graphpan.aggregation import LowRank, ModelParams, run_pipeline
 from graphpan.config import MAX_PARAMS, TrainConfig
 from graphpan.graph import N_RELATIONS
@@ -459,25 +460,32 @@ class TestTape:
         assert len(flagged) == 2 * N_RELATIONS
 
     def test_node_blocks_read_by_one_gather(self, monkeypatch):
-        # reconstruct reads the pan and band rows of H with one gather by a
-        # 1-D node index, not one slice per block that leaves a full-size
-        # zero gradient
+        # reconstruct reads the pan and band rows of H with one gather (a
+        # constant 0/1 operator with one entry per row), not one slice per
+        # block that leaves a full-size zero gradient
         scene = synth_scene(seed=0, size=64)
         cfg = TrainConfig()
         params = ModelParams.init(cfg, zero_recon=False)
-        takes = []
-        real_take = ad.take
+        reads = []
+        real_take, real_apply = ad.take, ad.sparse_apply
 
-        def record(a, idx):
-            takes.append((ad.value(a).size, idx))
+        def record_take(a, idx):
+            reads.append((ad.value(a).size, "take", idx))
             return real_take(a, idx)
 
-        monkeypatch.setattr(ad, "take", record)
+        def record_apply(m, x):
+            reads.append((ad.value(x).size, "sparse_apply", m))
+            return real_apply(m, x)
+
+        monkeypatch.setattr(ad, "take", record_take)
+        monkeypatch.setattr(ad, "sparse_apply", record_apply)
         backward(scene, params, cfg)
-        node_reads = [idx for size, idx in takes if size == 1125 * cfg.d]
-        assert len(node_reads) == 1
-        (idx,) = node_reads
-        assert isinstance(idx, np.ndarray) and idx.ndim == 1 and idx.dtype.kind in "iu"
+        node_reads = [(op, m) for size, op, m in reads if size == 1125 * cfg.d]
+        assert [op for op, _ in node_reads] == ["sparse_apply"]
+        (_, m), = node_reads
+        assert m.shape == (2 * BANDS * 225, 1125)
+        np.testing.assert_array_equal(m.getnnz(axis=1), 1)
+        np.testing.assert_array_equal(m.data, 1.0)
 
     def test_no_hidden_layer_sized_array_on_the_tape(self, monkeypatch):
         # the importance scorer keeps its (5N, 1) scores on the tape, not the
@@ -518,6 +526,76 @@ class TestTape:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+
+class TestStepConstants:
+    """What depends only on the scene or the grid geometry is built once:
+    the upsampled input per scene object, reconstruct's operators per grid
+    geometry and dtype, and no step converts a COO matrix."""
+
+    @staticmethod
+    def count_calls(monkeypatch):
+        """Counters of imaging.upsample_bicubic calls and of COO matrices
+        built (each COO -> CSR conversion starts from one)."""
+        calls = {"upsample": 0, "coo": 0}
+        real_up, real_coo = imaging.upsample_bicubic, sparse.coo_matrix.__init__
+
+        def up(*args, **kwargs):
+            calls["upsample"] += 1
+            return real_up(*args, **kwargs)
+
+        def coo(self, *args, **kwargs):
+            calls["coo"] += 1
+            real_coo(self, *args, **kwargs)
+
+        monkeypatch.setattr(imaging, "upsample_bicubic", up)
+        monkeypatch.setattr(sparse.coo_matrix, "__init__", coo)
+        return calls
+
+    def test_second_backward_rebuilds_nothing(self, monkeypatch):
+        scene = synth_scene(seed=0, size=64)
+        cfg = TrainConfig()
+        params = ModelParams.init(cfg, zero_recon=False)
+        calls = self.count_calls(monkeypatch)
+        first, grads1 = backward(scene, params, cfg)
+        assert calls["upsample"] == 1
+        calls.update(upsample=0, coo=0)
+        second, grads2 = backward(scene, params, cfg)
+        assert calls == {"upsample": 0, "coo": 0}
+        assert (second.l1, second.lcl, second.total) == (first.l1, first.lcl, first.total)
+        for name, g in grads1.items():
+            assert grads2[name].tobytes() == g.tobytes(), name
+
+    def test_scenes_of_one_size_share_the_overlap_add(self, monkeypatch):
+        cfg = TrainConfig()
+        params = ModelParams.init(cfg, zero_recon=False)
+        applied = []
+        real_apply = ad.sparse_apply
+
+        def record(m, x):
+            applied.append(m)
+            return real_apply(m, x)
+
+        monkeypatch.setattr(ad, "sparse_apply", record)
+        for seed in (0, 1):
+            backward(synth_scene(seed=seed, size=64), params, cfg)
+        (g0, p0), (g1, p1) = applied[:2], applied[2:]
+        assert p0.shape == (64 * 64, 225 * cfg.patch**2)
+        assert g1 is g0 and p1 is p0
+
+    def test_reassigned_lrms_is_upsampled_again(self, monkeypatch):
+        scene = synth_scene(seed=0, size=32)
+        halved = Image(scene.lrms.data * 0.5)
+        want = imaging.upsample_bicubic(halved, scene.scale).data
+        calls = self.count_calls(monkeypatch)
+        up = scene.lrms_up
+        assert scene.lrms_up is up and calls["upsample"] == 1
+        scene.lrms = halved
+        np.testing.assert_array_equal(scene.lrms_up.data, want)
+        assert calls["upsample"] == 2
+        scene.scale = 1
+        np.testing.assert_array_equal(scene.lrms_up.data, halved.data)
+        assert calls["upsample"] == 3
 
 
 class TestAdam:

@@ -32,7 +32,9 @@ What each VJP saves:
   * :func:`info_nce` its operands, x' = a right^T / tau and the sums P b
     and P^T x' of its forward, and :func:`tanh_score` its operands, from
     which it recomputes its hidden layer a block at a time in the backward
-    (each block then overwritten in place by its G_z) instead of taping it.
+    (each block then overwritten in place by its G_z) instead of taping it;
+  * :func:`unit_rows` its output and its (..., 1) row scales, and a
+    ``right`` factor with its (m, m) Gram when it was given one.
 
 :meth:`Tensor.backward` consumes the tape as it walks it: an interior node
 drops its gradient and its VJP once it has passed them on, so gradients are
@@ -529,7 +531,10 @@ def _row_dots(a, ia, b, ib):
     out = np.empty(len(ia), dtype=np.result_type(a, b))
     for i in range(0, len(ia), _DOT_BLOCK):
         rows = slice(i, i + _DOT_BLOCK)
-        out[rows] = np.einsum("ij,ij->i", a[ia[rows]], b[ib[rows]])
+        # np.take gathers whole rows faster than a[idx], with the same bits
+        out[rows] = np.einsum(
+            "ij,ij->i", np.take(a, ia[rows], axis=0), np.take(b, ib[rows], axis=0)
+        )
     return out
 
 
@@ -658,3 +663,48 @@ def tanh_score(x, m, b, q):
         return gx, gm, gb, gq
 
     return _node(out, (x, m, b, q), vjp)
+
+
+def unit_rows(x, right=None):
+    """Rows (vectors along the last axis) scaled to unit L2 norm, as one
+    node; a zero row stays zero and passes no gradient.
+
+    With a 2-D ``right`` the rows of x are scaled instead so that those of
+    x @ right have unit norm, the squared norms taken as x G x^T with the
+    Gram G = right right^T, so the product x @ right is never formed.
+
+    The value is out = s x with s = keep / sqrt(q), q the squared row norms
+    and keep 1 where q > 0 and 0 elsewhere, computed as x / sqrt(q keep +
+    1 - keep), then masked by keep when a row is dropped: the op chain's
+    expressions, so its bits.  The tape keeps only out and s, and right
+    with its m x m Gram G when given.  With c the row dots of g and out,
+    the gradients are s (g - c (out G)) for x (G = I without ``right``) and
+    -(out^T diag(c) out) right for right, so the backward forms no array as
+    wide as right either.
+    """
+    dx = value(x)
+    dr = None if right is None else value(right)
+    gram = None if dr is None else dr @ dr.T
+    xg = dx if dr is None else dx @ gram
+    q = (xg * dx).sum(axis=-1, keepdims=True)
+    keep = (q > 0.0).astype(q.dtype)
+    den = np.sqrt(q * keep + (1.0 - keep))
+    out = dx / den
+    if not keep.all():
+        out *= keep  # a dropped row is x / 1 until here
+    tx, tr = isinstance(x, Tensor), isinstance(right, Tensor)
+    s = keep / den if tx or tr else None
+
+    def vjp(g):
+        c = np.einsum("...j,...j->...", g, out)[..., None]
+        gx = gr = None
+        if tx:
+            gx = c * (out if dr is None else out @ gram)
+            np.subtract(g, gx, out=gx)
+            gx *= s
+        if tr:
+            flat = out.reshape(-1, len(dr))
+            gr = -(((flat * c.reshape(-1, 1)).T @ flat) @ dr)
+        return gx, gr
+
+    return _node(out, (x, right), vjp)

@@ -10,10 +10,10 @@ an edge j -> i (rows receive):
   3. band <-> pan within the same patch, both directions.
 
 Edge weights are cosine similarities clamped to [0, 1], taken as dot
-products of the endpoints' unit rows (:func:`unit_rows` of U, computed
-once).  Neighbour selection happens on detached feature values; weights are
-recomputed through the ops layer so gradients flow into the embeddings while
-the topology stays fixed.
+products of the endpoints' unit rows (:func:`autodiff.unit_rows` of U,
+computed once, one tape node).  Neighbour selection happens on detached
+feature values; weights are recomputed through the ops layer so gradients
+flow into the embeddings while the topology stays fixed.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from .autodiff import unit_rows
 from .imaging import BANDS, PatchGrid
 
 N_RELATIONS = 3
@@ -87,24 +88,6 @@ def embed_patches(pan_grid: PatchGrid, ms_grid: PatchGrid, w_embed):
     patches[0] = pan_grid.patches
     patches[1:] = np.moveaxis(ms_grid.patches.reshape(ms_grid.n_patches, -1, BANDS), -1, 0)
     return patches @ ad.transpose(w_embed, (0, 2, 1))
-
-
-def unit_rows(x, right=None):
-    """Rows (vectors along the last axis) scaled to unit L2 norm; a zero row
-    stays zero and passes no gradient.  Plain arrays in, plain arrays out;
-    tensors are taped.
-
-    With a 2-D ``right`` the rows of x are scaled instead so that those of
-    x @ right have unit norm, the squared norms taken as x G x^T with the
-    Gram G = right right^T, so the product x @ right is never formed.
-    """
-    xg = x if right is None else x @ (right @ ad.transpose(right))
-    q = ad.sum(xg * x, axis=-1, keepdims=True)
-    keep = (ad.value(q) > 0.0).astype(ad.value(q).dtype)
-    out = x / ad.sqrt(q * keep + (1.0 - keep))
-    # a dropped row comes out as x / 1, so the mask is applied (a second
-    # (m, d) array) only when some row is dropped
-    return out if keep.all() else out * keep
 
 
 def self_similarities(feats):

@@ -26,7 +26,7 @@ import numpy as np
 from . import autodiff as ad
 from .aggregation import LowRank, ModelParams, run_pipeline
 from .config import ABLATION_MODES, TrainConfig, param_layout
-from .graph import band_node, unit_rows
+from .graph import band_node
 from .imaging import BANDS, FormatError, Image, ScenePair, wald_degrade
 
 CHECKPOINT_MAGIC = b"HSSN"
@@ -84,8 +84,10 @@ def contrastive_loss(h_local, h_global, tau: float):
         raise ValueError("tau must be positive")
     if isinstance(h_global, LowRank):
         right = h_global.right
-        return ad.info_nce(unit_rows(h_local), unit_rows(h_global.left, right), tau, right)
-    return ad.info_nce(unit_rows(h_local), unit_rows(h_global), tau)
+        return ad.info_nce(
+            ad.unit_rows(h_local), ad.unit_rows(h_global.left, right), tau, right
+        )
+    return ad.info_nce(ad.unit_rows(h_local), ad.unit_rows(h_global), tau)
 
 
 def blockwise_contrastive_loss(h_local, h_global, tau: float, n_patches: int):

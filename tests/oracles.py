@@ -3,8 +3,9 @@
 Each one is written independently of the code path it checks: patterns by
 dense membership tests over every ordered node pair, kNN picks by a
 whole-matrix selection on knn_select's own similarity product, overlap
-averaging by a bincount over the grid's pixel indices, and exp/log as plain
-tape ops for the dense InfoNCE and composite-expression oracles.
+averaging by a bincount over the grid's pixel indices, exp/log as plain
+tape ops for the dense InfoNCE and composite-expression oracles, and row
+normalisation as a chain of the elementwise tape ops.
 """
 
 import numpy as np
@@ -33,6 +34,16 @@ def log(a):
         return np.log(a)
     da = a.data
     return ad.Tensor(np.log(da), (a,), lambda g: (g / da,))
+
+
+def chained_unit_rows(x, right=None):
+    """``autodiff.unit_rows`` composed from the elementwise tape ops: the
+    oracle for the one-node op, whose value must keep these bits."""
+    xg = x if right is None else x @ (right @ ad.transpose(right))
+    q = ad.sum(xg * x, axis=-1, keepdims=True)
+    keep = (ad.value(q) > 0.0).astype(ad.value(q).dtype)
+    out = x / ad.sqrt(q * keep + (1.0 - keep))
+    return out if keep.all() else out * keep
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from scipy import sparse
 import graphpan.autodiff as ad
 from graphpan.autodiff import Tensor
 
-from oracles import exp, log
+from oracles import chained_unit_rows, exp, log
 
 
 def fd_grad(f, x, eps=1e-6):
@@ -323,6 +323,32 @@ class TestSparseOps:
         # the columns index V, whose length bounds them
         with pytest.raises(ValueError, match="out of range"):
             ad.spmm(self.N, self.ROWS, self.COLS, vals, v[:3])
+
+
+def fancy_row_dots(a, ia, b, ib):
+    """The reference for :func:`autodiff._row_dots`: the same blocks, each
+    block's rows gathered by fancy indexing."""
+    out = np.empty(len(ia), dtype=np.result_type(a, b))
+    for i in range(0, len(ia), ad._DOT_BLOCK):
+        rows = slice(i, i + ad._DOT_BLOCK)
+        out[rows] = np.einsum("ij,ij->i", a[ia[rows]], b[ib[rows]])
+    return out
+
+
+class TestRowDots:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("e", [0, 37, 2 * ad._DOT_BLOCK + 1])
+    def test_bits_of_the_fancy_index_gather(self, e, dtype):
+        rng = np.random.default_rng(e)
+        a = rng.normal(size=(50, 64)).astype(dtype)
+        # a non-contiguous operand: every other column of a wider array
+        b = rng.normal(size=(40, 128)).astype(dtype)[:, ::2]
+        assert not b.flags.c_contiguous
+        ia, ib = rng.integers(0, 50, e), rng.integers(0, 40, e)
+        for x, ix, y, iy in ((a, ia, b, ib), (b, ib, a, ia), (a, ia, a, ia)):
+            got, want = ad._row_dots(x, ix, y, iy), fancy_row_dots(x, ix, y, iy)
+            assert got.dtype == want.dtype == dtype and got.shape == (e,)
+            assert got.tobytes() == want.tobytes()
 
 
 def coo_csr(n, m, rows, cols, vals):
@@ -637,6 +663,87 @@ class TestTanhScore:
         assert {t.grad.dtype for t in ops} == {np.dtype(np.float32)}
 
 
+class TestUnitRows:
+    """The one-node row normaliser against finite differences and against
+    the op chain it replaced (``oracles.chained_unit_rows``)."""
+
+    @staticmethod
+    def inputs(seed, shape, width=None):
+        """x with its row 1 zero, and a (x.shape[-1], width) right factor."""
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=shape)
+        x[..., 1, :] = 0.0
+        right = None if width is None else rng.normal(size=(shape[-1], width))
+        return x, right
+
+    @pytest.mark.parametrize("shape, width", [
+        ((6, 5), None), ((2, 4, 5), None), ((6, 5), 3), ((6, 5), 64), ((2, 4, 5), 3),
+    ])
+    def test_coordinate_fd(self, shape, width):
+        x, right = self.inputs(sum(shape), shape, width)
+        u = np.random.default_rng(1).normal(size=shape)
+        f = lambda t: ad.sum(ad.unit_rows(t, right) * u)  # noqa: E731
+        # a zero row has no derivative (x / |x| jumps there): the tape
+        # passes it none, and the quotient is compared on the other rows
+        num = fd_grad(lambda a: float(ad.value(f(a))), x)
+        ana = tape_grad(f, x)
+        np.testing.assert_array_equal(ana[..., 1, :], 0.0)
+        live = np.ones(shape[:-1], dtype=bool)
+        live[..., 1] = False
+        np.testing.assert_allclose(ana[live], num[live], rtol=1e-6, atol=1e-8)
+        if width is not None:
+            check_op(lambda t: ad.sum(ad.unit_rows(x, t) * u), right)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("width", [None, 3, 64])
+    @pytest.mark.parametrize("zero_row", [False, True])
+    def test_matches_the_op_chain(self, width, dtype, zero_row):
+        x, right = self.inputs(7, (300, 5), width)
+        if not zero_row:
+            x[1] = 1.0
+        x = x.astype(dtype)
+        right = None if right is None else right.astype(dtype)
+        u = np.random.default_rng(2).normal(size=x.shape).astype(dtype)
+        plain = ad.unit_rows(x, right)
+        assert plain.dtype == dtype
+        assert plain.tobytes() == chained_unit_rows(x, right).tobytes()
+        ops = [x] if right is None else [x, right]
+        got_t, want_t = [Tensor(a.copy()) for a in ops], [Tensor(a.copy()) for a in ops]
+        got, want = ad.unit_rows(*got_t), chained_unit_rows(*want_t)
+        assert got.data.tobytes() == want.data.tobytes() == plain.tobytes()
+        ad.sum(got * u).backward()
+        ad.sum(want * u).backward()
+        rtol = 1e-12 if dtype == np.float64 else 1e-5
+        for g, w in zip(got_t, want_t):
+            assert g.grad.dtype == dtype
+            np.testing.assert_allclose(g.grad, w.grad, rtol=rtol, atol=rtol * np.abs(w.grad).max())
+
+    def test_one_tape_node_keeps_out_and_scale(self):
+        x, right = self.inputs(3, (6, 5), 3)
+        xt, rt = Tensor(x), Tensor(right)
+        out = ad.unit_rows(xt, rt)
+        assert out._node.parents == (xt._node, rt._node)
+        saved = [c.cell_contents for c in out._node.vjp.__closure__]
+        arrays = [a for a in saved if isinstance(a, np.ndarray)]
+        assert any(a is out.data for a in arrays)
+        # besides out: s (n, 1), right's own array and its (m, m) Gram, no
+        # (n, w) or (n, m) copy
+        assert any(a is rt.data for a in arrays)
+        assert sorted(a.shape for a in arrays if a is not out.data) == [(5, 3), (5, 5), (6, 1)]
+
+    def test_either_operand_alone_on_the_tape(self):
+        x, right = self.inputs(4, (6, 5), 3)
+        u = np.random.default_rng(3).normal(size=x.shape)
+        rt = Tensor(right)
+        ad.sum(ad.unit_rows(x, rt) * u).backward()
+        want = tape_grad(lambda t: ad.sum(chained_unit_rows(x, t) * u), right)
+        np.testing.assert_allclose(rt.grad, want, rtol=1e-12)
+        xt = Tensor(x)
+        ad.sum(ad.unit_rows(xt, right) * u).backward()
+        want = tape_grad(lambda t: ad.sum(chained_unit_rows(t, right) * u), x)
+        np.testing.assert_allclose(xt.grad, want, rtol=1e-12, atol=1e-15)
+
+
 class TestTapeMechanics:
     def test_diamond_reuse_accumulates(self):
         x = Tensor(np.array(3.0))
@@ -779,6 +886,8 @@ class TestTapeMechanics:
             (lambda a, b: ad.matmul(a, b), (X23.reshape(2, 3, 1), U23.reshape(2, 1, 3))),
             (lambda a: ad.transpose(a, (1, 0)), (X23,)),
             (ad.tanh_score, (X23, U23.T @ U23, U23[0], U23[1].reshape(3, 1))),
+            (ad.unit_rows, (X23,)),
+            (ad.unit_rows, (X23, U23.T)),
         ]
         for op, args in cases:
             plain = op(*args)

@@ -6,7 +6,9 @@ and the checkpoint format to a byte-level layout check.
 """
 
 import dataclasses
+import os
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -508,6 +510,44 @@ class TestTape:
         assert len(leaves) == len(params.named_arrays())
         assert all(node.grad is not None for node in leaves)
         assert all(node.grad is None and node.vjp is None for node in interior)
+
+    def test_one_node_per_unit_rows_call(self, monkeypatch):
+        # each taped unit_rows call is one tape node, and graph.py builds no
+        # divide or sqrt node of a row normalisation of its own
+        assert graph.unit_rows is ad.unit_rows
+        scene = synth_scene(seed=0, size=64)
+        cfg = TrainConfig()
+        params = ModelParams.init(cfg, zero_recon=False)
+        taped = []
+        real_unit_rows, real_init = ad.unit_rows, ad.Tensor.__init__
+
+        def counted(x, right=None):
+            out = real_unit_rows(x, right)
+            if isinstance(out, ad.Tensor):
+                taped.append(out)
+            return out
+
+        built = []  # (op, file of the nearest caller outside autodiff)
+
+        def init(t, data, parents=(), vjp=None):
+            real_init(t, data, parents, vjp)
+            frame = sys._getframe(1)
+            while frame.f_code.co_filename == ad.__file__:
+                frame = frame.f_back
+            op = vjp.__qualname__.split(".")[0] if vjp is not None else "leaf"
+            built.append((op, os.path.basename(frame.f_code.co_filename)))
+
+        monkeypatch.setattr(ad, "unit_rows", counted)
+        monkeypatch.setattr(graph, "unit_rows", counted)
+        monkeypatch.setattr(ad.Tensor, "__init__", init)
+        backward(scene, params, cfg)
+        # U in build_graph, then h_local and the global pair in the contrast
+        assert len(taped) == 3
+        assert [op for op, _ in built].count("unit_rows") == 3
+        assert not [op for op, where in built if where == "graph.py" and op in ("divide", "sqrt")]
+        # the whole tape of one step: 9 parameter leaves and 90 nodes, where
+        # the three normalisations as op chains made 117 tensors
+        assert len(built) == 99
 
     def test_backward_peak_memory_bounded(self):
         # one 64 px step peaks at about 6 MiB: the tape keeps only what the

@@ -483,11 +483,10 @@ def sparse_matrix(n, m, rows, cols, vals):
 
     Entries in (row, col) order become a CSR matrix as they come, with
     indptr from the row counts, and entries in (col, row) order a CSC
-    matrix likewise.  Other entries take one stable argsort into whichever
-    of the two orders has fewer descents, so a table of a few sorted runs,
-    or its transpose, sorts in about linear time.  Entries that share a
-    (row, col) are kept apart, and a product adds them one at a time,
-    within round-off of their sum.
+    matrix likewise.  Any other entries take one stable argsort into (row,
+    col) order and become CSR.  Entries that share a (row, col) are kept
+    apart, and a product adds them one at a time, within round-off of
+    their sum.
 
     With no (row, col) repeated, either form's products M @ X and M^T @ X
     have the bits of those of ``csr_matrix((vals, (rows, cols)))``: scipy
@@ -497,14 +496,15 @@ def sparse_matrix(n, m, rows, cols, vals):
     """
     rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
     vals = np.asarray(vals)
-    form, major, minor, size, key = sparse.csr_matrix, rows, cols, n, rows * m + cols
-    down = np.count_nonzero(key[1:] < key[:-1])
-    if down:
+    form, major, minor, size = sparse.csr_matrix, rows, cols, n
+    key = rows * m + cols
+    if np.any(key[1:] < key[:-1]):
         tkey = cols * n + rows
-        if np.count_nonzero(tkey[1:] < tkey[:-1]) < down:
-            form, major, minor, size, key = sparse.csc_matrix, cols, rows, m, tkey
-        order = np.argsort(key, kind="stable")
-        minor, vals = minor[order], vals[order]
+        if np.all(tkey[1:] >= tkey[:-1]):
+            form, major, minor, size = sparse.csc_matrix, cols, rows, m
+        else:
+            order = np.argsort(key, kind="stable")
+            minor, vals = cols[order], vals[order]
     itype = np.int32 if max(n, m, len(vals)) < np.iinfo(np.int32).max else np.int64
     indptr = np.zeros(size + 1, dtype=itype)
     np.cumsum(np.bincount(major, minlength=size), out=indptr[1:])

@@ -265,6 +265,8 @@ def cmd_ablate(args) -> int:
 def cmd_analyze_priors(args) -> int:
     if args.count < 1:
         raise CliError(f"--count must be at least 1, got {args.count}")
+    if args.bins < 1:
+        raise CliError(f"--bins must be at least 1, got {args.bins}")
     tables = [
         prior_analysis(synth_scene(args.seed + i, size=args.size), bins=args.bins)
         for i in range(args.count)

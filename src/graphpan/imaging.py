@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +20,7 @@ _MAX_DIM = 1 << 24  # per-axis sanity bound for headers
 
 BANDS = 4  # multispectral band count used throughout
 MAX_SCENE_SIZE = 2048  # largest synthetic scene side: a 4-band float64 raster of 128 MiB
+MIN_SCENE_SIZE = 16  # smallest synthetic scene side: its fine blobs are 1 to size/16 wide
 
 
 class FormatError(ValueError):
@@ -391,20 +391,6 @@ class PatchGrid:
     def n_patches(self):
         return self.rows * self.cols
 
-    @cached_property
-    def pixel_indices(self) -> np.ndarray:
-        """(n_patches, patch*patch*channels) flat indices into the raster:
-        the windows of an index raster, laid out as ``patches``."""
-        return window_indices(self.height, self.width, self.channels, self.patch, self.stride)
-
-    @cached_property
-    def coverage_counts(self) -> np.ndarray:
-        """How many windows cover each raster cell (flat, length h*w*c)."""
-        return np.bincount(
-            self.pixel_indices.reshape(-1),
-            minlength=self.height * self.width * self.channels,
-        )
-
 
 def extract_patches(img: Image, patch: int, stride: int) -> PatchGrid:
     h, w, c = img.data.shape
@@ -467,6 +453,8 @@ def synth_scene(seed: int, size: int = 128, scale: int = 4) -> ScenePair:
         raise ValueError("size must be divisible by scale")
     if size < 4 * scale:
         raise ValueError("scene too small for the requested scale")
+    if size < MIN_SCENE_SIZE:
+        raise ValueError(f"scene size {size} is below the minimum of {MIN_SCENE_SIZE}")
     rng = np.random.default_rng(seed)
     coarse = _blob_field(rng, size, 6, size / 10.0, size / 3.0) + _rect_field(
         rng, size, 5

@@ -8,9 +8,11 @@ with empty support are dropped, so a 3-relation graph yields at most 7
 patterns whose supports are pairwise disjoint and together tile the union
 of the relation supports.
 
-All patterns are held as one COO table (:class:`PatternSet`) sorted by
-(pattern, row, col), so each consumer reads every pattern with one op;
-iterating a table yields each pattern's span of it.
+All patterns are held as one COO table (:class:`PatternSet`) in (row,
+col) order, the order the merged relation keys come in, so each consumer
+reads every pattern with one op, and a sparse matrix of the table or of
+its transpose is built without a sort; iterating a table yields each
+pattern's entries of it.
 
 Membership is structural: an edge present with weight 0 still counts.
 """
@@ -38,7 +40,7 @@ def mask_label(mask: int) -> str:
 
 @dataclass
 class RelationPattern:
-    """One pattern's span of a :class:`PatternSet`: its relation-subset
+    """One pattern's entries of a :class:`PatternSet`: its relation-subset
     bitmask and plain-valued COO entries sorted by (row, col); row i, col j
     encodes the edge j -> i."""
 
@@ -54,13 +56,14 @@ class RelationPattern:
 
 @dataclass
 class PatternSet:
-    """Every pattern of a graph as one COO table sorted by (pattern, row,
-    col).  ``masks`` lists the m live masks in ascending order, and entry e
+    """Every pattern of a graph as one COO table sorted by (row, col).
+    ``masks`` lists the m live masks in ascending order, and entry e
     belongs to pattern ``masks[slot[e]]``; ``rows``, ``cols`` and ``slot``
     are (E,) index arrays and ``vals`` is the (E,) entry values, a plain
     array or a tensor.
 
-    ``len`` is m, and iteration yields each pattern's span as a plain-valued
+    ``len`` is m, and iteration yields, in mask order, each pattern's
+    entries (still in (row, col) order) as a plain-valued
     :class:`RelationPattern`, so it tapes nothing."""
 
     n_nodes: int
@@ -75,10 +78,9 @@ class PatternSet:
 
     def __iter__(self):
         vals = ad.value(self.vals)
-        bounds = np.searchsorted(self.slot, np.arange(len(self.masks) + 1))
         for s, mask in enumerate(self.masks):
-            span = slice(bounds[s], bounds[s + 1])
-            yield RelationPattern(int(mask), self.rows[span], self.cols[span], vals[span])
+            mine = np.flatnonzero(self.slot == s)
+            yield RelationPattern(int(mask), self.rows[mine], self.cols[mine], vals[mine])
 
 
 def _unique_inverse(keys):
@@ -113,16 +115,13 @@ def generate_patterns(g: HetGraph) -> PatternSet:
     sums = ad.index_add(len(uniq), inv, all_vals)
     means = sums / counts.astype(ad.value(all_vals).dtype)
 
-    # uniq ascends by key = (row, col), so a stable sort on the masks gives
-    # the (pattern, row, col) order
-    order = np.argsort(key_masks, kind="stable")
+    # uniq ascends by key = (row, col): the table keeps that order
     live = np.flatnonzero(np.bincount(key_masks, minlength=MAX_PATTERNS + 1)[1:]) + 1
-    kk = uniq[order]
     return PatternSet(
         n_nodes=n,
         masks=live,
-        slot=np.searchsorted(live, key_masks[order]),
-        rows=kk // n,
-        cols=kk % n,
-        vals=means[order],
+        slot=np.searchsorted(live, key_masks),
+        rows=uniq // n,
+        cols=uniq % n,
+        vals=means,
     )

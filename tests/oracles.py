@@ -3,7 +3,7 @@
 Each one is written independently of the code path it checks: patterns by
 dense membership tests over every ordered node pair, kNN picks by a
 whole-matrix selection on knn_select's own similarity product, overlap
-averaging by a bincount over the grid's pixel indices, exp/log as plain
+averaging by a bincount over the windows' pixel indices, exp/log as plain
 tape ops for the dense InfoNCE and composite-expression oracles, and row
 normalisation as a chain of the elementwise tape ops.
 """
@@ -12,7 +12,7 @@ import numpy as np
 
 import graphpan.autodiff as ad
 from graphpan.graph import N_RELATIONS, self_similarities
-from graphpan.imaging import Image, PatchGrid
+from graphpan.imaging import Image, PatchGrid, window_indices
 from graphpan.patterns import MAX_PATTERNS, PatternSet, RelationPattern
 
 ORACLE_NODE_LIMIT = 10_000
@@ -59,20 +59,25 @@ def to_dense(p: RelationPattern, n):
 
 def pattern_set(n, patterns) -> PatternSet:
     """The table of hand-built :class:`RelationPattern` objects with
-    distinct masks, each sorted by (row, col)."""
+    distinct masks, each sorted by (row, col): their entries stably sorted
+    into (row, col) order, as :func:`generate_patterns` lays its table out,
+    so a repeated (row, col) stays adjacent."""
     patterns = sorted(patterns, key=lambda p: p.mask)
 
     def cat(field, dtype):
         parts = [getattr(p, field) for p in patterns]
         return np.concatenate(parts) if parts else np.empty(0, dtype)
 
+    rows, cols = cat("rows", np.int64), cat("cols", np.int64)
+    order = np.argsort(rows * n + cols, kind="stable")
+    slot = np.repeat(np.arange(len(patterns)), [p.nnz for p in patterns])
     return PatternSet(
         n_nodes=n,
         masks=np.array([p.mask for p in patterns], dtype=np.int64),
-        slot=np.repeat(np.arange(len(patterns)), [p.nnz for p in patterns]),
-        rows=cat("rows", np.int64),
-        cols=cat("cols", np.int64),
-        vals=cat("vals", np.float64),
+        slot=slot[order],
+        rows=rows[order],
+        cols=cols[order],
+        vals=cat("vals", np.float64)[order],
     )
 
 
@@ -164,10 +169,8 @@ def reassemble_patches(grid: PatchGrid, patch_values: np.ndarray | None = None) 
     vals = grid.patches if patch_values is None else np.asarray(patch_values)
     if vals.shape != grid.patches.shape:
         raise ValueError(f"patch_values shape {vals.shape} != {grid.patches.shape}")
-    total = np.bincount(
-        grid.pixel_indices.reshape(-1),
-        weights=vals.reshape(-1).astype(np.float64),
-        minlength=grid.height * grid.width * grid.channels,
-    )
-    avg = total / np.maximum(grid.coverage_counts, 1)
+    size = grid.height * grid.width * grid.channels
+    pix = window_indices(grid.height, grid.width, grid.channels, grid.patch, grid.stride).reshape(-1)
+    total = np.bincount(pix, weights=vals.reshape(-1).astype(np.float64), minlength=size)
+    avg = total / np.maximum(np.bincount(pix, minlength=size), 1)
     return Image.from_array(avg.reshape(grid.height, grid.width, grid.channels))

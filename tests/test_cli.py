@@ -18,7 +18,7 @@ from graphpan import graph
 from graphpan.aggregation import ModelParams, forward
 from graphpan.cli import bench_scaling, main, merge_config, parse_config_file
 from graphpan.config import TrainConfig
-from graphpan.imaging import MAX_SCENE_SIZE, ScenePair, read_hsif, read_ppm, synth_scene
+from graphpan.imaging import MAX_SCENE_SIZE, MIN_SCENE_SIZE, ScenePair, read_hsif, read_ppm, synth_scene
 from graphpan.metrics import full_reference
 from graphpan.training import load_checkpoint, save_checkpoint
 
@@ -92,6 +92,13 @@ class TestSynth:
             done = run_cli("synth", "--out", tmp_path / "s", flag, value)
             assert_cli_error(done, message)
             assert not (tmp_path / "s").exists()  # a refused run writes nothing
+
+    @pytest.mark.parametrize("size, scale", [("8", "2"), ("12", "1")])
+    def test_size_below_the_minimum_exit_1(self, tmp_path, size, scale):
+        # these pass the scale checks, and numpy once refused the blob draw
+        done = run_cli("synth", "--out", tmp_path / "s", "--size", size, "--scale", scale)
+        assert_cli_error(done, f"scene size {size} is below the minimum of {MIN_SCENE_SIZE}")
+        assert not (tmp_path / "s").exists()
 
 
 @pytest.mark.parametrize("command", ["synth", "patterns-dump", "ablate"])
@@ -454,6 +461,12 @@ class TestAnalyzePriors:
     def test_no_scenes_exit_1(self, count):
         done = run_cli("analyze-priors", "--count", count, "--size", "16")
         assert_cli_error(done, f"--count must be at least 1, got {count}")
+        assert done.stdout == ""
+
+    @pytest.mark.parametrize("bins", ["0", "-3"])
+    def test_no_bins_exit_1(self, bins):
+        done = run_cli("analyze-priors", "--bins", bins, "--size", "16")
+        assert_cli_error(done, f"--bins must be at least 1, got {bins}")
         assert done.stdout == ""
 
 

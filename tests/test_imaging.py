@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from graphpan.imaging import (
     BANDS,
+    MIN_SCENE_SIZE,
     Image,
     ImageFormatError,
     PatchGrid,
@@ -28,6 +29,7 @@ from graphpan.imaging import (
     synth_scene,
     upsample_bicubic,
     wald_degrade,
+    window_indices,
     write_hsif,
     write_image,
     write_pgm,
@@ -39,6 +41,13 @@ from oracles import reassemble_patches
 
 # ---------------------------------------------------------------------------
 # independent oracles
+
+
+def coverage_counts(grid: PatchGrid):
+    """How many of the grid's windows cover each raster cell (flat, length
+    h*w*c)."""
+    pix = window_indices(grid.height, grid.width, grid.channels, grid.patch, grid.stride)
+    return np.bincount(pix.reshape(-1), minlength=grid.height * grid.width * grid.channels)
 
 
 def blur_oracle(data, sigma):
@@ -376,7 +385,7 @@ class TestPatches:
         img = Image.from_array(rng.random((10, 10, 3)))
         grid = extract_patches(img, 4, 2)
         flat = img.data.reshape(-1)
-        np.testing.assert_array_equal(flat[grid.pixel_indices], grid.patches)
+        np.testing.assert_array_equal(flat[window_indices(10, 10, 3, 4, 2)], grid.patches)
 
     def test_reassemble_identity_when_covering(self):
         rng = np.random.default_rng(12)
@@ -399,7 +408,7 @@ class TestPatches:
     def test_uncovered_cells_zero(self):
         img = Image.constant(10, 10, 1, 1.0)
         grid = extract_patches(img, 4, 3)  # (10-4)%3 == 0 rows 0,3,6 -> covers 0..9
-        assert grid.coverage_counts.min() >= 1
+        assert coverage_counts(grid).min() >= 1
         grid2 = extract_patches(Image.constant(11, 11, 1, 1.0), 4, 3)
         out = reassemble_patches(grid2).data
         assert out[10, 10, 0] == 0.0  # last row/col unreachable at stride 3
@@ -407,7 +416,7 @@ class TestPatches:
     def test_coverage_counts_total(self):
         img = Image.constant(16, 16, 2, 0.5)
         grid = extract_patches(img, 8, 4)
-        assert grid.coverage_counts.sum() == grid.n_patches * 8 * 8 * 2
+        assert coverage_counts(grid).sum() == grid.n_patches * 8 * 8 * 2
 
     def test_stride_bounds_enforced(self):
         img = Image.constant(8, 8, 1, 0.5)
@@ -512,3 +521,18 @@ class TestSynthScene:
             synth_scene(0, size=12)  # too small
         with pytest.raises(ValueError, match="scale must be >= 1"):
             synth_scene(0, size=16, scale=0)
+
+    def test_refuses_sizes_below_the_minimum_before_drawing(self, monkeypatch):
+        # the fine blobs are drawn 1 to size/16 wide, so a smaller side that
+        # passes the scale checks is refused by name, before any random draw
+        def no_draws(seed=None):
+            raise AssertionError("drew a random number")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        for size in range(4, MIN_SCENE_SIZE):
+            for scale in (1, 2, 3):
+                if size % scale == 0 and size >= 4 * scale:
+                    with pytest.raises(ValueError, match=f"below the minimum of {MIN_SCENE_SIZE}"):
+                        synth_scene(0, size=size, scale=scale)
+        monkeypatch.undo()
+        assert synth_scene(0, size=MIN_SCENE_SIZE, scale=1).gt.data.shape == (16, 16, BANDS)

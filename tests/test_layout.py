@@ -1,10 +1,15 @@
-"""Layout audit: every module-level function and class in ``src/graphpan`` is
-used by the package itself.
+"""Layout audit: every module-level function and class in ``src/graphpan``,
+and every method and property of its classes, is used by the package or
+its bench.
 
 A def counts as used when something outside its own definition refers to
 it: a bare name in the same module, a ``from .m import name`` in any module,
-or ``alias.name`` where ``alias`` came from ``from . import m``.  Dunder
-names are exempt.  Code that only the tests call belongs in
+or ``alias.name`` where ``alias`` came from ``from . import m``.  A class
+member counts as used when an attribute of its name is read in
+``src/graphpan`` or ``perfbench`` outside its own definition and outside
+every other unused member.  Dunder names are exempt, and so are the members
+of the classes the package exports in ``__all__`` and the members a library
+calls by name.  Code that only the tests call belongs in
 ``tests/oracles.py`` or beside its test.  The package also must not load
 ``scipy.signal``: its filters come from ``scipy.ndimage``.
 """
@@ -16,6 +21,11 @@ import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "graphpan"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+# members that a library calls by name: argparse reports a bad flag through
+# the parser's error()
+CALLED_BY_LIBRARIES = {"cli._Parser.error"}
 
 
 def unreferenced_defs(package: Path):
@@ -57,6 +67,61 @@ def unreferenced_defs(package: Path):
     return sorted(found)
 
 
+def _exported(package: Path):
+    """The names in the package's ``__all__``."""
+    init = package / "__init__.py"
+    if not init.exists():
+        return set()
+    for node in ast.parse(init.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def unreferenced_members(package: Path, readers=(), exempt=frozenset()):
+    """Sorted ``module.Class.member`` of every method or property of a
+    module-level class in ``package`` whose name no attribute read in
+    ``package`` or in the ``.py`` files under ``readers`` takes, outside its
+    own definition and outside the other members found, so a member read
+    only by unused ones is found too.  Dunders, the members of classes in
+    ``__all__`` and the names in ``exempt`` are skipped."""
+    exported = _exported(package)
+    paths = sorted(set(package.glob("*.py")) | {p for r in readers for p in Path(r).rglob("*.py")})
+    trees = {p: ast.parse(p.read_text()) for p in paths}
+    members = {}  # "module.Class.member" -> the ids of its definition's nodes
+    for path in sorted(package.glob("*.py")):
+        for c in trees[path].body:
+            if not isinstance(c, ast.ClassDef) or c.name in exported:
+                continue
+            for d in c.body:
+                if not isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                name = f"{path.stem}.{c.name}.{d.name}"
+                dunder = d.name.startswith("__") and d.name.endswith("__")
+                if not dunder and name not in exempt:
+                    members[name] = {id(n) for n in ast.walk(d)}
+    reads = [
+        (n.attr, id(n)) for tree in trees.values() for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    ]
+    found = set()
+    while True:
+        # reads inside a member already found do not count
+        skip = set().union(*(members[m] for m in found))
+        dead = {
+            name for name, own in members.items()
+            if not any(
+                attr == name.rsplit(".", 1)[1] and i not in own and i not in skip
+                for attr, i in reads
+            )
+        }
+        if dead == found:
+            return sorted(found)
+        found = dead
+
+
 def test_every_module_level_def_is_referenced():
     assert list(PACKAGE.glob("*.py")), f"no modules under {PACKAGE}"
     assert unreferenced_defs(PACKAGE) == []
@@ -76,6 +141,37 @@ def test_audit_counts_each_kind_of_reference(tmp_path):
         "from . import a as mod\nfrom .a import by_import\n\nmod.by_alias()\n"
     )
     assert unreferenced_defs(tmp_path) == ["a.Unused", "a.recursive"]
+
+
+def test_every_class_member_is_read():
+    assert unreferenced_members(PACKAGE, [PERFBENCH], CALLED_BY_LIBRARIES) == []
+
+
+def test_member_audit_counts_each_kind_of_read(tmp_path):
+    pkg, bench = tmp_path / "pkg", tmp_path / "bench"
+    pkg.mkdir()
+    bench.mkdir()
+    (pkg / "__init__.py").write_text('__all__ = ["Exported"]\n')
+    (pkg / "a.py").write_text(
+        "class Exported:\n"
+        "    def unused(self):\n        pass\n\n"
+        "class Kept:\n"
+        "    def __len__(self):\n        return 0\n\n"
+        "    def read_here(self):\n        return self.helper()\n\n"
+        "    def helper(self):\n        return 1\n\n"
+        "    @property\n    def by_bench(self):\n        return 2\n\n"
+        "    def dead(self):\n        return self.only_dead()\n\n"
+        "    def only_dead(self):\n        return 3\n\n"
+        "    def recursive(self):\n        return self.recursive()\n\n"
+        "    def written(self):\n        pass\n\n"
+        "    def library(self):\n        pass\n\n"
+        "k = Kept()\nk.read_here()\nk.written = 1\n"
+    )
+    (bench / "b.py").write_text("def f(k):\n    return k.by_bench\n")
+    assert unreferenced_members(pkg, [bench], {"a.Kept.library"}) == [
+        "a.Kept.dead", "a.Kept.only_dead", "a.Kept.recursive", "a.Kept.written",
+    ]
+    assert "a.Kept.by_bench" in unreferenced_members(pkg)
 
 
 def test_cli_import_loads_no_scipy_signal():

@@ -194,21 +194,22 @@ class TestTable:
         g = random_multiplex_graph(25, density, seed=seed)
         ps = generate_patterns(g)
         assert isinstance(ps, PatternSet)
-        # sorted by (slot, row, col), one entry per pair
-        keys = list(zip(ps.slot.tolist(), ps.rows.tolist(), ps.cols.tolist()))
-        assert keys == sorted(set(keys))
+        # strictly increasing (row, col) keys: sorted, one entry per pair
+        keys = ps.rows * ps.n_nodes + ps.cols
+        assert np.all(keys[1:] > keys[:-1])
         # masks are exactly the live masks, ascending, and every slot is used
         assert ps.masks.tolist() == masks(pattern_oracle(g))
         assert np.array_equal(np.unique(ps.slot), np.arange(len(ps)))
-        # the spans, put back together, are the table
+        # the per-pattern spans partition the table: each takes exactly the
+        # entries of its slot, in table order
         spans = list(ps)
         assert [p.mask for p in spans] == ps.masks.tolist()
-        np.testing.assert_array_equal(np.concatenate([p.rows for p in spans]), ps.rows)
-        np.testing.assert_array_equal(np.concatenate([p.cols for p in spans]), ps.cols)
-        np.testing.assert_array_equal(np.concatenate([p.vals for p in spans]), ad.value(ps.vals))
-        np.testing.assert_array_equal(
-            np.repeat(np.arange(len(ps)), [p.nnz for p in spans]), ps.slot
-        )
+        assert sum(p.nnz for p in spans) == len(ps.rows)
+        for s, p in enumerate(spans):
+            mine = ps.slot == s
+            np.testing.assert_array_equal(p.rows, ps.rows[mine])
+            np.testing.assert_array_equal(p.cols, ps.cols[mine])
+            np.testing.assert_array_equal(p.vals, ad.value(ps.vals)[mine])
 
 
 class TestOrdering:

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 import graphpan.autodiff as ad
-from graphpan import graph, imaging
+from graphpan import aggregation, graph, imaging
 from graphpan.aggregation import LowRank, ModelParams, run_pipeline
 from graphpan.config import MAX_PARAMS, TrainConfig
 from graphpan.graph import N_RELATIONS
@@ -545,9 +545,40 @@ class TestTape:
         assert len(taped) == 3
         assert [op for op, _ in built].count("unit_rows") == 3
         assert not [op for op, where in built if where == "graph.py" and op in ("divide", "sqrt")]
-        # the whole tape of one step: 9 parameter leaves and 90 nodes, where
+        # the whole tape of one step: 9 parameter leaves and 89 nodes, where
         # the three normalisations as op chains made 117 tensors
-        assert len(built) == 99
+        assert len(built) == 98
+
+    @pytest.mark.parametrize("mode", ["full", "local-only", "global-only"])
+    def test_every_sparse_matrix_of_a_step_comes_sorted(self, monkeypatch, mode):
+        # each sparse matrix a step builds, reconstruct's constant operators
+        # included, receives its entries in (row, col) or (col, row) order,
+        # so none of them is sorted
+        aggregation._recon_operators.cache_clear()
+        scene = synth_scene(seed=0, size=64)
+        cfg = TrainConfig(ablate=mode)
+        params = ModelParams.init(cfg, zero_recon=False)
+        orders = []
+        real = ad.sparse_matrix
+
+        def record(n, m, rows, cols, vals):
+            rows, cols = np.asarray(rows, np.int64), np.asarray(cols, np.int64)
+            by_row, by_col = rows * m + cols, cols * n + rows
+            orders.append(
+                "row" if np.all(by_row[1:] >= by_row[:-1])
+                else "col" if np.all(by_col[1:] >= by_col[:-1]) else "neither"
+            )
+            return real(n, m, rows, cols, vals)
+
+        monkeypatch.setattr(ad, "sparse_matrix", record)
+        backward(scene, params, cfg)
+        # aggregate_local's A and A^T when the local branch runs, then
+        # reconstruct's G and P and the edge-weight backward of the three
+        # relations
+        assert len(orders) == (5 if mode == "global-only" else 7)
+        assert "neither" not in orders
+        if mode != "global-only":
+            assert orders[:2] == ["row", "col"]
 
     def test_backward_peak_memory_bounded(self):
         # one 64 px step peaks at about 6 MiB: the tape keeps only what the

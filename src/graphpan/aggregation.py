@@ -2,19 +2,21 @@
 
 Local branch: patterns are combined with learned scalars, symmetrised,
 self-looped and degree-normalised (applied straight from the pattern
-entries, see :func:`aggregate_local`); node attributes propagate through a
-stack of linear layers (no activations) and the per-depth outputs are
-averaged.
+entries, see :func:`aggregate_local`); node attributes propagate through
+this operator once and one learned (d, d) matrix maps the result.
 
 Global branch: per-pattern incoming-weight totals form a compact node
 descriptor matrix B (columns scaled by learned scalars); the row-L1
-normalised similarity B @ B.T drives one propagation that keeps only the
-deepest layer output.  B has at most seven columns and B @ B.T is
+normalised similarity B @ B.T drives one propagation, mapped by one
+learned (d, d) matrix.  B has at most seven columns and B @ B.T is
 nonnegative, so the similarity is applied in factored form and the (n, n)
-matrix is never built.  The layers after it are linear, so the branch
-output has rank at most m, the number of live patterns, and stays a
-:class:`LowRank` pair left @ K with K = (B^T U) W_1 ... W_L of shape (m, d):
-the layers, the importance score and the contrastive term all work on K.
+matrix is never built.  The map is linear, so the branch output has rank
+at most m, the number of live patterns, and stays a :class:`LowRank` pair
+left @ K with K = (B^T U) W of shape (m, d): the map, the importance score
+and the contrastive term all work on K.
+
+Nothing nonlinear follows either propagation, so one matrix per branch is
+the whole function class a stack of them would span.
 
 Fusion weighs the two branches per node with learned importance: a score
 q . tanh(W h + b) for each branch output, softmax-normalised over the two
@@ -130,14 +132,13 @@ class NodeRepr:
 
 
 def aggregate_local(ps: PatternSet, U, alpha, w_local) -> object:
-    """Pattern-weighted local propagation with depth averaging; w_local
-    holds one (d, d) layer per index of its first axis.
+    """Pattern-weighted local propagation, mapped by the (d, d) w_local.
 
     With A the pattern table's entries, each scaled by its pattern's alpha
     (one gather and one product for the whole table), the operator is
     D^{-1/2} (A/2 + A^T/2 + I) D^{-1/2}, whose degrees are
-    deg = A 1/2 + A^T 1/2 + 1.  It is applied as
-    D^{-1/2} (A V/2 + A^T V/2 + V) with V = D^{-1/2} U, where A V and
+    deg = A 1/2 + A^T 1/2 + 1.  The branch is computed as
+    D^{-1/2} (A V/2 + A^T V/2 + V) w_local with V = D^{-1/2} U, where A V and
     A^T V are two sparse products (:func:`autodiff.spmm`), so the tape keeps
     only (E,) entry vectors and no (E, d) gather.  Every step is linear in
     the entries, so entries that share a (row, col), which a hand-built
@@ -155,12 +156,7 @@ def aggregate_local(ps: PatternSet, U, alpha, w_local) -> object:
     dinv = ad.reshape(live / ad.sqrt(deg * live + (1.0 - live)), (n, 1))
     v = dinv * U
     av = ad.spmm(n, rows, cols, vals, v) + ad.spmm(n, cols, rows, vals, v)
-    h = dinv * (av * 0.5 + v)
-    acc = None
-    for i in range(len(w_local)):
-        h = h @ w_local[i]
-        acc = h if acc is None else acc + h
-    return acc / float(len(w_local))
+    return (dinv * (av * 0.5 + v)) @ w_local
 
 
 def build_global_pattern_matrix(ps: PatternSet, beta) -> object:
@@ -218,13 +214,9 @@ def global_similarity(B) -> LowRank:
 
 def aggregate_global(A, U, w_global) -> object:
     """One propagation through A (a :class:`LowRank` pair or a plain
-    matrix), then the layers w_global[0], w_global[1], ...; only the
-    deepest layer output is kept.  For a pair the layers act on its (m, d)
-    right factor, and the output is a pair too."""
-    h = A @ U
-    for i in range(len(w_global)):
-        h = h @ w_global[i]
-    return h
+    matrix), mapped by the (d, d) w_global: (A U) w_global.  For a pair the
+    map acts on its (m, d) right factor, and the output is a pair too."""
+    return (A @ U) @ w_global
 
 
 def weigh_branches(h_local, h_global, importance):

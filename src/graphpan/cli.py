@@ -5,7 +5,7 @@ analyze-priors, bench.  Exit codes: 0 success, 1 validation/input error or
 out of memory, 2 failed numeric check (grad-check tolerance, ablate
 direction) or diverged training.
 
-Configuration merges three layers: built-in defaults, then an optional
+Configuration merges three sources: built-in defaults, then an optional
 ``key = value`` config file (# comments), then explicit command-line flags.
 """
 
@@ -93,6 +93,14 @@ def merge_config(args) -> TrainConfig:
     return TrainConfig().replace(**updates).validate()
 
 
+def _check_seeds(args, *names):
+    """Refuse a negative seed flag by name; numpy's own message names none."""
+    for name in names:
+        value = getattr(args, name)
+        if value is not None and value < 0:
+            raise CliError(f"--{name.replace('_', '-')} must be non-negative, got {value}")
+
+
 def _scene_dirs(root) -> list:
     root = Path(root)
     if not root.is_dir():
@@ -108,6 +116,7 @@ def _scene_dirs(root) -> list:
 
 
 def cmd_synth(args) -> int:
+    _check_seeds(args, "seed")
     if args.count < 1:
         raise CliError(f"--count must be at least 1, got {args.count}")
     out = Path(args.out)
@@ -180,6 +189,7 @@ def cmd_infer(args) -> int:
 
 
 def cmd_patterns_dump(args) -> int:
+    _check_seeds(args, "scene_seed", "param_seed")
     if args.checkpoint:
         # the file fixes the config and the parameters: a flag that would
         # change either is refused, not ignored
@@ -224,6 +234,7 @@ def cmd_grad_check(args) -> int:
             raise CliError(f"{flag} must be finite and positive, got {v}")
     if args.max_coords is not None and args.max_coords < 1:
         raise CliError(f"--max-coords must be at least 1, got {args.max_coords}")
+    _check_seeds(args, "scene_seed", "param_seed")
     scene = toy_scene(seed=args.scene_seed)
     cfg = toy_config(gamma=args.gamma, ablate=args.ablate)
     params = ModelParams.init(cfg, seed=args.param_seed, zero_recon=False)
@@ -246,6 +257,7 @@ def cmd_ablate(args) -> int:
     end within 5% of its best single branch."""
     if args.tail < 1:
         raise CliError("--tail must be positive")
+    _check_seeds(args, "seed")
     scene = synth_scene(args.seed, size=args.size)
     rows = ablation_table([scene], TrainConfig(), iters=args.iters, tail=args.tail)
     print(f"{'mode':<12} {'final_l1':>10} {'final_total':>12}")
@@ -263,6 +275,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_analyze_priors(args) -> int:
+    _check_seeds(args, "seed")
     if args.count < 1:
         raise CliError(f"--count must be at least 1, got {args.count}")
     if args.bins < 1:
@@ -322,7 +335,7 @@ def bench_scaling(sizes=BENCH_SIZES, d=32, seed=0):
         rng = np.random.default_rng(seed + 1)
         u = rng.standard_normal((n, d))
         beta = np.ones(7)
-        w_global = rng.standard_normal((1, d, d)) / np.sqrt(d)
+        w_global = rng.standard_normal((d, d)) / np.sqrt(d)
         ps = generate_patterns(g)
 
         def run_patterns():
@@ -358,6 +371,7 @@ def cmd_bench(args) -> int:
         raise CliError(f"--sizes needs two distinct sizes to fit an exponent, got {args.sizes}")
     if args.d < 1:
         raise CliError(f"--d must be at least 1, got {args.d}")
+    _check_seeds(args, "seed")
     rows, exps = bench_scaling(sizes=sizes, d=args.d, seed=args.seed)
     print(f"{'n':>6} {'t_patterns_s':>14} {'t_global_s':>12}")
     for r in rows:

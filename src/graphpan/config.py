@@ -20,7 +20,8 @@ _INIT_PATTERNS = 3  # disjoint relation supports give three singleton patterns
 def param_layout(cfg: TrainConfig) -> dict:
     """The learned arrays, written once: for each
     :class:`aggregation.ModelParams` field, in field order, a (shape, init)
-    pair; one matrix per node kind, layer or band is one stacked array.
+    pair; one matrix per node kind or band is one stacked array, and each
+    aggregation branch has one (d, d) map.
     ``init`` is "glorot" (bound from the last two dims, so a stack draws as
     its matrices in turn), "recon" (uniform in [-0.02, 0.02), or zeros for
     a zero head) or a constant fill value.
@@ -35,8 +36,8 @@ def param_layout(cfg: TrainConfig) -> dict:
         "w_embed": ((1 + BANDS, d, p2), "glorot"),
         "alpha": ((MAX_PATTERNS,), 1.0 / _INIT_PATTERNS),
         "beta": ((MAX_PATTERNS,), 1.0),
-        "w_local": ((cfg.layers, d, d), "glorot"),
-        "w_global": ((cfg.layers, d, d), "glorot"),
+        "w_local": ((d, d), "glorot"),
+        "w_global": ((d, d), "glorot"),
         "recon": ((BANDS, p2, 2 * d), "recon"),
         "importance_w": ((2 * d, d), "glorot"),
         "importance_b": ((2 * d,), 0.0),
@@ -48,7 +49,7 @@ def param_layout(cfg: TrainConfig) -> dict:
 class TrainConfig:
     """Every knob of the pipeline, with the defaults used by the experiments.
 
-    Values merge in three layers: these defaults, then a key = value config
+    Values merge from three sources: these defaults, then a key = value config
     file, then explicit command-line flags.
     """
 
@@ -56,7 +57,6 @@ class TrainConfig:
     patch: int = 8          # patch side p
     stride: int = 4         # patch stride
     d: int = 64             # node feature width
-    layers: int = 2         # propagation depth l
     k: int = 8              # neighbours per node in spatial/spectral relations
 
     # losses
@@ -90,8 +90,8 @@ class TrainConfig:
                 raise ValueError(f"{f.name} must be finite")
         if self.patch < 1 or self.stride < 1 or self.stride > self.patch:
             raise ValueError("need 1 <= stride <= patch")
-        if self.d < 1 or self.layers < 1 or self.k < 1:
-            raise ValueError("d, layers and k must be positive")
+        if self.d < 1 or self.k < 1:
+            raise ValueError("d and k must be positive")
         if self.param_count > MAX_PARAMS:  # checked before any array is built
             raise ValueError(f"the model would hold {self.param_count} parameters, more than {MAX_PARAMS}")
         if self.tau <= 0:
@@ -102,6 +102,8 @@ class TrainConfig:
             raise ValueError("bad learning-rate schedule")
         if self.iters < 1 or self.batch < 1:
             raise ValueError("iters and batch must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.precision not in ("standard", "high"):
             raise ValueError(f"unknown precision {self.precision!r}")
         if self.ablate not in ABLATION_MODES:

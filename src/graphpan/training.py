@@ -30,7 +30,7 @@ from .graph import band_node
 from .imaging import BANDS, FormatError, Image, ScenePair, wald_degrade
 
 CHECKPOINT_MAGIC = b"HSSN"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 _REL_FLOOR = 1e-6  # relative-error denominators never drop below this
 
@@ -242,9 +242,7 @@ def toy_scene(seed=0, height=4, width=8, scale=4):
 
 
 def toy_config(**overrides):
-    base = dict(
-        patch=4, stride=4, d=8, layers=2, k=1, precision="high", seed=0, batch=1
-    )
+    base = dict(patch=4, stride=4, d=8, k=1, precision="high", seed=0, batch=1)
     base.update(overrides)
     return TrainConfig(**base).validate()
 
@@ -298,7 +296,7 @@ def lr_schedule(cfg: TrainConfig, iteration: int) -> float:
 
 # the TrainConfig fields of the _config block, in order; ablate is stored as
 # its index in ABLATION_MODES
-CONFIG_FIELDS = ("patch", "stride", "d", "layers", "k", "tau", "gamma", "ablate")
+CONFIG_FIELDS = ("patch", "stride", "d", "k", "tau", "gamma", "ablate")
 
 
 def _dims3(shape):
@@ -406,10 +404,6 @@ def load_checkpoint(path):
     meta, start = block("_config", (len(CONFIG_FIELDS),))
     try:
         cfg = _decode_config(meta)
-        # a count that the file cannot hold, reported before the model-size
-        # bound of validate; a smaller one is reported by the dims of w_local
-        if cfg.layers > len(blob):
-            raise ValueError(f"layers {cfg.layers} is more than the file's {len(blob)} bytes")
         cfg.validate()
     except (ValueError, OverflowError) as e:
         raise CheckpointFormatError(f"bad checkpoint _config: {e}", offset=start) from None

@@ -5,12 +5,14 @@ dense membership tests over every ordered node pair, kNN picks by a
 whole-matrix selection on knn_select's own similarity product, overlap
 averaging by a bincount over the windows' pixel indices, exp/log as plain
 tape ops for the dense InfoNCE and composite-expression oracles, and row
-normalisation as a chain of the elementwise tape ops.
+normalisation as a chain of the elementwise tape ops, and the model-size
+bound's widest d by bisection over the config's parameter count.
 """
 
 import numpy as np
 
 import graphpan.autodiff as ad
+from graphpan.config import MAX_PARAMS, TrainConfig
 from graphpan.graph import N_RELATIONS, self_similarities
 from graphpan.imaging import Image, PatchGrid, window_indices
 from graphpan.patterns import MAX_PATTERNS, PatternSet, RelationPattern
@@ -174,3 +176,20 @@ def reassemble_patches(grid: PatchGrid, patch_values: np.ndarray | None = None) 
     total = np.bincount(pix, weights=vals.reshape(-1).astype(np.float64), minlength=size)
     avg = total / np.maximum(np.bincount(pix, minlength=size), 1)
     return Image.from_array(avg.reshape(grid.height, grid.width, grid.channels))
+
+
+# ---------------------------------------------------------------------------
+# model size
+
+
+def largest_valid_d():
+    """The widest feature width d at which the default config holds at most
+    MAX_PARAMS learned values, by bisection on ``param_count``."""
+    lo, hi = 1, MAX_PARAMS  # d = MAX_PARAMS is far past the bound
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if TrainConfig(d=mid).param_count <= MAX_PARAMS:
+            lo = mid
+        else:
+            hi = mid
+    return lo

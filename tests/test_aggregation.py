@@ -1,6 +1,6 @@
 """Linear aggregation branches, fusion, and reconstruction.
 
-Both aggregation paths are validated against dense matrix-chain oracles
+Both aggregation paths are validated against dense matrix oracles
 written straight from their definitions (symmetrise + self-loops + D^{-1/2}
 normalisation for the local branch; row-L1-normalised B B^T for the global
 branch), plus hand-computed miniature cases.
@@ -37,7 +37,7 @@ from oracles import masks, pattern_set, to_dense
 # dense oracles
 
 
-def local_oracle(ps, U, alpha, w_chain):
+def local_oracle(ps, U, alpha, w):
     n = ps.n_nodes
     M = np.zeros((n, n))
     for p in ps:
@@ -46,15 +46,10 @@ def local_oracle(ps, U, alpha, w_chain):
     deg = sym.sum(axis=1)
     dinv = np.where(deg > 1e-12, 1.0 / np.sqrt(np.where(deg > 1e-12, deg, 1.0)), 0.0)
     ahat = dinv[:, None] * sym * dinv[None, :]
-    h = ahat @ U
-    acc = np.zeros_like(U, dtype=np.float64)
-    for w in w_chain:
-        h = h @ w
-        acc = acc + h
-    return acc / len(w_chain)
+    return ahat @ U @ w
 
 
-def global_oracle(ps, U, beta, w_chain):
+def global_oracle(ps, U, beta, w):
     n = ps.n_nodes
     B = np.zeros((n, len(ps)))
     for m, p in enumerate(ps):
@@ -62,10 +57,7 @@ def global_oracle(ps, U, beta, w_chain):
     S = B @ B.T
     r = np.abs(S).sum(axis=1)
     A = np.where(r[:, None] > 0, S / np.where(r[:, None] > 0, r[:, None], 1.0), 0.0)
-    h = A @ U
-    for w in w_chain:
-        h = h @ w
-    return h
+    return A @ U @ w
 
 
 def self_loop_pattern(n, mask=1):
@@ -85,7 +77,7 @@ class TestAggregateLocal:
         U = np.random.default_rng(0).normal(size=(n, d))
         ps = self_loop_pattern(n)
         alpha = np.ones(7)
-        h = aggregate_local(ps, U, alpha, [np.eye(d)])
+        h = aggregate_local(ps, U, alpha, np.eye(d))
         np.testing.assert_allclose(ad.value(h), U, atol=1e-12)
 
     def test_alpha_zero_reduces_to_mlp_chain(self):
@@ -93,10 +85,9 @@ class TestAggregateLocal:
         rng = np.random.default_rng(1)
         U = rng.normal(size=(n, d))
         ps = random_patternset(n, seed=2)
-        w1, w2 = rng.normal(size=(d, d)), rng.normal(size=(d, d))
-        h = aggregate_local(ps, U, np.zeros(7), [w1, w2])
-        want = (U @ w1 + U @ w1 @ w2) / 2.0
-        np.testing.assert_allclose(ad.value(h), want, rtol=1e-10, atol=1e-12)
+        w = rng.normal(size=(d, d))
+        h = aggregate_local(ps, U, np.zeros(7), w)
+        np.testing.assert_allclose(ad.value(h), U @ w, rtol=1e-10, atol=1e-12)
 
     def test_dense_oracle_random(self):
         rng = np.random.default_rng(3)
@@ -105,9 +96,9 @@ class TestAggregateLocal:
             ps = random_patternset(n, seed=seed)
             U = rng.normal(size=(n, d))
             alpha = rng.uniform(0.0, 1.0, size=7)
-            chain = [rng.normal(size=(d, d)) for _ in range(2)]
-            got = ad.value(aggregate_local(ps, U, alpha, chain))
-            want = local_oracle(ps, U, alpha, chain)
+            w = rng.normal(size=(d, d))
+            got = ad.value(aggregate_local(ps, U, alpha, w))
+            want = local_oracle(ps, U, alpha, w)
             np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-9)
 
     def test_shared_entries_need_no_merging(self):
@@ -121,9 +112,9 @@ class TestAggregateLocal:
         rng = np.random.default_rng(10)
         U = rng.normal(size=(n, d))
         alpha = rng.uniform(0.5, 1.5, size=7)
-        chain = [rng.normal(size=(d, d)) for _ in range(2)]
-        got = ad.value(aggregate_local(ps, U, alpha, chain))
-        np.testing.assert_allclose(got, local_oracle(ps, U, alpha, chain), rtol=1e-12, atol=1e-14)
+        w = rng.normal(size=(d, d))
+        got = ad.value(aggregate_local(ps, U, alpha, w))
+        np.testing.assert_allclose(got, local_oracle(ps, U, alpha, w), rtol=1e-12, atol=1e-14)
 
     def test_repeated_entries_match_the_merged_table(self):
         # the sparse products keep a repeated (row, col) as two entries, and
@@ -139,27 +130,29 @@ class TestAggregateLocal:
             np.array([0.3, 0.25 + 0.5 + 0.7, 0.9, 0.4, 0.6 + 0.15 + 0.2]))])
         rng = np.random.default_rng(11)
         U, g = rng.normal(size=(n, d)), rng.normal(size=(n, d))
-        chain = [rng.normal(size=(d, d)) for _ in range(2)]
+        w = rng.normal(size=(d, d))
         outs = []
         for table in (ps, merged):
             ut = ad.Tensor(U.copy())
-            h = aggregate_local(table, ut, np.ones(7), chain)
+            h = aggregate_local(table, ut, np.ones(7), w)
             ad.sum(h * g).backward()
             outs.append((h.data, ut.grad))
         (h, gu), (h_m, gu_m) = outs
         np.testing.assert_allclose(h, h_m, rtol=1e-13, atol=1e-15)
         np.testing.assert_allclose(gu, gu_m, rtol=1e-13, atol=1e-15)
 
-    def test_depth_averaging_exact(self):
+    def test_map_follows_the_propagation(self):
+        # the branch is (A-hat U) W: its value with W is its value with the
+        # identity map, times W
         rng = np.random.default_rng(4)
         n, d = 8, 3
         ps = random_patternset(n, seed=5)
         U = rng.normal(size=(n, d))
         alpha = rng.uniform(0.2, 0.8, size=7)
-        w1, w2 = rng.normal(size=(d, d)), rng.normal(size=(d, d))
-        h1 = ad.value(aggregate_local(ps, U, alpha, [w1]))  # = A U w1
-        h12 = ad.value(aggregate_local(ps, U, alpha, [w1, w2]))
-        np.testing.assert_allclose(h12, (h1 + h1 @ w2) / 2.0, rtol=1e-9, atol=1e-12)
+        w = rng.normal(size=(d, d))
+        propagated = ad.value(aggregate_local(ps, U, alpha, np.eye(d)))
+        h = ad.value(aggregate_local(ps, U, alpha, w))
+        np.testing.assert_allclose(h, propagated @ w, rtol=1e-9, atol=1e-12)
 
     def test_linear_in_U(self):
         rng = np.random.default_rng(6)
@@ -167,9 +160,9 @@ class TestAggregateLocal:
         ps = random_patternset(n, seed=7)
         U = rng.normal(size=(n, d))
         alpha = rng.uniform(0.0, 1.0, size=7)
-        chain = [rng.normal(size=(d, d))]
-        h1 = ad.value(aggregate_local(ps, U, alpha, chain))
-        h2 = ad.value(aggregate_local(ps, 2.0 * U, alpha, chain))
+        w = rng.normal(size=(d, d))
+        h1 = ad.value(aggregate_local(ps, U, alpha, w))
+        h2 = ad.value(aggregate_local(ps, 2.0 * U, alpha, w))
         np.testing.assert_allclose(h2, 2.0 * h1, rtol=1e-6)
 
     def test_normalised_operator_symmetric_spectral_radius(self):
@@ -177,14 +170,14 @@ class TestAggregateLocal:
         n = 12
         ps = random_patternset(n, seed=8)
         alpha = np.random.default_rng(9).uniform(0.0, 1.0, size=7)
-        ahat = ad.value(aggregate_local(ps, np.eye(n), alpha, [np.eye(n)]))
+        ahat = ad.value(aggregate_local(ps, np.eye(n), alpha, np.eye(n)))
         np.testing.assert_allclose(ahat, ahat.T, atol=1e-12)
         eig = np.max(np.abs(np.linalg.eigvalsh(ahat)))
         assert eig <= 1.01
 
     def test_empty_patternset_rejected(self):
         with pytest.raises(ValueError):
-            aggregate_local(pattern_set(3, []), np.zeros((3, 2)), np.ones(7), [np.eye(2)])
+            aggregate_local(pattern_set(3, []), np.zeros((3, 2)), np.ones(7), np.eye(2))
 
 
 class TestGlobalPatternMatrix:
@@ -230,7 +223,7 @@ class TestOneOpPerTable:
                 for m in live
             ])
             ps.vals = ad.Tensor(ps.vals)
-            h = aggregate_local(ps, ad.Tensor(U), ad.Tensor(np.ones(7)), [np.eye(d)])
+            h = aggregate_local(ps, ad.Tensor(U), ad.Tensor(np.ones(7)), np.eye(d))
             B = build_global_pattern_matrix(ps, ad.Tensor(np.ones(7)))
             assert ad.value(B).shape == (n, len(live))
             local_nodes.add(len(ad._topo_order(h)))
@@ -306,11 +299,11 @@ class TestGlobalSimilarity:
         def run(similarity):
             beta = ad.Tensor(beta0.copy())
             U = ad.Tensor(U0.copy())
-            ws = [ad.Tensor(w.copy()) for w in params.w_global]
+            w = ad.Tensor(params.w_global.copy())
             B = build_global_pattern_matrix(ps, beta) * keep
-            h = dense(aggregate_global(similarity(B), U, ws))
+            h = dense(aggregate_global(similarity(B), U, w))
             ad.sum(h * probe).backward()
-            return [h.data, beta.grad, U.grad] + [w.grad for w in ws]
+            return [h.data, beta.grad, U.grad, w.grad]
 
         got = run(global_similarity)
         want = run(dense_global_similarity)
@@ -322,35 +315,35 @@ class TestGlobalSimilarity:
 class TestAggregateGlobal:
     def test_identity_passthrough(self):
         U = np.random.default_rng(16).normal(size=(5, 3))
-        h = aggregate_global(np.eye(5), U, [np.eye(3), np.eye(3)])
+        h = aggregate_global(np.eye(5), U, np.eye(3))
         np.testing.assert_allclose(ad.value(h), U, atol=1e-12)
 
     def test_uniform_operator_gives_identical_rows(self):
         rng = np.random.default_rng(17)
         U = rng.normal(size=(6, 3))
         A = np.full((6, 6), 1.0 / 6.0)
-        h = ad.value(aggregate_global(A, U, [rng.normal(size=(3, 3))]))
+        h = ad.value(aggregate_global(A, U, rng.normal(size=(3, 3))))
         np.testing.assert_allclose(h, np.tile(h[0], (6, 1)), atol=1e-12)
 
-    def test_deepest_layer_only(self):
+    def test_dense_oracle_random(self):
         rng = np.random.default_rng(18)
         n, d = 7, 3
         ps = random_patternset(n, seed=19)
         U = rng.normal(size=(n, d))
         beta = rng.uniform(0.1, 1.0, size=7)
-        chain = [rng.normal(size=(d, d)) for _ in range(2)]
+        w = rng.normal(size=(d, d))
         B = build_global_pattern_matrix(ps, beta)
-        got = ad.value(dense(aggregate_global(global_similarity(B), U, chain)))
-        want = global_oracle(ps, U, beta, chain)
+        got = ad.value(dense(aggregate_global(global_similarity(B), U, w)))
+        want = global_oracle(ps, U, beta, w)
         np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-9)
-        # and it is genuinely not the layer average
-        assert not np.allclose(got, local_oracle(ps, U, np.ones(7), chain))
+        # and it is genuinely not the local branch
+        assert not np.allclose(got, local_oracle(ps, U, np.ones(7), w))
 
     def test_linear_in_U(self):
         rng = np.random.default_rng(20)
         A = rng.normal(size=(5, 5))
         U = rng.normal(size=(5, 2))
-        w = [rng.normal(size=(2, 2))]
+        w = rng.normal(size=(2, 2))
         h1 = ad.value(aggregate_global(A, U, w))
         h2 = ad.value(aggregate_global(A, 3.0 * U, w))
         np.testing.assert_allclose(h2, 3.0 * h1, rtol=1e-9)
@@ -516,14 +509,14 @@ class TestPipeline:
 
 class TestModelParams:
     def test_init_shapes(self):
-        cfg = TrainConfig(d=16, patch=4, layers=3)
+        cfg = TrainConfig(d=16, patch=4)
         p = ModelParams.init(cfg, seed=0)
         assert p.w_embed.shape == (1 + BANDS, 16, 16)
         assert p.alpha.shape == (7,) and p.beta.shape == (7,)
         np.testing.assert_allclose(p.alpha, 1.0 / 3.0)
         np.testing.assert_allclose(p.beta, 1.0)
-        assert p.w_local.shape == (3, 16, 16)
-        assert p.w_global.shape == (3, 16, 16)
+        assert p.w_local.shape == (16, 16)
+        assert p.w_global.shape == (16, 16)
         assert p.recon.shape == (BANDS, 16, 32)
         np.testing.assert_array_equal(p.recon, 0.0)
         w, b, q = p.importance_w, p.importance_b, p.importance_q
@@ -533,7 +526,7 @@ class TestModelParams:
         np.testing.assert_array_equal(q, 0.0)
 
     def test_layout_follows_fields(self):
-        cfg = TrainConfig(d=8, patch=4, layers=3)
+        cfg = TrainConfig(d=8, patch=4)
         layout = param_layout(cfg)
         assert list(layout) == [f.name for f in fields(ModelParams)]
         p = ModelParams.init(cfg, seed=0)
@@ -545,7 +538,7 @@ class TestModelParams:
     def test_importance_drawn_last(self):
         # the importance group is drawn after every other group, so the
         # other initial values are what the same seed gave before it existed
-        cfg = TrainConfig(d=8, patch=4, layers=2)
+        cfg = TrainConfig(d=8, patch=4)
         for zero_recon in (True, False):
             p = ModelParams.init(cfg, seed=9, zero_recon=zero_recon)
             rng = np.random.default_rng(9)
@@ -554,7 +547,7 @@ class TestModelParams:
                 bound = np.sqrt(6.0 / sum(a.shape))
                 return rng.uniform(-bound, bound, size=a.shape).astype(np.float32)
 
-            for a in [*p.w_embed, *p.w_local, *p.w_global]:
+            for a in [*p.w_embed, p.w_local, p.w_global]:
                 np.testing.assert_array_equal(a, glorot(a))
             if not zero_recon:
                 for r in p.recon:
@@ -567,7 +560,7 @@ class TestModelParams:
     def test_init_matches_per_matrix_draws(self, precision, zero_recon):
         # a stacked group is drawn as its matrices one after another, each
         # with the glorot bound of its own (rows, cols)
-        cfg = TrainConfig(d=8, patch=4, layers=3, precision=precision)
+        cfg = TrainConfig(d=8, patch=4, precision=precision)
         rng = np.random.default_rng(11)
         dt = cfg.dtype
 
@@ -584,8 +577,8 @@ class TestModelParams:
             "w_embed": np.stack([glorot(8, 16) for _ in range(1 + BANDS)]),  # pan, then each band
             "alpha": np.full(7, 1.0 / 3.0, dtype=dt),
             "beta": np.ones(7, dtype=dt),
-            "w_local": np.stack([glorot(8, 8) for _ in range(3)]),
-            "w_global": np.stack([glorot(8, 8) for _ in range(3)]),
+            "w_local": glorot(8, 8),
+            "w_global": glorot(8, 8),
             "recon": np.stack([head() for _ in range(BANDS)]),
             "importance_w": glorot(16, 8),
             "importance_b": np.zeros(16, dtype=dt),
@@ -597,7 +590,7 @@ class TestModelParams:
             assert a.dtype == dt and np.array_equal(a, want[name]), name
 
     def test_named_arrays_order_and_groups(self):
-        cfg = TrainConfig(d=8, patch=4, layers=2)
+        cfg = TrainConfig(d=8, patch=4)
         p = ModelParams.init(cfg, seed=0)
         names = [n for n, _ in p.named_arrays()]
         assert names == [

@@ -22,6 +22,8 @@ from graphpan.imaging import MAX_SCENE_SIZE, MIN_SCENE_SIZE, ScenePair, read_hsi
 from graphpan.metrics import full_reference
 from graphpan.training import load_checkpoint, save_checkpoint
 
+from oracles import largest_valid_d
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 CHILD_ADDRESS_SPACE = 1 << 30  # bytes
 
@@ -50,8 +52,7 @@ def assert_cli_error(done, message):
 
 
 FAST_TRAIN = [
-    "--patch", "4", "--stride", "4", "--d", "8", "--layers", "1",
-    "--k", "1", "--iters", "12", "--batch", "1",
+    "--patch", "4", "--stride", "4", "--d", "8", "--k", "1", "--iters", "12", "--batch", "1",
 ]
 
 
@@ -132,7 +133,8 @@ class TestTrain:
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag,value", [
-        ("--layers", "100000000000"), ("--layers", "30000000"), ("--d", "100000"), ("--patch", "100000"),
+        # the narrowest refused width, and one whose count dwarfs any memory
+        ("--d", str(largest_valid_d() + 1)), ("--d", "100000000000"), ("--d", "100000"), ("--patch", "100000"),
     ])
     def test_oversized_model_exit_1(self, workdir, tmp_path, flag, value):
         done = run_cli("train", "--data", workdir["data"], "--out", tmp_path / "r", flag, value)
@@ -146,7 +148,7 @@ class TestTrain:
             code = main(
                 ["train", "--data", str(data), "--out", str(tmp_path / "r"),
                  "--precision", "standard", "--lr0", "1e20", "--iters", "20"]
-                + FAST_TRAIN[:12]
+                + FAST_TRAIN[:10]
             )
         assert code == 2
         assert "diverged" in capsys.readouterr().err
@@ -209,6 +211,50 @@ class TestConfigMerging:
         code = main(["train", "--data", str(data), "--out", str(tmp_path / "r"), "--gamma", "-1"])
         assert code == 1
 
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_layers_is_no_longer_a_key(self, tmp_path, capsys, source):
+        # each branch has one (d, d) map, so no depth can be asked for
+        p = tmp_path / "c.cfg"
+        p.write_text("layers = 2\n")
+        extra = ["--layers", "2"] if source == "flag" else ["--config", str(p)]
+        assert main(["train", "--data", "x", "--out", str(tmp_path / "r")] + extra) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "layers" in err
+        assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    pytest.param(["synth", "--out", "{tmp}/s", "--size", "16", "--seed", "-5"],
+                 "--seed must be non-negative, got -5", id="synth --seed"),
+    pytest.param(["ablate", "--size", "16", "--seed", "-1"],
+                 "--seed must be non-negative, got -1", id="ablate --seed"),
+    pytest.param(["analyze-priors", "--size", "16", "--seed", "-1"],
+                 "--seed must be non-negative, got -1", id="analyze-priors --seed"),
+    pytest.param(["bench", "--sizes", "40,80", "--seed", "-1"],
+                 "--seed must be non-negative, got -1", id="bench --seed"),
+    pytest.param(["patterns-dump", "--size", "16", "--scene-seed", "-2"],
+                 "--scene-seed must be non-negative, got -2", id="patterns-dump --scene-seed"),
+    pytest.param(["patterns-dump", "--size", "16", "--param-seed", "-2"],
+                 "--param-seed must be non-negative, got -2", id="patterns-dump --param-seed"),
+    pytest.param(["patterns-dump", "--size", "16", "--seed", "-2"],
+                 "seed must be non-negative, got -2", id="patterns-dump --seed"),
+    pytest.param(["grad-check", "--scene-seed", "-4"],
+                 "--scene-seed must be non-negative, got -4", id="grad-check --scene-seed"),
+    pytest.param(["grad-check", "--param-seed", "-4"],
+                 "--param-seed must be non-negative, got -4", id="grad-check --param-seed"),
+    pytest.param(["train", "--data", "{tmp}", "--out", "{tmp}/r", "--seed", "-3"],
+                 "seed must be non-negative, got -3", id="train --seed"),
+    pytest.param(["train", "--data", "{tmp}", "--out", "{tmp}/r", "--config", "{tmp}/seed.cfg"],
+                 "seed must be non-negative, got -1", id="train config seed"),
+])
+def test_negative_seed_exit_1(tmp_path, capsys, argv, message):
+    (tmp_path / "seed.cfg").write_text("seed = -1\n")
+    assert main([a.format(tmp=tmp_path) for a in argv]) == 1
+    out, err = capsys.readouterr()
+    assert err == f"error: {message}\n"
+    assert out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["seed.cfg"]
+
 
 class TestEval:
     def test_reduced_mode_table(self, workdir, capsys):
@@ -251,7 +297,7 @@ class TestEval:
         assert f"{tmp_path / 's0'} has no gt.hsif, required for reduced mode" in err
 
     def test_global_only_checkpoint_runs_global_only(self, workdir, tmp_path, capsys):
-        cfg = TrainConfig(patch=4, stride=4, d=8, layers=1, k=1, ablate="global-only")
+        cfg = TrainConfig(patch=4, stride=4, d=8, k=1, ablate="global-only")
         params = ModelParams.init(cfg, seed=3, zero_recon=False)
         ckpt = tmp_path / "global.hssn"
         save_checkpoint(ckpt, params, cfg)

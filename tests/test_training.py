@@ -25,6 +25,7 @@ from graphpan.imaging import BANDS, Image, ScenePair, degrade_image, synth_scene
 from graphpan.training import (
     ADAM_EPS,
     CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
     CONFIG_FIELDS,
     AdamState,
     CheckpointFormatError,
@@ -48,6 +49,8 @@ from graphpan.training import (
     train,
     write_log_csv,
 )
+
+from oracles import largest_valid_d
 
 
 class TestL1Loss:
@@ -545,9 +548,12 @@ class TestTape:
         assert len(taped) == 3
         assert [op for op, _ in built].count("unit_rows") == 3
         assert not [op for op, where in built if where == "graph.py" and op in ("divide", "sqrt")]
-        # the whole tape of one step: 9 parameter leaves and 89 nodes, where
-        # the three normalisations as op chains made 117 tensors
-        assert len(built) == 98
+        # the whole tape of one step: 9 parameter leaves and 81 nodes, where
+        # the three normalisations as op chains made 117 tensors.  Two
+        # stacked layers per branch made 98: four takes of a layer from its
+        # stack, each branch's second matmul, and the local branch's sum and
+        # divide of its depth average
+        assert len(built) == 90
 
     @pytest.mark.parametrize("mode", ["full", "local-only", "global-only"])
     def test_every_sparse_matrix_of_a_step_comes_sorted(self, monkeypatch, mode):
@@ -740,10 +746,14 @@ def set_random_importance(params, rng, scale=1.0):
         setattr(params, name, rng.normal(size=getattr(params, name).shape) * scale)
 
 
-def write_blocks(path, blocks):
+# toy_config()'s _config block, in CONFIG_FIELDS order
+TOY_META = [4, 4, 8, 1, 0.5, 0.01, 0]
+
+
+def write_blocks(path, blocks, version=CHECKPOINT_VERSION):
     """Write (name, array) blocks in the .hssn layout; returns each block's
     payload offset."""
-    blob = CHECKPOINT_MAGIC + struct.pack("<II", 1, len(blocks))
+    blob = CHECKPOINT_MAGIC + struct.pack("<II", version, len(blocks))
     offsets = {}
     for name, arr in blocks:
         arr = np.asarray(arr, dtype="<f4")
@@ -765,7 +775,7 @@ class TestCheckpoints:
         for (n1, a1), (n2, a2) in zip(params.named_arrays(), back.named_arrays()):
             assert n1 == n2
             np.testing.assert_array_equal(np.asarray(a1, dtype=np.float32), a2)
-        assert (bcfg.patch, bcfg.stride, bcfg.d, bcfg.layers, bcfg.k) == (4, 4, 8, 2, 1)
+        assert (bcfg.patch, bcfg.stride, bcfg.d, bcfg.k) == (4, 4, 8, 1)
         assert bcfg.tau == pytest.approx(0.7, rel=1e-6)
         assert bcfg.gamma == pytest.approx(0.02, rel=1e-6)
 
@@ -777,7 +787,7 @@ class TestCheckpoints:
         blob = path.read_bytes()
         assert blob[:4] == CHECKPOINT_MAGIC == b"HSSN"
         version, n_blocks = struct.unpack("<II", blob[4:12])
-        assert version == 1
+        assert version == CHECKPOINT_VERSION == 2
         assert n_blocks == len(params.named_arrays()) + 1  # + _config
         nlen = struct.unpack("<I", blob[12:16])[0]
         assert blob[16 : 16 + nlen].decode() == "w_embed"
@@ -804,7 +814,7 @@ class TestCheckpoints:
         cfg = toy_config(gamma=0.02, tau=0.7)
         params = ModelParams.init(cfg, seed=5, zero_recon=False)
         blocks = [(n, a) for n, a in params.named_arrays() if not n.startswith("importance")]
-        blocks.append(("_config", [4, 4, 8, 2, 1, 0.7, 0.02, 0]))
+        blocks.append(("_config", [4, 4, 8, 1, 0.7, 0.02, 0]))
         path = tmp_path / "old.hssn"
         write_blocks(path, blocks)
         with pytest.raises(CheckpointFormatError, match="checkpoint missing block 'importance_w'") as err:
@@ -820,13 +830,15 @@ class TestCheckpoints:
         for name, a in params.named_arrays():
             if name == "w_embed":
                 blocks += [("w_pan", a[0])] + [(f"w_band_{i}", m) for i, m in enumerate(a[1:])]
-            elif name in ("w_local", "w_global", "recon"):
+            elif name in ("w_local", "w_global"):
+                blocks.append((f"{name}_0", a))
+            elif name == "recon":
                 blocks += [(f"{name}_{i}", m) for i, m in enumerate(a)]
             elif name in IMPORTANCE:
                 blocks.append((f"importance_{IMPORTANCE.index(name)}", a))
             else:
                 blocks.append((name, a))
-        blocks.append(("_config", [4, 4, 8, 2, 1, 0.5, 0.01, 0]))
+        blocks.append(("_config", TOY_META))
         path = tmp_path / "per_element.hssn"
         offsets = write_blocks(path, blocks)
         with pytest.raises(CheckpointFormatError, match="unknown checkpoint block 'w_pan'") as err:
@@ -845,7 +857,7 @@ class TestCheckpoints:
                 blocks += [("w_pan", a[0]), ("w_band", a[1:])]
             else:
                 blocks.append((name, a))
-        blocks.append(("_config", [4, 4, 8, 2, 1, 0.5, 0.01, 0]))
+        blocks.append(("_config", TOY_META))
         path = tmp_path / "two_group.hssn"
         offsets = write_blocks(path, blocks)
         with pytest.raises(CheckpointFormatError, match="unknown checkpoint block 'w_pan'") as err:
@@ -873,7 +885,7 @@ class TestCheckpoints:
             blocks.append(("w_embed", np.zeros_like(params.w_embed)))
         else:
             blocks.append(("bias", np.ones(3)))
-        blocks.append(("_config", [4, 4, 8, 2, 1, 0.5, 0.01, 0]))
+        blocks.append(("_config", TOY_META))
         path = tmp_path / "x.hssn"
         offsets = write_blocks(path, blocks)  # a repeated name maps to its later block
         with pytest.raises(CheckpointFormatError, match=message) as err:
@@ -882,7 +894,7 @@ class TestCheckpoints:
 
     @pytest.mark.parametrize("mode", ["full", "local-only", "global-only"])
     def test_round_trip_keeps_ablation_mode(self, tmp_path, mode):
-        cfg = TrainConfig(patch=4, stride=4, d=8, layers=1, k=1, ablate=mode)
+        cfg = TrainConfig(patch=4, stride=4, d=8, k=1, ablate=mode)
         params = ModelParams.init(cfg, seed=5, zero_recon=False)
         path = tmp_path / "ck.hssn"
         save_checkpoint(path, params, cfg)
@@ -895,33 +907,64 @@ class TestCheckpoints:
         )
 
     def test_seven_entry_config_is_refused(self, tmp_path):
-        # the _config block as written before ablate was stored
+        # the _config block as written before ablate was stored: patch,
+        # stride, d, layers, k, tau, gamma in a version-1 file.  Version 2
+        # also has seven entries, so the header alone keeps it from being
+        # read as patch, stride, d, k, tau, gamma, ablate
         cfg = toy_config(gamma=0.02, tau=0.7)
         params = ModelParams.init(cfg, seed=5, zero_recon=False)
         blocks = params.named_arrays() + [("_config", [4, 4, 8, 2, 1, 0.7, 0.02])]
         path = tmp_path / "old.hssn"
-        offsets = write_blocks(path, blocks)
+        write_blocks(path, blocks, version=1)
+        with pytest.raises(CheckpointFormatError, match="unsupported checkpoint version 1") as err:
+            load_checkpoint(path)
+        assert err.value.offset == 4
+
+    def test_version_one_file_is_refused(self, tmp_path):
+        # a file as version 1 wrote it: one (layers, d, d) stack per branch
+        # and layers in _config, here two layers.  Its blocks would parse
+        # under today's names, so only the version keeps it from being
+        # reinterpreted
+        cfg = toy_config()
+        params = ModelParams.init(cfg, seed=5, zero_recon=False)
+        blocks = [
+            (n, np.stack([a, a]) if n in ("w_local", "w_global") else a)
+            for n, a in params.named_arrays()
+        ] + [("_config", [4, 4, 8, 2, 1, 0.5, 0.01, 0])]
+        path = tmp_path / "v1.hssn"
+        write_blocks(path, blocks, version=1)
+        with pytest.raises(CheckpointFormatError, match="unsupported checkpoint version 1") as err:
+            load_checkpoint(path)
+        assert err.value.offset == 4
+
+    def test_config_with_layers_is_refused(self, tmp_path):
+        # version 1's eight-entry _config under the current version number
+        # fails on its dims, not on a misread field
+        cfg = toy_config()
+        params = ModelParams.init(cfg, seed=5, zero_recon=False)
+        path = tmp_path / "len.hssn"
+        offsets = write_blocks(path, params.named_arrays() + [("_config", [4, 4, 8, 2, 1, 0.5, 0.01, 0])])
         with pytest.raises(
             CheckpointFormatError,
-            match=r"checkpoint block '_config' of dims \(7, 1, 1\) is smaller than \(8,\)",
+            match=r"checkpoint block '_config' of dims \(8, 1, 1\) does not match \(7,\)",
         ) as err:
             load_checkpoint(path)
         assert err.value.offset == offsets["_config"]
 
     @pytest.mark.parametrize("field,value,message", [
         ("tau", 0.0, "tau must be positive"),
-        ("layers", 0.0, "must be positive"),
+        ("d", 0.0, "d and k must be positive"),
         ("stride", 8.0, "stride <= patch"),
         ("gamma", float("nan"), "gamma is nan"),
         ("k", 1.5, "not an integer"),
         ("ablate", 3.0, "unknown ablation mode"),
-        ("layers", 2.0**40, "layers 1099511627776 is more than the file's"),
+        ("d", 2.0**40, f"parameters, more than {MAX_PARAMS}"),
         ("d", 2.0**20, f"parameters, more than {MAX_PARAMS}"),
     ])
     def test_invalid_config_rejected_with_offset(self, tmp_path, field, value, message):
         cfg = toy_config()
         params = ModelParams.init(cfg, seed=0)
-        meta = [4, 4, 8, 2, 1, 0.5, 0.01, 0]
+        meta = list(TOY_META)
         meta[CONFIG_FIELDS.index(field)] = value
         path = tmp_path / "c.hssn"
         offsets = write_blocks(path, params.named_arrays() + [("_config", meta)])
@@ -936,7 +979,7 @@ class TestCheckpoints:
         params = ModelParams.init(cfg, seed=0)
         blocks = [
             (n, np.zeros(shape) if n == name else a) for n, a in params.named_arrays()
-        ] + [("_config", [4, 4, 8, 2, 1, 0.5, 0.01, 0])]
+        ] + [("_config", TOY_META)]
         path = tmp_path / "b.hssn"
         offsets = write_blocks(path, blocks)
         with pytest.raises(CheckpointFormatError, match=f"block '{name}' of dims") as err:
@@ -953,7 +996,7 @@ class TestCheckpoints:
         flat[3] = value
         flat[-1] = value  # a later bad sample; the first one is reported
         path = tmp_path / "w.hssn"
-        offsets = write_blocks(path, params.named_arrays() + [("_config", [4, 4, 8, 2, 1, 0.5, 0.01, 0])])
+        offsets = write_blocks(path, params.named_arrays() + [("_config", TOY_META)])
         with pytest.raises(CheckpointFormatError, match=f"non-finite sample in checkpoint block '{name}'") as err:
             load_checkpoint(path)
         assert err.value.offset == offsets[name] + 4 * 3
@@ -968,7 +1011,7 @@ class TestCheckpoints:
         p = tmp_path / "m.hssn"
         name = b"w_embed"
         block = struct.pack("<I", len(name)) + name + struct.pack("<III", 1, 1, 1) + b"\x00" * 4
-        p.write_bytes(CHECKPOINT_MAGIC + struct.pack("<II", 1, 1) + block)
+        p.write_bytes(CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, 1) + block)
         with pytest.raises(ValueError):
             load_checkpoint(p)
 
@@ -1008,10 +1051,10 @@ class TestCheckpoints:
         assert err.value.offset == 16
 
     def test_missing_block_rejected_with_offset(self, tmp_path):
-        meta = np.array([4, 4, 8, 2, 1, 0.5, 0.01, 0], dtype="<f4")
+        meta = np.array(TOY_META, dtype="<f4")
         name = b"_config"
-        blob = CHECKPOINT_MAGIC + struct.pack("<II", 1, 1)
-        blob += struct.pack("<I", len(name)) + name + struct.pack("<III", 8, 1, 1) + meta.tobytes()
+        blob = CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, 1)
+        blob += struct.pack("<I", len(name)) + name + struct.pack("<III", len(meta), 1, 1) + meta.tobytes()
         path = tmp_path / "m.hssn"
         path.write_bytes(blob)
         with pytest.raises(CheckpointFormatError, match="missing block 'w_embed'") as err:
@@ -1019,9 +1062,9 @@ class TestCheckpoints:
         assert err.value.offset == len(blob)
 
     def test_undersized_block_rejected(self, tmp_path):
-        meta = np.array([4, 4, 8, 2, 1, 0.5, 0.01], dtype="<f4")
+        meta = np.array(TOY_META, dtype="<f4")
         name = b"_config"
-        blob = CHECKPOINT_MAGIC + struct.pack("<II", 1, 1)
+        blob = CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, 1)
         blob += struct.pack("<I", len(name)) + name + struct.pack("<III", 3, 1, 1) + meta[:3].tobytes()
         path = tmp_path / "s.hssn"
         path.write_bytes(blob)
@@ -1097,7 +1140,7 @@ class TestTrainLoop:
     def test_divergence_aborts_with_checkpoint(self, tmp_path):
         scene = toy_scene(0)
         cfg = TrainConfig(
-            patch=4, stride=4, d=8, layers=2, k=1,
+            patch=4, stride=4, d=8, k=1,
             precision="standard", lr0=1e20, iters=50, seed=0,
         )
         with np.errstate(all="ignore"):
@@ -1154,8 +1197,7 @@ class TestCorruptCheckpoints:
     def _valid(path):
         cfg = toy_config()
         params = ModelParams.init(cfg, seed=0, zero_recon=False)
-        meta = [4, 4, 8, 2, 1, 0.5, 0.01, 0]
-        offsets = write_blocks(path, params.named_arrays() + [("_config", meta)])
+        offsets = write_blocks(path, params.named_arrays() + [("_config", TOY_META)])
         return path.read_bytes(), offsets
 
     @staticmethod
@@ -1210,12 +1252,12 @@ class TestTrainConfig:
             TrainConfig(**{field: value}).validate()
 
     def test_model_size_bound(self):
-        one = TrainConfig(layers=1)
-        per_layer = one.replace(layers=2).param_count - one.param_count
-        largest = one.replace(layers=1 + (MAX_PARAMS - one.param_count) // per_layer)
+        # param_count grows with d, so the widest valid model is one d below
+        # the narrowest refused one
+        largest = TrainConfig(d=largest_valid_d())
         assert largest.validate().param_count <= MAX_PARAMS
         with pytest.raises(ValueError, match=f"parameters, more than {MAX_PARAMS}"):
-            largest.replace(layers=largest.layers + 1).validate()
+            largest.replace(d=largest.d + 1).validate()
 
 
 class TestAblationTable:

@@ -201,7 +201,7 @@ def cmd_patterns_dump(args) -> int:
         params, cfg = load_checkpoint(args.checkpoint)
     else:
         cfg = merge_config(args)
-        params = ModelParams.init(cfg, seed=0 if args.param_seed is None else args.param_seed)
+        params = ModelParams.init(cfg, seed=args.param_seed)
     if args.scene:
         scene = ScenePair.load(args.scene)
     else:
@@ -425,7 +425,7 @@ def build_parser() -> _Parser:
     s.add_argument("--scene", default=None)
     s.add_argument("--scene-seed", type=int, default=0)
     s.add_argument("--size", type=int, default=32)
-    s.add_argument("--param-seed", type=int, default=None, help="default 0")
+    s.add_argument("--param-seed", type=int, default=None, help="default: the config seed")
     s.add_argument("--checkpoint", default=None)
     s.add_argument("--out", default=None)
     _add_config_flags(s)

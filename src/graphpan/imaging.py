@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage
 
 HSIF_MAGIC = b"HSIF"
 _MAX_DIM = 1 << 24  # per-axis sanity bound for headers
@@ -274,25 +273,71 @@ class ScenePair:
         return ScenePair(pan, lrms, gt, pan.height // lrms.height).validate()
 
 
-def gaussian_blur(data: np.ndarray, sigma: float) -> np.ndarray:
-    """Isotropic Gaussian blur, kernel radius int(3 sigma + 0.5), edge-repeating
-    reflective borders.  Operates per channel (sigma 0 on the channel axis)
-    in float64."""
-    return ndimage.gaussian_filter(
-        data.astype(np.float64), sigma=(sigma, sigma, 0), mode="reflect", truncate=3.0
-    )
+def correlate_reflect(x: np.ndarray, weights: np.ndarray, axis: int,
+                      at: slice = slice(None)) -> np.ndarray:
+    """``ndimage.correlate1d(x, weights, axis, mode="reflect")[..., at, ...]``
+    (``at`` indexing ``axis``) for a float64 ``x`` and an odd, symmetric
+    ``weights``, computing only the kept positions.
+
+    The arithmetic is ndimage's for a symmetric kernel, so the bits are
+    too: the centre tap times its weight, then each pair of taps, from the
+    outermost inward, summed and times its weight.  The border reflects
+    about the half-sample (``d c b a | a b c d | d c b a``, repeated when
+    the radius is longer than the side), and is only built when the kept
+    range comes within the radius of an end."""
+    r = len(weights) // 2
+    kept = range(*at.indices(x.shape[axis]))
+    if not kept or kept.step < 1:
+        raise ValueError("correlate_reflect needs a non-empty range with a positive step")
+    before = max(0, r - kept[0])
+    after = max(0, kept[-1] + r + 1 - x.shape[axis])
+    if before or after:
+        pad = [(0, 0)] * x.ndim
+        pad[axis] = (before, after)
+        x = np.pad(x, pad, mode="symmetric")
+
+    def tap(k):
+        first = kept[0] + before + k
+        return x[(slice(None),) * axis + (slice(first, first + kept[-1] - kept[0] + 1, kept.step),)]
+
+    out = tap(0) * weights[r]
+    for k in range(r, 0, -1):
+        out += (tap(-k) + tap(k)) * weights[r - k]
+    return out
+
+
+def gaussian_blur(data: np.ndarray, sigma: float, rows: slice = slice(None),
+                  cols: slice = slice(None)) -> np.ndarray:
+    """Isotropic Gaussian blur per channel in float64, at the kept ``rows``
+    and ``cols`` only: bit for bit ``ndimage.gaussian_filter(data, (sigma,
+    sigma, 0), mode="reflect", truncate=3.0)[rows, cols]``.
+
+    The kernel is ndimage's: radius int(3 sigma + 0.5), exp(-x^2 / (2
+    sigma^2)) over the taps, divided by its sum.  Rows are filtered first,
+    at the kept rows only, then columns at the kept columns.  As in
+    ndimage, sigma <= 1e-15 filters nothing and returns a float64 copy."""
+    x = data.astype(np.float64)
+    if sigma <= 1e-15:
+        return x[rows, cols]
+    radius = int(3.0 * sigma + 0.5)
+    taps = np.arange(-radius, radius + 1)
+    weights = np.exp(-0.5 / (sigma * sigma) * taps**2)
+    weights = weights / weights.sum()
+    return correlate_reflect(correlate_reflect(x, weights, 0, rows), weights, 1, cols)
 
 
 def degrade_image(img: Image, scale: int) -> Image:
-    """Blur with sigma = scale/2 then keep every scale-th pixel."""
+    """Blur with sigma = scale/2 then keep every scale-th pixel: the
+    samples of ``ndimage.gaussian_filter`` (see :func:`gaussian_blur`) at
+    every scale-th row and column, and only those are computed."""
     if scale < 1:
         raise ValueError("scale must be >= 1")
     if img.height % scale or img.width % scale:
         raise ValueError("image size must be divisible by scale")
     if scale == 1:
         return Image(img.data.copy())
-    blurred = gaussian_blur(img.data, sigma=scale / 2.0)
-    return Image.from_array(blurred[::scale, ::scale, :])
+    kept = slice(None, None, scale)
+    return Image.from_array(gaussian_blur(img.data, scale / 2.0, kept, kept))
 
 
 def wald_degrade(gt: Image, pan_hr: Image, scale: int = 4) -> ScenePair:

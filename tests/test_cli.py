@@ -396,6 +396,17 @@ class TestPatternsDump:
         n_pan = sum(1 for ln in rel_lines if ln.startswith("1 "))
         assert n_pan == 16  # 16 patches, k=1 incoming pan edge each
 
+    def test_config_seed_draws_the_parameters(self, capsys):
+        def dump(*flags):
+            assert main(["patterns-dump", "--size", "16", *flags]) == 0
+            return capsys.readouterr().out
+
+        seeded = dump("--seed", "5")
+        assert seeded == dump("--param-seed", "5")
+        assert seeded != dump("--seed", "0")
+        # --param-seed wins over the config seed
+        assert dump("--seed", "0", "--param-seed", "5") == seeded
+
     def test_k_flag_changes_edges(self, capsys):
         main(["patterns-dump", "--size", "16", "--patch", "4",
               "--stride", "4", "--d", "8", "--k", "2"])

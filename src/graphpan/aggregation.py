@@ -41,7 +41,7 @@ heads' (BANDS, N, 2d) operand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 
 import numpy as np
@@ -148,7 +148,8 @@ def aggregate_local(ps: PatternSet, U, alpha, w_local) -> object:
     if len(ps) == 0:
         raise ValueError("empty pattern set")
     n, rows, cols = ps.n_nodes, ps.rows, ps.cols
-    vals = ps.vals * alpha[ps.masks[ps.slot] - 1]
+    # np.take is masks[slot], faster for the table's int32 slots
+    vals = ps.vals * alpha[np.take(ps.masks, ps.slot) - 1]
 
     deg = (ad.index_add(n, rows, vals) + ad.index_add(n, cols, vals)) * 0.5 + 1.0
     dtype = ad.value(deg).dtype
@@ -256,15 +257,17 @@ def fuse(h_local, h_global) -> object:
 
 @lru_cache(maxsize=8)
 def _recon_operators(height, width, patch, stride, dtype):
-    """The two constant 0/1 operators of :func:`reconstruct` for one pan
-    grid geometry, as CSR matrices of ``dtype`` entries (only their int32
-    index arrays and their ones are held):
+    """The constants of :func:`reconstruct` for one pan grid geometry: two
+    0/1 operators as CSR matrices of ``dtype`` entries (only their int32
+    index arrays and their ones are held) and the coverage counts.
 
     * G, (2 BANDS n, (1 + BANDS) n): row (b, i, s) picks node i for s = 0
       and band node (i, b) for s = 1, the heads' pairs in (band, patch,
       pan/band) order;
     * P, (h w, n p p): row q adds every window pixel that lies on raster
-      pixel q, in window order, so its row lengths are the coverage counts.
+      pixel q, in window order;
+    * counts, (h w, 1) read-only ``dtype`` values: the number of window
+      pixels on each raster pixel (the row lengths of P), at least 1.
 
     G^T g and P x add in the order of a segment sum over the entries, so
     they have its bits."""
@@ -275,13 +278,16 @@ def _recon_operators(height, width, patch, stride, dtype):
     G = ad.sparse_matrix(len(ids), (1 + BANDS) * n, np.arange(len(ids)), ids, np.ones(len(ids), dtype))
     by_pixel = np.argsort(pix, kind="stable")  # P as CSR: its indptr is h w + 1 long, not n p p + 1
     P = ad.sparse_matrix(height * width, len(pix), pix[by_pixel], by_pixel, np.ones(len(pix), dtype))
-    return G, P
+    counts = np.maximum(np.bincount(pix, minlength=height * width), 1).astype(dtype)[:, None]
+    counts.flags.writeable = False  # one array serves every call of this geometry
+    return G, P, counts
 
 
 def reconstruct(H, grid: PatchGrid, recon, lrms_up: Image):
     """Per-band linear heads on (pan, band) node pairs, overlap-averaged and
     added to the upsampled input; clamped to [0, 1].  Returns the raw
-    (h, w, bands) array (plain or tensor, matching H).
+    (h, w, bands) array (plain or tensor, matching H).  Only the pan grid's
+    geometry is read, not its patch rows, which may be None.
 
     recon is the (BANDS, p*p, 2d) stack of heads: head b maps each pair
     [h_pan i | h_band b, i] to the block [h_pan i | h_band b, i] @ recon[b]^T.
@@ -294,7 +300,7 @@ def reconstruct(H, grid: PatchGrid, recon, lrms_up: Image):
     """
     n = grid.n_patches
     dtype = ad.value(H).dtype
-    G, P = _recon_operators(grid.height, grid.width, grid.patch, grid.stride, dtype)
+    G, P, counts = _recon_operators(grid.height, grid.width, grid.patch, grid.stride, dtype)
 
     heads = ad.transpose(recon, (0, 2, 1))
     # (BANDS, n, p*p); a plain pass frees the gathered pairs here
@@ -302,7 +308,6 @@ def reconstruct(H, grid: PatchGrid, recon, lrms_up: Image):
     # one row of BANDS values per window pixel, added into the raster's rows
     rows = ad.reshape(ad.transpose(blocks, (1, 2, 0)), (-1, BANDS))
     summed = ad.sparse_apply(P, rows)  # (h*w, BANDS)
-    counts = np.maximum(np.diff(P.indptr), 1).astype(dtype)[:, None]
     base = lrms_up.data.reshape(-1, BANDS).astype(dtype)
     fused = ad.clip(summed / counts + base, 0.0, 1.0)
     return ad.reshape(fused, (grid.height, grid.width, BANDS))
@@ -323,13 +328,19 @@ def run_pipeline(
     structure=None,
 ) -> PipelineOutput:
     """Full model pass; plain arrays in, plain arrays out, unless ``params``
-    carries autodiff tensors."""
+    carries autodiff tensors.
+
+    A stage's inputs are let go once it has read them.  The pan and
+    multispectral patch grids are read by :func:`embed_patches` only, whose
+    stacked copy of their rows is what the embedding's VJP keeps; after it
+    only the pan grid's geometry is kept, for :func:`reconstruct`, so
+    neither grid's rows live through the rest of the pass."""
     scene.validate()
     cfg.validate()
     lrms_up = scene.lrms_up
     pan_grid = extract_patches(scene.pan, cfg.patch, cfg.stride)
-    ms_grid = extract_patches(lrms_up, cfg.patch, cfg.stride)
-    feats = embed_patches(pan_grid, ms_grid, params.w_embed)
+    feats = embed_patches(pan_grid, extract_patches(lrms_up, cfg.patch, cfg.stride), params.w_embed)
+    pan_grid = replace(pan_grid, patches=None)
     g = build_graph(feats, cfg.k, structure=structure)
     ps = generate_patterns(g)
 

@@ -404,9 +404,12 @@ def take(a, idx):
     """Indexing/gather; gradient scatter-adds into the source."""
     da = value(a)
     shape, dtype = da.shape, da.dtype
+    # a 1-D integer index gathers rows: np.take does it with da[idx]'s bits
+    # and semantics, and about 3x faster for an index that is not intp
+    rows = isinstance(idx, np.ndarray) and idx.ndim == 1 and idx.dtype.kind in "iu"
 
     def vjp(g):
-        if isinstance(idx, np.ndarray) and idx.ndim == 1 and idx.dtype.kind in "iu":
+        if rows:
             return (_segment_sum(shape[0], idx % shape[0], g),)
         z = np.zeros(shape, dtype)
         if isinstance(idx, (slice, int, np.integer)):
@@ -415,7 +418,7 @@ def take(a, idx):
             np.add.at(z, idx, g)
         return (z,)
 
-    return _node(da[idx], (a,), vjp)
+    return _node(np.take(da, idx, axis=0) if rows else da[idx], (a,), vjp)
 
 
 def index_add(n, idx, vals):
@@ -425,7 +428,10 @@ def index_add(n, idx, vals):
     Gradient is a gather back along idx.
     """
     idx = _indices(idx, n)
-    return _node(_segment_sum(n, idx, value(vals)), (vals,), lambda g: (g[idx],))
+    # np.take gathers as g[idx] does, faster for an index that is not intp
+    return _node(
+        _segment_sum(n, idx, value(vals)), (vals,), lambda g: (np.take(g, idx, axis=0),)
+    )
 
 
 def spmm(n, rows, cols, vals, V):
@@ -493,13 +499,16 @@ def sparse_matrix(n, m, rows, cols, vals):
     adds each output row's terms in the order of their other index in all
     of them.  The indices are taken as given: check them with
     :func:`_indices` first.
+
+    Indices of any integer dtype are read as they are; only the order keys
+    are int64.  An int32 minor index (cols for CSR, rows for CSC) becomes
+    the matrix's own index array, shared with the caller, not copied.
     """
-    rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
-    vals = np.asarray(vals)
+    rows, cols, vals = np.asarray(rows), np.asarray(cols), np.asarray(vals)
     form, major, minor, size = sparse.csr_matrix, rows, cols, n
-    key = rows * m + cols
+    key = rows.astype(np.int64) * m + cols
     if np.any(key[1:] < key[:-1]):
-        tkey = cols * n + rows
+        tkey = cols.astype(np.int64) * n + rows
         if np.all(tkey[1:] >= tkey[:-1]):
             form, major, minor, size = sparse.csc_matrix, cols, rows, m
         else:
@@ -508,7 +517,7 @@ def sparse_matrix(n, m, rows, cols, vals):
     itype = np.int32 if max(n, m, len(vals)) < np.iinfo(np.int32).max else np.int64
     indptr = np.zeros(size + 1, dtype=itype)
     np.cumsum(np.bincount(major, minlength=size), out=indptr[1:])
-    return form((vals, minor.astype(itype), indptr), shape=(n, m))
+    return form((vals, minor.astype(itype, copy=False), indptr), shape=(n, m))
 
 
 def _indices(idx, n):

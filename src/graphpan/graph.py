@@ -41,8 +41,8 @@ def band_node(i, b, n_patches):
 
 @dataclass
 class GraphStructure:
-    """Edge topology only: per-relation (src, dst) int arrays, canonically
-    sorted by (dst, src)."""
+    """Edge topology only: per-relation (src, dst) int arrays (int32 from
+    :func:`build_structure`), canonically sorted by (dst, src)."""
 
     n_patches: int
     edges: tuple  # three (src, dst) pairs
@@ -136,7 +136,8 @@ def knn_select(feats: np.ndarray, k: int):
     maxima = sims[:q * c].reshape(q, c, m).max(axis=0, initial=-np.inf)
     np.maximum(maxima[:r], sims[q * c:], out=maxima[:r])
     lo = np.partition(maxima, c - kk, axis=0)[c - kk, :, None]
-    lo -= 2 * np.shape(feats)[1] * np.finfo(np.float64).eps
+    lo = lo - 2 * np.shape(feats)[1] * np.finfo(np.float64).eps
+    del maxima  # lo is a copy now: the (c, m) maxima and their partition go before the scan
     # the candidates, in row-major order and so sorted by (dst, src)
     flat = np.flatnonzero(sims >= lo)
     dst = flat // m
@@ -176,9 +177,11 @@ def build_structure(feats, k: int) -> GraphStructure:
     s3 = np.concatenate([band_ids.reshape(-1), np.tile(i, BANDS)])
     d3 = np.concatenate([np.repeat(i, BANDS), band_ids.T.reshape(-1)])
 
-    return GraphStructure(
-        n_patches=n, edges=((s1, d1), (s2, d2), (s3, d3)), n_nodes=(1 + BANDS) * n
+    # held as int32: the edge-weight nodes keep them on the tape
+    edges = tuple(
+        (s.astype(np.int32), d.astype(np.int32)) for s, d in ((s1, d1), (s2, d2), (s3, d3))
     )
+    return GraphStructure(n_patches=n, edges=edges, n_nodes=(1 + BANDS) * n)
 
 
 def build_graph(feats, k: int, structure: GraphStructure | None = None) -> HetGraph:

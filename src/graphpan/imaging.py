@@ -419,8 +419,9 @@ class PatchGrid:
     """Sliding-window decomposition of an image.
 
     ``patches`` holds one row per window: the window's pixels flattened in
-    row-major, channel-last order.  Windows start at multiples of ``stride``;
-    full coverage of the image requires (side - patch) % stride == 0.
+    row-major, channel-last order, or None in a grid that keeps the
+    geometry only.  Windows start at multiples of ``stride``; full coverage
+    of the image requires (side - patch) % stride == 0.
     """
 
     patch: int
@@ -430,7 +431,7 @@ class PatchGrid:
     height: int
     width: int
     channels: int
-    patches: np.ndarray
+    patches: np.ndarray | None
 
     @property
     def n_patches(self):

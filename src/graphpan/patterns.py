@@ -59,8 +59,9 @@ class PatternSet:
     """Every pattern of a graph as one COO table sorted by (row, col).
     ``masks`` lists the m live masks in ascending order, and entry e
     belongs to pattern ``masks[slot[e]]``; ``rows``, ``cols`` and ``slot``
-    are (E,) index arrays and ``vals`` is the (E,) entry values, a plain
-    array or a tensor.
+    are (E,) index arrays (int32 in a generated table, as ``masks`` is, so
+    every index array derived from them is too) and ``vals`` is the (E,)
+    entry values, a plain array or a tensor.
 
     ``len`` is m, and iteration yields, in mask order, each pattern's
     entries (still in (row, col) order) as a plain-valued
@@ -87,12 +88,13 @@ def _unique_inverse(keys):
     """``np.unique(keys, return_inverse=True)`` for keys that arrive as
     ascending runs, one per relation: a stable sort merges the runs instead
     of a full sort, and each run of equal keys is one entry.  Also returns
-    the sorting permutation and each run's start in the sorted order."""
+    the sorting permutation and each run's start in the sorted order.  The
+    inverse is int32: it indexes a table of fewer than 2^31 entries."""
     by_key = np.argsort(keys, kind="stable")
     ordered = keys[by_key]
     starts = np.ones(len(keys), dtype=bool)
     starts[1:] = ordered[1:] != ordered[:-1]
-    inv = np.empty(len(keys), dtype=np.intp)
+    inv = np.empty(len(keys), dtype=np.int32)
     inv[by_key] = np.cumsum(starts) - 1
     return ordered[starts], inv, by_key, np.flatnonzero(starts)
 
@@ -117,11 +119,12 @@ def generate_patterns(g: HetGraph) -> PatternSet:
 
     # uniq ascends by key = (row, col): the table keeps that order
     live = np.flatnonzero(np.bincount(key_masks, minlength=MAX_PATTERNS + 1)[1:]) + 1
+    rows, cols = np.divmod(uniq, n)
     return PatternSet(
         n_nodes=n,
-        masks=live,
-        slot=np.searchsorted(live, key_masks),
-        rows=uniq // n,
-        cols=uniq % n,
+        masks=live.astype(np.int32),
+        slot=np.searchsorted(live, key_masks).astype(np.int32),
+        rows=rows.astype(np.int32),
+        cols=cols.astype(np.int32),
         vals=means,
     )

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .aggregation import LowRank, ModelParams, run_pipeline
+from .aggregation import LowRank, ModelParams, PipelineOutput, run_pipeline
 from .config import ABLATION_MODES, TrainConfig, param_layout
 from .graph import band_node
 from .imaging import BANDS, FormatError, Image, ScenePair, wald_degrade
@@ -119,8 +119,16 @@ def blockwise_contrastive_loss(h_local, h_global, tau: float, n_patches: int):
     return contrastive_loss(ad.reshape(h_local, blocks), h_global, tau)
 
 
-def _losses(out, scene: ScenePair, cfg: TrainConfig):
-    """(l1, lcl, total) matching the kind (plain/tensor) of the pipeline.
+def _loss_inputs(out: PipelineOutput):
+    """What :func:`_losses` reads of a pipeline output: the fused image, the
+    two branches and the patch count; not the fused h, the graph or the
+    pattern table."""
+    return out.fused, out.repr.h_local, out.repr.h_global, out.graph.n_patches
+
+
+def _losses(fused, h_local, h_global, n_patches, scene: ScenePair, cfg: TrainConfig):
+    """(l1, lcl, total) matching the kind (plain/tensor) of the pipeline,
+    from the parts that :func:`_loss_inputs` takes of its output.
 
     lcl is :func:`blockwise_contrastive_loss` of the (importance-scaled)
     branch representations, the global one as its factor pair, over the pan
@@ -128,17 +136,15 @@ def _losses(out, scene: ScenePair, cfg: TrainConfig):
     floor (every negative of a block scoring like the positive) it is ln N.
     total = l1 + gamma * lcl.
     """
-    gt = scene.gt.data.astype(ad.value(out.fused).dtype)
-    l1 = l1_loss(out.fused, gt)
+    # no name keeps the ground truth's copy past the L1 term
+    l1 = l1_loss(fused, scene.gt.data.astype(ad.value(fused).dtype))
     if cfg.ablate != "full":
         # a single surviving branch has nothing to align against
         return l1, 0.0, l1
-    n_patches = out.graph.n_patches
-    h_local, g = out.repr.h_local, out.repr.h_global
     if cfg.gamma > 0.0:
-        lcl = blockwise_contrastive_loss(h_local, g, cfg.tau, n_patches)
+        lcl = blockwise_contrastive_loss(h_local, h_global, cfg.tau, n_patches)
         return l1, lcl, l1 + cfg.gamma * lcl
-    g = LowRank(ad.value(g.left), ad.value(g.right))  # logged only: nothing taped
+    g = LowRank(ad.value(h_global.left), ad.value(h_global.right))  # logged only: nothing taped
     lcl = float(blockwise_contrastive_loss(ad.value(h_local), g, cfg.tau, n_patches))
     return l1, lcl, l1
 
@@ -146,7 +152,7 @@ def _losses(out, scene: ScenePair, cfg: TrainConfig):
 def scene_loss(scene, params: ModelParams, cfg: TrainConfig, structure=None):
     """Plain-valued losses; ``structure`` pins the graph topology."""
     out = run_pipeline(scene, params, cfg, structure=structure)
-    l1, lcl, total = _losses(out, scene, cfg)
+    l1, lcl, total = _losses(*_loss_inputs(out), scene, cfg)
     return float(ad.value(l1)), float(ad.value(lcl)), float(ad.value(total))
 
 
@@ -156,11 +162,16 @@ def backward(scene, params: ModelParams, cfg: TrainConfig):
     The k-NN selections and pattern supports are made on detached values, so
     within a step they are constants; gradients flow through edge weights,
     pattern weights and everything downstream.
+
+    No name holds the pipeline's output: the losses get only the parts they
+    read (:func:`_loss_inputs`).  So the fused h, which only the
+    reconstruction reads, the graph and the pattern table are let go before
+    the contrastive term runs, and every other interior value once no VJP
+    reads it; what the tape holds at the start of its walk is what its VJPs
+    read.
     """
     tparams, tensors = params.to_tensors()
-    # no name holds the pipeline's output, so each interior value is freed
-    # once no VJP reads it
-    l1, lcl, total = _losses(run_pipeline(scene, tparams, cfg), scene, cfg)
+    l1, lcl, total = _losses(*_loss_inputs(run_pipeline(scene, tparams, cfg)), scene, cfg)
     total.backward()
     grads = {}
     for name, t in tensors.items():
@@ -440,6 +451,21 @@ def write_log_csv(path, logs):
             ])
 
 
+def _batch_gradients(batch, params: ModelParams, cfg: TrainConfig):
+    """The batch means of (l1, lcl, total) and of each parameter group's
+    gradient.  A scene's gradients are let go once they are added up, so
+    none lives through the next scene's step."""
+    sums, total = np.zeros(3), {}
+    for scene in batch:
+        bd, grads = backward(scene, params, cfg)
+        sums += (bd.l1, bd.lcl, bd.total)
+        for name, g in grads.items():
+            total[name] = total[name] + g if name in total else g
+        del grads
+    inv = 1.0 / len(batch)
+    return sums * inv, {name: g * inv for name, g in total.items()}
+
+
 def train(dataset, cfg: TrainConfig, out_dir=None, progress=None):
     """Deterministic training over a list of ground-truthed scene pairs.
 
@@ -447,6 +473,10 @@ def train(dataset, cfg: TrainConfig, out_dir=None, progress=None):
     given, writes checkpoint_<iter>.hssn every 1000 iterations, a final
     checkpoint, and log.csv.  Non-finite loss aborts with the last good
     parameters saved to checkpoint_diverged.hssn.
+
+    No step's gradients outlive it: each scene's are let go once added into
+    the batch sum, and the batch mean once Adam has read it, so none of them
+    sits in the heap while the next step builds its tape.
     """
     cfg.validate()
     if not dataset:
@@ -479,21 +509,8 @@ def train(dataset, cfg: TrainConfig, out_dir=None, progress=None):
             ptr += 1
 
         started = time.perf_counter()
-        sum_grads = None
-        sums = np.zeros(3)
-        for scene in batch:
-            bd, grads = backward(scene, params, cfg)
-            sums += (bd.l1, bd.lcl, bd.total)
-            if sum_grads is None:
-                sum_grads = grads
-            else:
-                for name in sum_grads:
-                    sum_grads[name] = sum_grads[name] + grads[name]
-        inv = 1.0 / len(batch)
-        mean_grads = {n: g * inv for n, g in sum_grads.items()}
-        bd = LossBreakdown(
-            l1=sums[0] * inv, lcl=sums[1] * inv, total=sums[2] * inv, lr=lr
-        )
+        means, mean_grads = _batch_gradients(batch, params, cfg)
+        bd = LossBreakdown(l1=means[0], lcl=means[1], total=means[2], lr=lr)
 
         if not np.isfinite(bd.total):
             ckpt = None
@@ -507,6 +524,7 @@ def train(dataset, cfg: TrainConfig, out_dir=None, progress=None):
         last_good = params.copy()
 
         adam_step(params, mean_grads, state, lr)
+        del mean_grads  # read by Adam only: not kept through the next batch
         bd.step_s = time.perf_counter() - started
         logs.append(bd)
         if progress is not None:

@@ -6,10 +6,15 @@ whole-matrix selection on knn_select's own similarity product, overlap
 averaging by a bincount over the windows' pixel indices, exp/log as plain
 tape ops for the dense InfoNCE and composite-expression oracles, and row
 normalisation as a chain of the elementwise tape ops, and the model-size
-bound's widest d by bisection over the config's parameter count.
+bound's widest d by bisection over the config's parameter count.  The tape
+audit reads what a tape holds from its VJP closures, not from the ops'
+own account of what they save.
 """
 
+import types
+
 import numpy as np
+from scipy import sparse
 
 import graphpan.autodiff as ad
 from graphpan.config import MAX_PARAMS, TrainConfig
@@ -46,6 +51,42 @@ def chained_unit_rows(x, right=None):
     keep = (ad.value(q) > 0.0).astype(ad.value(q).dtype)
     out = x / ad.sqrt(q * keep + (1.0 - keep))
     return out if keep.all() else out * keep
+
+
+# ---------------------------------------------------------------------------
+# tape audit
+
+
+def tape_buffers(root):
+    """The arrays the VJP closures of ``root``'s tape hold, each counted by
+    its base buffer once: a view stands for the array it views, and a scipy
+    sparse matrix for its data, indices and indptr.  The closures are walked
+    through the tuples, lists and nested functions they hold.  Call it
+    before ``root.backward()``, which drops each VJP as it passes."""
+    buffers, seen = {}, set()
+
+    def walk(obj):
+        if id(obj) in seen:
+            return
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            while isinstance(obj.base, np.ndarray):
+                obj = obj.base
+            buffers[id(obj)] = obj
+        elif sparse.issparse(obj):
+            for part in (obj.data, obj.indices, obj.indptr):
+                walk(part)
+        elif isinstance(obj, types.FunctionType):
+            for cell in obj.__closure__ or ():
+                walk(cell.cell_contents)
+        elif isinstance(obj, (tuple, list)):
+            for item in obj:
+                walk(item)
+
+    for node in ad._topo_order(root):
+        if node.vjp is not None:
+            walk(node.vjp)
+    return list(buffers.values())
 
 
 # ---------------------------------------------------------------------------

@@ -192,6 +192,17 @@ class TestReductionsIndexing:
         check_op(lambda t: ad.sum(t[2] * u[0]), x)
         check_op(lambda t: ad.sum(t[np.int64(-1)] * u[1]), x)
 
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint8])
+    def test_take_of_an_integer_vector_is_numpy_indexing(self, dtype):
+        x = RNG.normal(size=(6, 3))
+        for idx in ([5, 0, 0, 2], [-1, 3] if dtype != np.uint8 else [1, 3], []):
+            idx = np.array(idx, dtype)
+            for src in (x, x[:, 0]):
+                got = ad.take(Tensor(src), idx)
+                assert got.data.tobytes() == src[idx].tobytes() and got.data.shape == src[idx].shape
+        with pytest.raises(IndexError):
+            ad.take(Tensor(x), np.array([6], dtype))
+
     def test_concatenate_mixed_parts(self):
         a = RNG.normal(size=(2, 2))
         const = RNG.normal(size=(1, 2))
@@ -385,6 +396,29 @@ class TestSparseMatrix:
         y = np.random.default_rng(14).normal(size=(self.N, 5))
         assert (got @ x).tobytes() == (want @ x).tobytes()
         assert (got.T @ y).tobytes() == (want.T @ y).tobytes()
+
+    @pytest.mark.parametrize("order", ["row-major", "column-major", "random"])
+    def test_int32_entries_build_the_int64_matrix(self, order):
+        # the same arrays and product bits from int32 and int64 indices; a
+        # sorted int32 minor index becomes the matrix's own, not a copy
+        rows, cols, vals = self.entries(18)
+        keys = {"row-major": rows * self.M + cols, "column-major": cols * self.N + rows,
+                "random": np.random.default_rng(19).permutation(len(rows))}
+        perm = np.argsort(keys[order], kind="stable")
+        r, c, v = rows[perm], cols[perm], vals[perm]
+        r32, c32 = r.astype(np.int32), c.astype(np.int32)
+        narrow = ad.sparse_matrix(self.N, self.M, r32, c32, v)
+        wide = ad.sparse_matrix(self.N, self.M, r.astype(np.int64), c.astype(np.int64), v)
+        assert narrow.format == wide.format
+        for part in ("data", "indices", "indptr"):
+            a, b = getattr(narrow, part), getattr(wide, part)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), part
+        if order != "random":
+            assert np.shares_memory(narrow.indices, c32 if order == "row-major" else r32)
+        x = np.random.default_rng(20).normal(size=(self.M, 5))
+        y = np.random.default_rng(21).normal(size=(self.N, 5))
+        assert (narrow @ x).tobytes() == (wide @ x).tobytes()
+        assert (narrow.T @ y).tobytes() == (wide.T @ y).tobytes()
 
     def test_repeats_stay_apart_within_round_off(self):
         rows, cols, vals = self.entries(15)

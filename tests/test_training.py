@@ -50,7 +50,7 @@ from graphpan.training import (
     write_log_csv,
 )
 
-from oracles import largest_valid_d
+from oracles import largest_valid_d, tape_buffers
 
 
 class TestL1Loss:
@@ -392,6 +392,22 @@ def backward_root(scene, params, cfg, monkeypatch):
     return root
 
 
+def buffers_at_backward_start(scene, params, cfg, monkeypatch):
+    """:func:`oracles.tape_buffers` of one training.backward pass's loss,
+    taken as its walk starts."""
+    held = []
+    real_backward = ad.Tensor.backward
+
+    def audit(self):
+        held.extend(tape_buffers(self))
+        real_backward(self)
+
+    with monkeypatch.context() as m:
+        m.setattr(ad.Tensor, "backward", audit)
+        backward(scene, params, cfg)
+    return held
+
+
 def record_shapes(monkeypatch):
     """A list that gets the shape of every tensor built from now on, the
     way the bench counts tape nodes: a tensor is a parameter or the output
@@ -604,6 +620,51 @@ class TestTape:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
+    def test_backward_peak_memory_at_128px(self):
+        # one default 128 px step, traced from a cold start of reconstruct's
+        # operators as in a fresh process, peaks at 18.4 MiB.  It peaked at
+        # 21.6 MiB while the patch grids and the fused h lived through the
+        # whole step, the pattern table and the relation edges were int64
+        # and knn_select kept its column maxima through its scan
+        import tracemalloc
+
+        aggregation._recon_operators.cache_clear()
+        scene = synth_scene(seed=0, size=128)
+        cfg = TrainConfig()
+        params = ModelParams.init(cfg)
+        tracemalloc.start()
+        try:
+            backward(scene, params, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
+
+    def test_tape_audit_counts_each_buffer_once(self):
+        # two views of one array count as the array, and a sparse matrix as
+        # its three arrays
+        base = np.arange(12.0).reshape(3, 4)
+        m = sparse.csr_matrix(np.eye(3))
+        x = ad.Tensor(np.ones((4, 3)))
+        loss = ad.sum(ad.sparse_apply(m, base[:, :] @ x) * base[:, 1:])
+        want = base.nbytes + m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
+        assert sum(b.nbytes for b in tape_buffers(loss)) == want
+
+    def test_tape_holds_int32_indices(self, monkeypatch):
+        # a default 128 px step's VJPs hold 15.4 MiB as its walk starts.
+        # They held 17.0 MiB when the pattern table, the relation edges and
+        # the indices derived from them were int64 and each sparse product
+        # kept an int32 copy of its minor index
+        scene = synth_scene(seed=0, size=128)
+        cfg = TrainConfig()
+        params = ModelParams.init(cfg)
+        held = buffers_at_backward_start(scene, params, cfg, monkeypatch)
+        assert sum(b.nbytes for b in held) <= 16.3 * 2**20
+        out = run_pipeline(scene, params, cfg)
+        edges = [len(src) for src, _ in out.graph.structure.edges]
+        per_entry = {len(out.patterns.rows), sum(edges), *edges}
+        assert not [b.shape for b in held if b.dtype == np.int64 and b.size in per_entry]
+
 
 class TestStepConstants:
     """What depends only on the scene or the grid geometry is built once:
@@ -659,6 +720,16 @@ class TestStepConstants:
         (g0, p0), (g1, p1) = applied[:2], applied[2:]
         assert p0.shape == (64 * 64, 225 * cfg.patch**2)
         assert g1 is g0 and p1 is p0
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_coverage_counts_are_the_overlap_add_row_lengths(self, dtype):
+        # reconstruct divides by counts built once per geometry and dtype;
+        # a side of 66 px leaves its last two rows and columns uncovered
+        _, P, counts = aggregation._recon_operators(66, 66, 8, 4, dtype)
+        assert counts.dtype == dtype and counts.shape == (66 * 66, 1)
+        np.testing.assert_array_equal(counts[:, 0], np.maximum(P.getnnz(axis=1), 1))
+        assert counts.min() == 1 and not counts.flags.writeable
+        assert aggregation._recon_operators(66, 66, 8, 4, dtype)[2] is counts
 
     def test_reassigned_lrms_is_upsampled_again(self, monkeypatch):
         scene = synth_scene(seed=0, size=32)

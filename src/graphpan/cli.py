@@ -302,23 +302,25 @@ def cmd_analyze_priors(args) -> int:
 
 
 def _time_call(fn):
-    """Per-call seconds: adaptive repetitions, best of a few trials."""
+    """Per-call CPU seconds of this process: adaptive repetitions, best of a
+    few trials.  CPU time, not wall time, so that another process on the
+    cores does not move the fitted exponents."""
     min_time, best_of = 0.05, 3
     reps = 1
     while True:
-        t0 = time.perf_counter()
+        t0 = time.process_time()
         for _ in range(reps):
             fn()
-        dt = time.perf_counter() - t0
+        dt = time.process_time() - t0
         if dt >= min_time:
             break
         reps = max(reps * 2, int(reps * min_time / max(dt, 1e-9)) + 1)
     best = dt / reps
     for _ in range(best_of - 1):
-        t0 = time.perf_counter()
+        t0 = time.process_time()
         for _ in range(reps):
             fn()
-        best = min(best, (time.perf_counter() - t0) / reps)
+        best = min(best, (time.process_time() - t0) / reps)
     return best
 
 
@@ -326,9 +328,9 @@ BENCH_SIZES = (6400, 12800, 25600, 51200)  # every timed call takes milliseconds
 
 
 def bench_scaling(sizes=BENCH_SIZES, d=32, seed=0):
-    """Time pattern generation and global aggregation on random multiplex
-    graphs of expected in-degree 8 per relation; returns (rows, fitted
-    log-log exponents)."""
+    """Time pattern generation and global aggregation, in CPU seconds, on
+    random multiplex graphs of expected in-degree 8 per relation; returns
+    (rows, fitted log-log exponents)."""
     rows = []
     for n in sizes:
         g = random_multiplex_graph(n, density=min(1.0, 8 / n), seed=seed)
@@ -456,7 +458,7 @@ def build_parser() -> _Parser:
     s.add_argument("--out", default=None)
     s.set_defaults(func=cmd_analyze_priors)
 
-    s = sub.add_parser("bench", help="runtime scaling of patterns and global aggregation")
+    s = sub.add_parser("bench", help="scaling of patterns and global aggregation in CPU seconds")
     s.add_argument("--sizes", default=",".join(map(str, BENCH_SIZES)))
     s.add_argument("--d", type=int, default=32)
     s.add_argument("--seed", type=int, default=0)

@@ -5,10 +5,13 @@ finite differences, Adam to its t=1 closed form and long-run fixed point,
 and the checkpoint format to a byte-level layout check.
 """
 
+import ctypes
 import dataclasses
 import os
 import struct
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +20,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 import graphpan.autodiff as ad
-from graphpan import aggregation, graph, imaging
+from graphpan import aggregation, graph, imaging, training
 from graphpan.aggregation import LowRank, ModelParams, run_pipeline
 from graphpan.config import MAX_PARAMS, TrainConfig
 from graphpan.graph import N_RELATIONS
@@ -1237,6 +1240,62 @@ class TestTrainLoop:
         seen = []
         train([toy_scene(0)], toy_config(iters=3), progress=lambda it, lb: seen.append(it))
         assert seen == [0, 1, 2]
+
+
+
+def _has_glibc():
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+# minor page faults per iteration of four 64 px scenes at batch 4, from the
+# third iteration on, printed by a fresh interpreter: earlier frees in this
+# process would have set glibc's trim and mmap thresholds already
+FAULT_PROBE = """
+import resource
+from graphpan import imaging, training
+from graphpan.config import TrainConfig
+
+scenes = [imaging.synth_scene(s, size=64) for s in range(4)]
+faults = []
+training.train(scenes, TrainConfig(iters=8, seed=0), progress=lambda it, bd: faults.append(
+    resource.getrusage(resource.RUSAGE_SELF).ru_minflt))
+print((faults[-1] - faults[1]) / (len(faults) - 2))
+"""
+
+
+class TestFreedHeap:
+    @pytest.mark.skipif(not _has_glibc(), reason="the heap pad is a glibc setting")
+    def test_train_64_keeps_its_pages(self):
+        # with glibc's default trim each scene pass faulted its tape's pages
+        # in again: 1,500-4,600 faults per iteration; with the pad, 0-60
+        src = Path(training.__file__).resolve().parents[1]
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", FAULT_PROBE], capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=path),
+        )
+        assert done.returncode == 0, done.stderr
+        assert float(done.stdout) < 100
+
+    @pytest.mark.parametrize("module, name, error", [
+        pytest.param(os, "confstr", ValueError, id="no-glibc"),
+        pytest.param(ctypes, "CDLL", OSError, id="no-libc"),
+    ])
+    def test_train_runs_without_the_setting(self, module, name, error, monkeypatch):
+        def fail(*args):
+            raise error(name)
+
+        want = [lb.total for lb in train([toy_scene(0)], toy_config(iters=6))[1]]
+        monkeypatch.setattr(module, name, fail)
+        training._keep_freed_heap.cache_clear()
+        try:
+            assert training._keep_freed_heap() is False
+            assert [lb.total for lb in train([toy_scene(0)], toy_config(iters=6))[1]] == want
+        finally:
+            training._keep_freed_heap.cache_clear()  # the next train sets the pad again
 
 
 class TestToyFixtures:

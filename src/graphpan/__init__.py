@@ -3,15 +3,13 @@
 __version__ = "0.1.0"
 
 from .config import TrainConfig
-from .imaging import Image, ScenePair, read_image, synth_scene, wald_degrade, write_image
+from .imaging import Image, ScenePair, synth_scene, wald_degrade
 
 __all__ = [
     "Image",
     "ScenePair",
     "TrainConfig",
-    "read_image",
     "synth_scene",
     "wald_degrade",
-    "write_image",
     "__version__",
 ]

@@ -12,7 +12,10 @@ Configuration merges three sources: built-in defaults, then an optional
 from __future__ import annotations
 
 import argparse
+import ast
 import csv
+import os
+import subprocess
 import sys
 import time
 from dataclasses import fields
@@ -305,7 +308,7 @@ def _time_call(fn):
     """Per-call CPU seconds of this process: adaptive repetitions, best of a
     few trials.  CPU time, not wall time, so that another process on the
     cores does not move the fitted exponents."""
-    min_time, best_of = 0.05, 3
+    min_time, best_of = 0.1, 5
     reps = 1
     while True:
         t0 = time.process_time()
@@ -327,12 +330,11 @@ def _time_call(fn):
 BENCH_SIZES = (6400, 12800, 25600, 51200)  # every timed call takes milliseconds
 
 
-def bench_scaling(sizes=BENCH_SIZES, d=32, seed=0):
-    """Time pattern generation and global aggregation, in CPU seconds, on
-    random multiplex graphs of expected in-degree 8 per relation; returns
-    (rows, fitted log-log exponents)."""
-    rows = []
-    for n in sizes:
+def _time_sizes(sizes, d, seed):
+    """{n: (t_patterns, t_global)}, timed largest size first, each function
+    after one untimed call."""
+    times = {}
+    for n in sorted(set(sizes), reverse=True):
         g = random_multiplex_graph(n, density=min(1.0, 8 / n), seed=seed)
         rng = np.random.default_rng(seed + 1)
         u = rng.standard_normal((n, d))
@@ -347,13 +349,34 @@ def bench_scaling(sizes=BENCH_SIZES, d=32, seed=0):
             b = build_global_pattern_matrix(ps, beta)
             aggregate_global(global_similarity(b), u, w_global)
 
-        rows.append(
-            {
-                "n": n,
-                "t_patterns": _time_call(run_patterns),
-                "t_global": _time_call(run_global),
-            }
-        )
+        run_patterns()
+        run_global()
+        times[n] = (_time_call(run_patterns), _time_call(run_global))
+    return times
+
+
+def bench_scaling(sizes=BENCH_SIZES, d=32, seed=0):
+    """Time pattern generation and global aggregation, in CPU seconds, on
+    random multiplex graphs of expected in-degree 8 per relation; returns
+    (rows, fitted log-log exponents).
+
+    The timing runs in a fresh interpreter, so what this process ran
+    before cannot move it: after a ``train`` call, for one, glibc's mmap
+    threshold is fixed (:func:`training._keep_freed_heap`), and every call
+    at the larger sizes would map and fault in its arrays afresh.  In
+    there the largest size runs first, so glibc's dynamic threshold rises
+    above every size's arrays before any call is timed."""
+    call = f"{_time_sizes.__name__}({tuple(map(int, sizes))}, {int(d)}, {int(seed)})"
+    probe = f"import graphpan.cli as c; print(c.{call})"
+    path = os.pathsep.join(filter(None, [str(Path(__file__).resolve().parent.parent),
+                                         os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+    if done.returncode:
+        last = done.stderr.strip().splitlines()[-1:] or [f"exit code {done.returncode}"]
+        raise OSError(f"the timing process failed: {last[0]}")
+    times = ast.literal_eval(done.stdout)
+    rows = [{"n": n, "t_patterns": times[n][0], "t_global": times[n][1]} for n in sizes]
     logn = np.log([r["n"] for r in rows])
     exps = {
         "patterns": float(np.polyfit(logn, np.log([r["t_patterns"] for r in rows]), 1)[0]),

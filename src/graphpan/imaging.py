@@ -3,7 +3,7 @@
 Images are (height, width, channels) float32 arrays with values in [0, 1].
 On disk the native container is HSIF: magic ``HSIF``, three little-endian
 u32 fields (height, width, channels), then float32 samples in row-major,
-channel-last order.  8-bit PGM (P5) / PPM (P6) are supported for previews.
+channel-last order.  Previews are written as 8-bit PPM (P6).
 """
 
 from __future__ import annotations
@@ -121,90 +121,17 @@ def read_hsif(path) -> Image:
     return Image(np.clip(data, 0.0, 1.0).astype(np.float32))
 
 
-def _write_netpbm(path, img: Image, magic: bytes):
+def write_ppm(path, img: Image):
+    """Binary 8-bit PPM (P6, maxval 255): each sample rounded from [0, 1]
+    to 0..255.  Written for previews; nothing reads it back."""
+    if img.channels != 3:
+        raise ValueError("PPM requires exactly 3 channels")
     img.validate()
     q = np.round(img.data * 255.0).astype(np.uint8)
     h, w, _ = q.shape
     with open(path, "wb") as f:
-        f.write(magic + b"\n%d %d\n255\n" % (w, h))
+        f.write(b"P6\n%d %d\n255\n" % (w, h))
         f.write(q.tobytes())
-
-
-def write_pgm(path, img: Image):
-    if img.channels != 1:
-        raise ValueError("PGM requires a single channel")
-    _write_netpbm(path, img, b"P5")
-
-
-def write_ppm(path, img: Image):
-    if img.channels != 3:
-        raise ValueError("PPM requires exactly 3 channels")
-    _write_netpbm(path, img, b"P6")
-
-
-def _read_netpbm(path, magic: bytes, channels: int) -> Image:
-    blob = Path(path).read_bytes()
-    if blob[:2] != magic:
-        raise ImageFormatError(f"bad {magic.decode()} magic", offset=0)
-    # header: magic, width, height, maxval as whitespace-separated decimal
-    # tokens, with optional '#' comments
-    tokens, pos = [], 2
-    while len(tokens) < 3:
-        if pos >= len(blob):
-            raise ImageFormatError("truncated netpbm header", offset=pos)
-        ch = blob[pos : pos + 1]
-        if ch == b"#":
-            while pos < len(blob) and blob[pos : pos + 1] != b"\n":
-                pos += 1
-        elif ch.isspace():
-            pos += 1
-        else:
-            start = pos
-            while pos < len(blob) and not blob[pos : pos + 1].isspace():
-                pos += 1
-            token = blob[start:pos]
-            if not token.isdigit():
-                raise ImageFormatError(f"non-numeric netpbm header field {token!r}", offset=start)
-            tokens.append((int(token), start))
-    pos += 1  # single whitespace after maxval
-    (w, w_at), (h, h_at), (maxval, maxval_at) = tokens
-    for size, at in ((w, w_at), (h, h_at)):
-        if not 0 < size <= _MAX_DIM:
-            raise ImageFormatError(f"bad netpbm dimension {size}", offset=at)
-    if maxval != 255:
-        raise ImageFormatError(f"unsupported maxval {maxval}", offset=maxval_at)
-    need = pos + h * w * channels
-    if len(blob) < need:
-        raise ImageFormatError("truncated netpbm payload", offset=len(blob))
-    raw = np.frombuffer(blob[pos:need], dtype=np.uint8)
-    data = raw.reshape(h, w, channels).astype(np.float32) / 255.0
-    return Image(data)
-
-
-def read_pgm(path) -> Image:
-    return _read_netpbm(path, b"P5", 1)
-
-
-def read_ppm(path) -> Image:
-    return _read_netpbm(path, b"P6", 3)
-
-
-_READERS = {".hsif": read_hsif, ".pgm": read_pgm, ".ppm": read_ppm}
-_WRITERS = {".hsif": write_hsif, ".pgm": write_pgm, ".ppm": write_ppm}
-
-
-def read_image(path) -> Image:
-    ext = Path(path).suffix.lower()
-    if ext not in _READERS:
-        raise ValueError(f"unsupported image extension {ext!r}")
-    return _READERS[ext](path)
-
-
-def write_image(path, img: Image):
-    ext = Path(path).suffix.lower()
-    if ext not in _WRITERS:
-        raise ValueError(f"unsupported image extension {ext!r}")
-    _WRITERS[ext](path, img)
 
 
 # ---------------------------------------------------------------------------

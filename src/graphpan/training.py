@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import ctypes
-import dataclasses
 import functools
 import os
 import struct
@@ -33,7 +32,7 @@ from .graph import band_node
 from .imaging import BANDS, FormatError, Image, ScenePair, wald_degrade
 
 CHECKPOINT_MAGIC = b"HSSN"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 _REL_FLOOR = 1e-6  # relative-error denominators never drop below this
 
@@ -308,9 +307,10 @@ def lr_schedule(cfg: TrainConfig, iteration: int) -> float:
 # checkpoints: magic HSSN, version u32, block count u32, then named blocks
 # (name length u32, utf-8 name, three u32 dims, float32 little-endian payload)
 
-# the TrainConfig fields of the _config block, in order; ablate is stored as
-# its index in ABLATION_MODES
-CONFIG_FIELDS = ("patch", "stride", "d", "k", "tau", "gamma", "ablate")
+# the TrainConfig fields of the _config block, in order: the ones a loaded
+# model runs with, all integers (float32 holds each exactly up to 2**24);
+# ablate is stored as its index in ABLATION_MODES
+CONFIG_FIELDS = ("patch", "stride", "d", "k", "ablate")
 
 
 def _dims3(shape):
@@ -331,20 +331,16 @@ def _encode_config(cfg: TrainConfig) -> np.ndarray:
 def _decode_config(meta) -> TrainConfig:
     """Inverse of :func:`_encode_config`; raises ValueError for a value
     that no config field can take.  The caller validates the config."""
-    types = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
     kw = {}
     for name, v in zip(CONFIG_FIELDS, meta.tolist()):
         if not np.isfinite(v):
             raise ValueError(f"{name} is {v}")
-        if name == "ablate" or types[name] == "int":
-            if v != int(v):
-                raise ValueError(f"{name} {v} is not an integer")
-            v = int(v)
-        if name == "ablate":
-            if not 0 <= v < len(ABLATION_MODES):
-                raise ValueError(f"unknown ablation mode index {v}")
-            v = ABLATION_MODES[v]
-        kw[name] = v
+        if v != int(v):
+            raise ValueError(f"{name} {v} is not an integer")
+        kw[name] = int(v)
+    if not 0 <= kw["ablate"] < len(ABLATION_MODES):
+        raise ValueError(f"unknown ablation mode index {kw['ablate']}")
+    kw["ablate"] = ABLATION_MODES[kw["ablate"]]
     return TrainConfig(**kw)
 
 
@@ -368,7 +364,8 @@ class CheckpointFormatError(FormatError):
 
 
 def load_checkpoint(path):
-    """Returns (ModelParams, TrainConfig-with-model-fields).  A malformed or
+    """Returns (ModelParams, TrainConfig): the config holds the file's
+    CONFIG_FIELDS and the defaults of every other field.  A malformed or
     truncated file, a duplicate block name, a block the layout does not
     name, a missing block, a block whose dims differ from the model's
     layout, a parameter block holding a NaN or inf, or a ``_config`` block

@@ -18,7 +18,7 @@ from graphpan import graph
 from graphpan.aggregation import ModelParams, forward
 from graphpan.cli import bench_scaling, main, merge_config, parse_config_file
 from graphpan.config import TrainConfig
-from graphpan.imaging import MAX_SCENE_SIZE, MIN_SCENE_SIZE, ScenePair, read_hsif, read_ppm, synth_scene
+from graphpan.imaging import MAX_SCENE_SIZE, MIN_SCENE_SIZE, ScenePair, read_hsif, synth_scene
 from graphpan.metrics import full_reference
 from graphpan.training import load_checkpoint, save_checkpoint
 
@@ -365,11 +365,10 @@ class TestInfer:
         assert code == 0
         fused = read_hsif(out / "fused.hsif")
         assert fused.data.shape == (16, 16, 4)
-        preview = read_ppm(out / "preview.ppm")
-        assert preview.data.shape == (16, 16, 3)
-        np.testing.assert_allclose(
-            preview.data[:, :, 0], fused.data[:, :, 2], atol=0.5 / 255 + 1e-6
-        )
+        # the preview is binary PPM: the P6 header, then each sample of
+        # bands 2, 1, 0 rounded to 0..255
+        want = np.round(255.0 * fused.data[:, :, (2, 1, 0)]).astype(np.uint8)
+        assert (out / "preview.ppm").read_bytes() == b"P6\n16 16\n255\n" + want.tobytes()
 
     def test_missing_checkpoint_exit_1(self, workdir, tmp_path, capsys):
         code = main([
@@ -540,6 +539,13 @@ class TestBench:
         assert [r["n"] for r in rows] == [40, 80]
         assert all(r["t_patterns"] > 0 and r["t_global"] > 0 for r in rows)
         assert set(exps) == {"patterns", "global"}
+
+    def test_timing_process_failure_exit_1(self):
+        # the timing runs in a child interpreter, whose error comes back as
+        # the message; a 80 x 10^8 array is refused before it is touched
+        done = run_cli("bench", "--sizes", "40,80", "--d", str(10**8))
+        assert_cli_error(done, "the timing process failed: ")
+        assert "Unable to allocate" in done.stderr
 
     @pytest.mark.parametrize(
         "argv, message",

@@ -3,8 +3,10 @@ and every method and property of its classes, is used by the package or
 its bench.
 
 A def counts as used when something outside its own definition refers to
-it: a bare name in the same module, a ``from .m import name`` in any module,
-or ``alias.name`` where ``alias`` came from ``from . import m``.  A class
+it: a bare name in the same module, a ``from .m import name`` in any module
+but ``__init__.py``, or ``alias.name`` where ``alias`` came from ``from .
+import m``.  A re-export in ``__init__.py`` does not count, so ``__all__``
+cannot keep alive a function that no command calls.  A class
 member counts as used when an attribute of its name is read in
 ``src/graphpan`` or ``perfbench`` outside its own definition and outside
 every other unused member.  Dunder names are exempt, and so are the members
@@ -33,17 +35,18 @@ CALLED_BY_LIBRARIES = {"cli._Parser.error"}
 
 def unreferenced_defs(package: Path):
     """Sorted ``module.name`` of every module-level def or class in
-    ``package`` that nothing outside its own definition refers to."""
+    ``package`` that nothing outside its own definition refers to; the
+    package's own re-exports in ``__init__.py`` are not references."""
     trees = {p.stem: ast.parse(p.read_text()) for p in sorted(package.glob("*.py"))}
     imported = set()  # (module, name) pairs referenced across modules
-    for tree in trees.values():
+    for module, tree in trees.items():
         aliases = {}  # local alias -> sibling module, from `from . import m`
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.level == 1:
                 for a in node.names:
                     if node.module is None:
                         aliases[a.asname or a.name] = a.name
-                    else:
+                    elif module != "__init__":
                         imported.add((node.module, a.name))
         for node in ast.walk(tree):
             if (
@@ -142,6 +145,9 @@ def test_audit_counts_each_kind_of_reference(tmp_path):
     )
     (tmp_path / "b.py").write_text(
         "from . import a as mod\nfrom .a import by_import\n\nmod.by_alias()\n"
+    )
+    (tmp_path / "__init__.py").write_text(
+        'from .a import Unused, by_name\n\n__all__ = ["Unused", "by_name"]\n'
     )
     assert unreferenced_defs(tmp_path) == ["a.Unused", "a.recursive"]
 

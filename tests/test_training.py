@@ -821,7 +821,7 @@ def set_random_importance(params, rng, scale=1.0):
 
 
 # toy_config()'s _config block, in CONFIG_FIELDS order
-TOY_META = [4, 4, 8, 1, 0.5, 0.01, 0]
+TOY_META = [4, 4, 8, 1, 0]
 
 
 def write_blocks(path, blocks, version=CHECKPOINT_VERSION):
@@ -850,8 +850,8 @@ class TestCheckpoints:
             assert n1 == n2
             np.testing.assert_array_equal(np.asarray(a1, dtype=np.float32), a2)
         assert (bcfg.patch, bcfg.stride, bcfg.d, bcfg.k) == (4, 4, 8, 1)
-        assert bcfg.tau == pytest.approx(0.7, rel=1e-6)
-        assert bcfg.gamma == pytest.approx(0.02, rel=1e-6)
+        # the loss weights are not stored: a loaded model runs without them
+        assert (bcfg.tau, bcfg.gamma) == (TrainConfig.tau, TrainConfig.gamma)
 
     def test_header_bytes(self, tmp_path):
         cfg = toy_config()
@@ -861,7 +861,7 @@ class TestCheckpoints:
         blob = path.read_bytes()
         assert blob[:4] == CHECKPOINT_MAGIC == b"HSSN"
         version, n_blocks = struct.unpack("<II", blob[4:12])
-        assert version == CHECKPOINT_VERSION == 2
+        assert version == CHECKPOINT_VERSION == 3
         assert n_blocks == len(params.named_arrays()) + 1  # + _config
         nlen = struct.unpack("<I", blob[12:16])[0]
         assert blob[16 : 16 + nlen].decode() == "w_embed"
@@ -888,7 +888,7 @@ class TestCheckpoints:
         cfg = toy_config(gamma=0.02, tau=0.7)
         params = ModelParams.init(cfg, seed=5, zero_recon=False)
         blocks = [(n, a) for n, a in params.named_arrays() if not n.startswith("importance")]
-        blocks.append(("_config", [4, 4, 8, 1, 0.7, 0.02, 0]))
+        blocks.append(("_config", TOY_META))
         path = tmp_path / "old.hssn"
         write_blocks(path, blocks)
         with pytest.raises(CheckpointFormatError, match="checkpoint missing block 'importance_w'") as err:
@@ -968,12 +968,17 @@ class TestCheckpoints:
 
     @pytest.mark.parametrize("mode", ["full", "local-only", "global-only"])
     def test_round_trip_keeps_ablation_mode(self, tmp_path, mode):
+        # gamma = 0.01, the default, has no float32 value: the loaded config
+        # equals the saved one only because no loss weight is stored
         cfg = TrainConfig(patch=4, stride=4, d=8, k=1, ablate=mode)
         params = ModelParams.init(cfg, seed=5, zero_recon=False)
         path = tmp_path / "ck.hssn"
         save_checkpoint(path, params, cfg)
         back, bcfg = load_checkpoint(path)
-        assert bcfg.ablate == mode
+        assert bcfg == cfg
+        for (n1, a1), (n2, a2) in zip(params.named_arrays(), back.named_arrays()):
+            assert n1 == n2 and a1.dtype == a2.dtype == np.float32
+            assert a1.tobytes() == a2.tobytes()
         scene = toy_scene(0)
         np.testing.assert_array_equal(
             ad.value(run_pipeline(scene, back, bcfg).fused),
@@ -983,8 +988,8 @@ class TestCheckpoints:
     def test_seven_entry_config_is_refused(self, tmp_path):
         # the _config block as written before ablate was stored: patch,
         # stride, d, layers, k, tau, gamma in a version-1 file.  Version 2
-        # also has seven entries, so the header alone keeps it from being
-        # read as patch, stride, d, k, tau, gamma, ablate
+        # also had seven entries, so the header alone keeps it from being
+        # read as version 2's patch, stride, d, k, tau, gamma, ablate
         cfg = toy_config(gamma=0.02, tau=0.7)
         params = ModelParams.init(cfg, seed=5, zero_recon=False)
         blocks = params.named_arrays() + [("_config", [4, 4, 8, 2, 1, 0.7, 0.02])]
@@ -1011,6 +1016,18 @@ class TestCheckpoints:
             load_checkpoint(path)
         assert err.value.offset == 4
 
+    def test_version_two_file_is_refused(self, tmp_path):
+        # a file as version 2 wrote it: today's parameter blocks, and tau
+        # and gamma between k and ablate in _config.  Read as version 3 it
+        # would fail on the _config dims; the version refuses it first
+        cfg = toy_config()
+        params = ModelParams.init(cfg, seed=5, zero_recon=False)
+        path = tmp_path / "v2.hssn"
+        write_blocks(path, params.named_arrays() + [("_config", [4, 4, 8, 1, 0.5, 0.01, 0])], version=2)
+        with pytest.raises(CheckpointFormatError, match="unsupported checkpoint version 2") as err:
+            load_checkpoint(path)
+        assert err.value.offset == 4
+
     def test_config_with_layers_is_refused(self, tmp_path):
         # version 1's eight-entry _config under the current version number
         # fails on its dims, not on a misread field
@@ -1020,16 +1037,16 @@ class TestCheckpoints:
         offsets = write_blocks(path, params.named_arrays() + [("_config", [4, 4, 8, 2, 1, 0.5, 0.01, 0])])
         with pytest.raises(
             CheckpointFormatError,
-            match=r"checkpoint block '_config' of dims \(8, 1, 1\) does not match \(7,\)",
+            match=r"checkpoint block '_config' of dims \(8, 1, 1\) does not match \(5,\)",
         ) as err:
             load_checkpoint(path)
         assert err.value.offset == offsets["_config"]
 
     @pytest.mark.parametrize("field,value,message", [
-        ("tau", 0.0, "tau must be positive"),
+        ("ablate", -1.0, "index -1"),
         ("d", 0.0, "d and k must be positive"),
         ("stride", 8.0, "stride <= patch"),
-        ("gamma", float("nan"), "gamma is nan"),
+        ("k", float("nan"), "k is nan"),
         ("k", 1.5, "not an integer"),
         ("ablate", 3.0, "unknown ablation mode"),
         ("d", 2.0**40, f"parameters, more than {MAX_PARAMS}"),

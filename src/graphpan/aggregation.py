@@ -81,8 +81,10 @@ class ModelParams:
 
     @staticmethod
     def init(cfg: TrainConfig, seed: int | None = None, zero_recon: bool = True) -> "ModelParams":
+        """Float32 draws, the dtype a checkpoint holds; a float64 model
+        is this one cast by :meth:`astype`."""
         rng = np.random.default_rng(cfg.seed if seed is None else seed)
-        dt = cfg.dtype
+        dt = np.float32
 
         def draw(_name, shape, init):
             if init == "glorot":

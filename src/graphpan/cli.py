@@ -157,7 +157,7 @@ def _write_rows(path, header, rows):
 def cmd_eval(args) -> int:
     params, mcfg = load_checkpoint(args.checkpoint)
     dirs = _scene_dirs(args.data)
-    rows = []
+    values = []
     for d in dirs:
         scene = ScenePair.load(d)
         if args.mode == "reduced" and scene.gt is None:
@@ -167,9 +167,10 @@ def cmd_eval(args) -> int:
             rep = full_reference(fused, scene.gt, scale=scene.scale)
         else:
             rep = no_reference(fused, scene.pan, scene.lrms, scale=scene.scale)
-        rows.append([d.name] + [f"{v:.6f}" for v in rep.as_row()])
-    mean = np.mean([[float(v) for v in r[1:]] for r in rows], axis=0)
-    rows.append(["mean"] + [f"{v:.6f}" for v in mean])
+        values.append(rep.as_row())
+    names = [d.name for d in dirs] + ["mean"]
+    values.append(np.mean(values, axis=0))  # of the values, not of their printed digits
+    rows = [[name] + [f"{v:.6f}" for v in row] for name, row in zip(names, values)]
     header = ["scene"] + [f.name for f in fields(rep)]
     for r in [header] + rows:
         print(",".join(str(v) for v in r))
@@ -288,15 +289,14 @@ def cmd_analyze_priors(args) -> int:
         for i in range(args.count)
     ]  # every scene gives the same rows in the same order
     means = np.mean([[row[1:] for row in t] for t in tables], axis=0)
-    rows = [
-        [name, f"{emd:.6f}", f"{coeff:.6f}"]
-        for (name, _, _), (emd, coeff) in zip(tables[0], means)
-    ]
+    names = [name for name, _, _ in tables[0]]
+    rows = [[name, f"{emd:.6f}", f"{coeff:.6f}"] for name, (emd, coeff) in zip(names, means)]
     header = ["pair", "mean_emd", "mean_coefficient"]
     for r in [header] + rows:
         print(",".join(r))
-    pan_c = np.mean([float(r[2]) for r in rows if r[0].startswith("pan_vs_gt")])
-    lr_c = np.mean([float(r[2]) for r in rows if r[0].startswith("lrms_vs_gt")])
+    # the summary lines average the values, not their printed digits
+    pan_c = np.mean([c for name, (_, c) in zip(names, means) if name.startswith("pan_vs_gt")])
+    lr_c = np.mean([c for name, (_, c) in zip(names, means) if name.startswith("lrms_vs_gt")])
     print(f"mean pan-vs-gt coefficient:  {pan_c:.6f}")
     print(f"mean lrms-vs-gt coefficient: {lr_c:.6f}")
     if args.out:

@@ -61,7 +61,6 @@ class TrainConfig:
 
     # losses
     gamma: float = 0.01     # contrastive weight
-    tau: float = 0.5        # contrastive temperature
 
     # optimisation
     lr0: float = 1e-4
@@ -72,12 +71,7 @@ class TrainConfig:
 
     # run control
     seed: int = 0
-    precision: str = "standard"   # standard (float32) | high (float64)
-    ablate: str = "full"          # full | local-only | global-only
-
-    @property
-    def dtype(self):
-        return np.float64 if self.precision == "high" else np.float32
+    ablate: str = "full"    # full | local-only | global-only
 
     @property
     def param_count(self) -> int:
@@ -94,8 +88,6 @@ class TrainConfig:
             raise ValueError("d and k must be positive")
         if self.param_count > MAX_PARAMS:  # checked before any array is built
             raise ValueError(f"the model would hold {self.param_count} parameters, more than {MAX_PARAMS}")
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
         if self.gamma < 0:
             raise ValueError("gamma must be non-negative")
         if self.lr0 <= 0 or not (0 < self.decay <= 1) or self.decay_every < 1:
@@ -104,8 +96,6 @@ class TrainConfig:
             raise ValueError("iters and batch must be positive")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if self.precision not in ("standard", "high"):
-            raise ValueError(f"unknown precision {self.precision!r}")
         if self.ablate not in ABLATION_MODES:
             raise ValueError(f"unknown ablation mode {self.ablate!r}")
         return self

@@ -58,9 +58,6 @@ class Image:
     def channels(self):
         return self.data.shape[2]
 
-    def band(self, b: int) -> "Image":
-        return Image(self.data[:, :, b : b + 1])
-
     def validate(self) -> "Image":
         if not np.all(np.isfinite(self.data)):
             raise ValueError("image contains non-finite values")
@@ -75,10 +72,6 @@ class Image:
         if a.ndim == 2:
             a = a[:, :, None]
         return Image(np.clip(a, 0.0, 1.0).astype(np.float32))
-
-    @staticmethod
-    def constant(height, width, channels, fill=0.0) -> "Image":
-        return Image(np.full((height, width, channels), fill, dtype=np.float32))
 
 
 # ---------------------------------------------------------------------------

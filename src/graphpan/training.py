@@ -34,6 +34,8 @@ from .imaging import BANDS, FormatError, Image, ScenePair, wald_degrade
 CHECKPOINT_MAGIC = b"HSSN"
 CHECKPOINT_VERSION = 3
 
+TAU = 0.5  # temperature of the alignment term
+
 _REL_FLOOR = 1e-6  # relative-error denominators never drop below this
 
 # Adam's moment decay rates and denominator offset
@@ -136,7 +138,7 @@ def _losses(fused, h_local, h_global, n_patches, scene: ScenePair, cfg: TrainCon
     branch representations, the global one as its factor pair, over the pan
     block and the BANDS band blocks of N = n_patches nodes each; at its
     floor (every negative of a block scoring like the positive) it is ln N.
-    total = l1 + gamma * lcl.
+    Its temperature is :data:`TAU`; total = l1 + gamma * lcl.
     """
     # no name keeps the ground truth's copy past the L1 term
     l1 = l1_loss(fused, scene.gt.data.astype(ad.value(fused).dtype))
@@ -144,10 +146,10 @@ def _losses(fused, h_local, h_global, n_patches, scene: ScenePair, cfg: TrainCon
         # a single surviving branch has nothing to align against
         return l1, 0.0, l1
     if cfg.gamma > 0.0:
-        lcl = blockwise_contrastive_loss(h_local, h_global, cfg.tau, n_patches)
+        lcl = blockwise_contrastive_loss(h_local, h_global, TAU, n_patches)
         return l1, lcl, l1 + cfg.gamma * lcl
     g = LowRank(ad.value(h_global.left), ad.value(h_global.right))  # logged only: nothing taped
-    lcl = float(blockwise_contrastive_loss(ad.value(h_local), g, cfg.tau, n_patches))
+    lcl = float(blockwise_contrastive_loss(ad.value(h_local), g, TAU, n_patches))
     return l1, lcl, l1
 
 
@@ -255,7 +257,7 @@ def toy_scene(seed=0, height=4, width=8, scale=4):
 
 
 def toy_config(**overrides):
-    base = dict(patch=4, stride=4, d=8, k=1, precision="high", seed=0, batch=1)
+    base = dict(patch=4, stride=4, d=8, k=1, seed=0, batch=1)
     base.update(overrides)
     return TrainConfig(**base).validate()
 

@@ -8,7 +8,8 @@ tape ops for the dense InfoNCE and composite-expression oracles, and row
 normalisation as a chain of the elementwise tape ops, and the model-size
 bound's widest d by bisection over the config's parameter count.  The tape
 audit reads what a tape holds from its VJP closures, not from the ops'
-own account of what they save.
+own account of what they save.  constant_image builds the one-value test
+images the package itself has no use for.
 """
 
 import types
@@ -204,7 +205,12 @@ def knn_select_whole(feats, k):
 
 
 # ---------------------------------------------------------------------------
-# patches
+# images and patches
+
+
+def constant_image(height, width, channels, fill=0.0) -> Image:
+    """A float32 image of one value everywhere."""
+    return Image(np.full((height, width, channels), fill, dtype=np.float32))
 
 
 def reassemble_patches(grid: PatchGrid, patch_values: np.ndarray | None = None) -> Image:

@@ -27,10 +27,10 @@ from graphpan.aggregation import (
 )
 from graphpan.config import TrainConfig, param_layout
 from graphpan.graph import random_multiplex_graph
-from graphpan.imaging import BANDS, Image, extract_patches, synth_scene, upsample_bicubic
+from graphpan.imaging import BANDS, extract_patches, synth_scene, upsample_bicubic
 from graphpan.patterns import RelationPattern, generate_patterns
 
-from oracles import masks, pattern_set, to_dense
+from oracles import constant_image, masks, pattern_set, to_dense
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +286,7 @@ class TestGlobalSimilarity:
         """Values and gradients of the global branch against the dense
         B @ B.T oracle, float64, on the seed-0 64 px scene with a negative
         beta and some all-zero rows of B."""
-        cfg = TrainConfig(precision="high")
+        cfg = TrainConfig()
         params = ModelParams.init(cfg, seed=0).astype(np.float64)
         out = run_pipeline(synth_scene(0, size=64), params, cfg)
         ps, U0 = out.patterns, ad.value(out.graph.U)
@@ -429,10 +429,10 @@ class TestReconstruct:
     def test_single_patch_hand_case(self):
         rng = np.random.default_rng(24)
         d = 2
-        grid = extract_patches(Image.constant(4, 4, 1, 0.0), 4, 4)
+        grid = extract_patches(constant_image(4, 4, 1, 0.0), 4, 4)
         H = rng.normal(size=(5, d))
         recon = [rng.normal(size=(16, 2 * d)) * 0.01 for _ in range(BANDS)]
-        lrms_up = Image.constant(4, 4, BANDS, 0.5)
+        lrms_up = constant_image(4, 4, BANDS, 0.5)
         out = ad.value(reconstruct(H, grid, recon, lrms_up))
         for b in range(BANDS):
             z = np.concatenate([H[0], H[1 + b]])
@@ -441,10 +441,10 @@ class TestReconstruct:
 
     def test_output_clamped(self):
         rng = np.random.default_rng(25)
-        grid = extract_patches(Image.constant(4, 4, 1, 0.0), 4, 4)
+        grid = extract_patches(constant_image(4, 4, 1, 0.0), 4, 4)
         H = rng.normal(size=(5, 3)) * 100.0
         recon = [rng.normal(size=(16, 6)) for _ in range(BANDS)]
-        lrms_up = Image.constant(4, 4, BANDS, 0.5)
+        lrms_up = constant_image(4, 4, BANDS, 0.5)
         out = ad.value(reconstruct(H, grid, recon, lrms_up))
         assert out.min() >= 0.0 and out.max() <= 1.0
 
@@ -555,39 +555,40 @@ class TestModelParams:
                     np.testing.assert_array_equal(r, want)
             np.testing.assert_array_equal(p.importance_w, glorot(p.importance_w))
 
-    @pytest.mark.parametrize("precision", ["standard", "high"])
+    @pytest.mark.parametrize("dt", [np.float32, np.float64], ids=["standard", "high"])
     @pytest.mark.parametrize("zero_recon", [True, False])
-    def test_init_matches_per_matrix_draws(self, precision, zero_recon):
+    def test_init_matches_per_matrix_draws(self, dt, zero_recon):
         # a stacked group is drawn as its matrices one after another, each
-        # with the glorot bound of its own (rows, cols)
-        cfg = TrainConfig(d=8, patch=4, precision=precision)
+        # with the glorot bound of its own (rows, cols); init holds float32,
+        # and a float64 model is those values cast
+        cfg = TrainConfig(d=8, patch=4)
         rng = np.random.default_rng(11)
-        dt = cfg.dtype
+        f32 = np.float32
 
         def glorot(rows, cols):
             bound = np.sqrt(6.0 / (rows + cols))
-            return rng.uniform(-bound, bound, size=(rows, cols)).astype(dt)
+            return rng.uniform(-bound, bound, size=(rows, cols)).astype(f32)
 
         def head():
             if zero_recon:
-                return np.zeros((16, 16), dtype=dt)
-            return rng.uniform(-0.02, 0.02, size=(16, 16)).astype(dt)
+                return np.zeros((16, 16), dtype=f32)
+            return rng.uniform(-0.02, 0.02, size=(16, 16)).astype(f32)
 
         want = {  # drawn in field order
             "w_embed": np.stack([glorot(8, 16) for _ in range(1 + BANDS)]),  # pan, then each band
-            "alpha": np.full(7, 1.0 / 3.0, dtype=dt),
-            "beta": np.ones(7, dtype=dt),
+            "alpha": np.full(7, 1.0 / 3.0, dtype=f32),
+            "beta": np.ones(7, dtype=f32),
             "w_local": glorot(8, 8),
             "w_global": glorot(8, 8),
             "recon": np.stack([head() for _ in range(BANDS)]),
             "importance_w": glorot(16, 8),
-            "importance_b": np.zeros(16, dtype=dt),
-            "importance_q": np.zeros((16, 1), dtype=dt),
+            "importance_b": np.zeros(16, dtype=f32),
+            "importance_q": np.zeros((16, 1), dtype=f32),
         }
-        got = ModelParams.init(cfg, seed=11, zero_recon=zero_recon).named_arrays()
+        got = ModelParams.init(cfg, seed=11, zero_recon=zero_recon).astype(dt).named_arrays()
         assert [n for n, _ in got] == list(want)
         for name, a in got:
-            assert a.dtype == dt and np.array_equal(a, want[name]), name
+            assert a.dtype == dt and np.array_equal(a, want[name].astype(dt)), name
 
     def test_named_arrays_order_and_groups(self):
         cfg = TrainConfig(d=8, patch=4)

@@ -14,12 +14,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from graphpan import graph
+from graphpan import cli, graph
 from graphpan.aggregation import ModelParams, forward
 from graphpan.cli import bench_scaling, main, merge_config, parse_config_file
 from graphpan.config import TrainConfig
 from graphpan.imaging import MAX_SCENE_SIZE, MIN_SCENE_SIZE, ScenePair, read_hsif, synth_scene
-from graphpan.metrics import full_reference
+from graphpan.metrics import MetricReport, full_reference
 from graphpan.training import load_checkpoint, save_checkpoint
 
 from oracles import largest_valid_d
@@ -147,7 +147,7 @@ class TestTrain:
         with np.errstate(all="ignore"):
             code = main(
                 ["train", "--data", str(data), "--out", str(tmp_path / "r"),
-                 "--precision", "standard", "--lr0", "1e20", "--iters", "20"]
+                 "--lr0", "1e20", "--iters", "20"]
                 + FAST_TRAIN[:10]
             )
         assert code == 2
@@ -158,8 +158,8 @@ class TestTrain:
 class TestConfigMerging:
     def test_parse_config_file(self, tmp_path):
         p = tmp_path / "c.cfg"
-        p.write_text("# comment\n\ngamma = 0.5  # inline\n  tau=0.7\n")
-        assert parse_config_file(p) == {"gamma": "0.5", "tau": "0.7"}
+        p.write_text("# comment\n\ngamma = 0.5  # inline\n  lr0=0.7\n")
+        assert parse_config_file(p) == {"gamma": "0.5", "lr0": "0.7"}
 
     def test_parse_errors(self, tmp_path):
         p = tmp_path / "bad.cfg"
@@ -179,7 +179,7 @@ class TestConfigMerging:
         cfg = merge_config(Args())
         assert cfg.k == 3          # flag wins
         assert cfg.gamma == 0.5    # file beats default
-        assert cfg.tau == 0.5      # default survives
+        assert cfg.lr0 == 1e-4     # default survives
 
     def test_unknown_key_exit_1(self, tmp_path, capsys):
         p = tmp_path / "c.cfg"
@@ -210,6 +210,24 @@ class TestConfigMerging:
         main(["synth", "--out", str(data), "--size", "16"])
         code = main(["train", "--data", str(data), "--out", str(tmp_path / "r"), "--gamma", "-1"])
         assert code == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--data", "x", "--out", "y", "--precision", "high"],
+        ["patterns-dump", "--size", "16", "--tau", "0.7"],
+    ], ids=["train --precision", "patterns-dump --tau"])
+    def test_removed_flags_exit_1(self, argv, capsys):
+        # the model is float32 and tau is training.TAU: neither is a flag
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and argv[-2] in err
+
+    @pytest.mark.parametrize("key", ["precision", "tau"])
+    def test_removed_config_keys_exit_1(self, tmp_path, capsys, key):
+        p = tmp_path / "c.cfg"
+        p.write_text(f"{key} = {'high' if key == 'precision' else '0.7'}\n")
+        assert main(["train", "--data", "x", "--out", str(tmp_path / "r"), "--config", str(p)]) == 1
+        assert capsys.readouterr().err == f"error: {p}: unknown config key {key!r}\n"
+        assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("source", ["flag", "file"])
     def test_layers_is_no_longer_a_key(self, tmp_path, capsys, source):
@@ -273,6 +291,24 @@ class TestEval:
         np.testing.assert_allclose(mean_row, np.mean(per_scene, axis=0), atol=1e-6)
         assert out_csv.read_bytes().startswith(b"scene,psnr,ssim,sam,ergas,scc\r\n")
         assert out_csv.read_text().splitlines() == lines
+
+    def test_mean_row_averages_the_values(self, workdir, monkeypatch, capsys):
+        # 1.4e-6 and 4e-7 print as 0.000001 and 0.000000; their mean,
+        # 9e-7, prints as 0.000001, and the mean of the digits as 0.000000
+        small = iter([1.4e-6, 4e-7])
+
+        def report(fused, gt, scale):
+            v = next(small)
+            return MetricReport(psnr=30.0, ssim=v, sam=v, ergas=v, scc=v)
+
+        monkeypatch.setattr(cli, "full_reference", report)
+        assert main(["eval", "--checkpoint", str(workdir["ckpt"]), "--data", str(workdir["data"])]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[1:] == [
+            "scene_000,30.000000,0.000001,0.000001,0.000001,0.000001",
+            "scene_001,30.000000,0.000000,0.000000,0.000000,0.000000",
+            "mean,30.000000,0.000001,0.000001,0.000001,0.000001",
+        ]
 
     def test_full_mode_header(self, workdir, tmp_path, capsys):
         out_csv = tmp_path / "eval.csv"
@@ -512,6 +548,16 @@ class TestAnalyzePriors:
         assert sum(1 for ln in lines if ln.startswith("pan_vs_gt")) == 4
         assert "mean pan-vs-gt coefficient:" in out
         assert len(out_csv.read_text().strip().splitlines()) == 15
+
+    def test_summary_lines_average_the_values(self, monkeypatch, capsys):
+        # as in TestEval's mean row: a mean of 9e-7, not of printed digits
+        table = [("pan_vs_gt_b1", 0.0, 1.4e-6), ("pan_vs_gt_b2", 0.0, 4e-7),
+                 ("lrms_vs_gt_b1", 0.0, 1.4e-6), ("lrms_vs_gt_b2", 0.0, 4e-7)]
+        monkeypatch.setattr(cli, "prior_analysis", lambda scene, bins: table)
+        assert main(["analyze-priors", "--count", "2", "--size", "16"]) == 0
+        out = capsys.readouterr().out
+        assert "mean pan-vs-gt coefficient:  0.000001\n" in out
+        assert "mean lrms-vs-gt coefficient: 0.000001\n" in out
 
     @pytest.mark.parametrize("count", ["0", "-1"])
     def test_no_scenes_exit_1(self, count):

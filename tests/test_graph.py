@@ -96,7 +96,7 @@ class TestEmbedPatches:
         assert feats.dtype == dtype
         assert np.array_equal(feats[0], pan_grid.patches.astype(dtype) @ w_embed[0].T)
         for b in range(BANDS):
-            patches = extract_patches(up.band(b), 8, 4).patches.astype(dtype)
+            patches = extract_patches(Image(up.data[:, :, b : b + 1]), 8, 4).patches.astype(dtype)
             assert np.array_equal(feats[1 + b], patches @ w_embed[1 + b].T)
 
     def test_refuses_a_grid_of_other_width(self):

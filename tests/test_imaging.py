@@ -31,7 +31,7 @@ from graphpan.imaging import (
     write_ppm,
 )
 
-from oracles import reassemble_patches
+from oracles import constant_image, reassemble_patches
 
 
 # ---------------------------------------------------------------------------
@@ -78,12 +78,6 @@ class TestImageBasics:
         with pytest.raises(ValueError):
             Image(np.zeros((4, 4), dtype=np.float32))
 
-    def test_band_view(self):
-        img = Image.from_array(np.random.default_rng(0).random((3, 3, 4)))
-        b2 = img.band(2)
-        assert b2.channels == 1
-        np.testing.assert_array_equal(b2.data[:, :, 0], img.data[:, :, 2])
-
 
 class TestHsifFormat:
     def test_round_trip_exact(self, tmp_path):
@@ -95,7 +89,7 @@ class TestHsifFormat:
         np.testing.assert_array_equal(back.data, img.data)
 
     def test_header_layout(self, tmp_path):
-        img = Image.constant(2, 3, 1, 0.25)
+        img = constant_image(2, 3, 1, 0.25)
         path = tmp_path / "x.hsif"
         write_hsif(path, img)
         blob = path.read_bytes()
@@ -111,7 +105,7 @@ class TestHsifFormat:
         assert e.value.offset == 0
 
     def test_truncated_payload_offset_is_file_length(self, tmp_path):
-        img = Image.constant(4, 4, 2, 0.5)
+        img = constant_image(4, 4, 2, 0.5)
         p = tmp_path / "t.hsif"
         write_hsif(p, img)
         blob = p.read_bytes()
@@ -175,7 +169,7 @@ class TestNetpbm:
     def test_channel_count_enforced(self, tmp_path):
         for channels in (1, 4):
             with pytest.raises(ValueError, match="PPM requires exactly 3 channels"):
-                write_ppm(tmp_path / "x.ppm", Image.constant(2, 2, channels, 0.5))
+                write_ppm(tmp_path / "x.ppm", constant_image(2, 2, channels, 0.5))
 
 
 class TestCorruptFiles:
@@ -249,7 +243,7 @@ class TestDegradation:
 
     def test_degrade_requires_divisible_size(self):
         with pytest.raises(ValueError):
-            degrade_image(Image.constant(10, 10, 1, 0.5), 4)
+            degrade_image(constant_image(10, 10, 1, 0.5), 4)
 
     def test_wald_pair_shapes_and_pan_passthrough(self):
         rng = np.random.default_rng(7)
@@ -262,16 +256,16 @@ class TestDegradation:
         assert pair.scale == 4
 
     def test_wald_rejects_mismatched_shapes(self):
-        gt = Image.constant(16, 16, BANDS, 0.5)
+        gt = constant_image(16, 16, BANDS, 0.5)
         with pytest.raises(ValueError):
-            wald_degrade(gt, Image.constant(8, 8, 1, 0.5), 4)
+            wald_degrade(gt, constant_image(8, 8, 1, 0.5), 4)
         with pytest.raises(ValueError):
-            wald_degrade(gt, Image.constant(16, 16, 2, 0.5), 4)
+            wald_degrade(gt, constant_image(16, 16, 2, 0.5), 4)
 
 
 class TestBicubic:
     def test_constant_exact(self):
-        img = Image.constant(4, 6, 2, 0.37)
+        img = constant_image(4, 6, 2, 0.37)
         out = upsample_bicubic(img, 4)
         assert out.data.shape == (16, 24, 2)
         np.testing.assert_allclose(out.data, 0.37, atol=1e-6)
@@ -305,9 +299,9 @@ class TestBicubic:
 
 class TestPatches:
     def test_patch_counts(self):
-        img = Image.constant(128, 128, 1, 0.5)
+        img = constant_image(128, 128, 1, 0.5)
         assert extract_patches(img, 8, 4).n_patches == 31 * 31  # 961
-        img = Image.constant(32, 32, 1, 0.5)
+        img = constant_image(32, 32, 1, 0.5)
         assert extract_patches(img, 8, 4).n_patches == 7 * 7  # 49
 
     def test_patch_contents_match_slices(self):
@@ -334,7 +328,7 @@ class TestPatches:
         np.testing.assert_allclose(back.data, img.data, atol=1e-7)
 
     def test_overlap_averaging_half(self):
-        img = Image.constant(4, 6, 1, 0.0)
+        img = constant_image(4, 6, 1, 0.0)
         grid = extract_patches(img, 4, 2)  # two windows share columns 2..3
         vals = np.zeros_like(grid.patches)
         vals[0] = 0.0
@@ -345,20 +339,20 @@ class TestPatches:
         np.testing.assert_allclose(out[:, 4:], 1.0)
 
     def test_uncovered_cells_zero(self):
-        img = Image.constant(10, 10, 1, 1.0)
+        img = constant_image(10, 10, 1, 1.0)
         grid = extract_patches(img, 4, 3)  # (10-4)%3 == 0 rows 0,3,6 -> covers 0..9
         assert coverage_counts(grid).min() >= 1
-        grid2 = extract_patches(Image.constant(11, 11, 1, 1.0), 4, 3)
+        grid2 = extract_patches(constant_image(11, 11, 1, 1.0), 4, 3)
         out = reassemble_patches(grid2).data
         assert out[10, 10, 0] == 0.0  # last row/col unreachable at stride 3
 
     def test_coverage_counts_total(self):
-        img = Image.constant(16, 16, 2, 0.5)
+        img = constant_image(16, 16, 2, 0.5)
         grid = extract_patches(img, 8, 4)
         assert coverage_counts(grid).sum() == grid.n_patches * 8 * 8 * 2
 
     def test_stride_bounds_enforced(self):
-        img = Image.constant(8, 8, 1, 0.5)
+        img = constant_image(8, 8, 1, 0.5)
         with pytest.raises(ValueError):
             extract_patches(img, 4, 0)
         with pytest.raises(ValueError):
@@ -367,7 +361,7 @@ class TestPatches:
             extract_patches(img, 16, 4)
 
     def test_reassemble_shape_check(self):
-        grid = extract_patches(Image.constant(8, 8, 1, 0.5), 4, 4)
+        grid = extract_patches(constant_image(8, 8, 1, 0.5), 4, 4)
         with pytest.raises(ValueError):
             reassemble_patches(grid, np.zeros((1, 16)))
 
@@ -408,21 +402,21 @@ class TestScenePair:
         assert ScenePair.load(tmp_path / "s").scale == scale
 
     def test_load_rejects_non_integer_ratio(self, tmp_path):
-        write_hsif(tmp_path / "pan.hsif", Image.constant(12, 12, 1, 0.5))
-        write_hsif(tmp_path / "lrms.hsif", Image.constant(5, 6, BANDS, 0.5))
+        write_hsif(tmp_path / "pan.hsif", constant_image(12, 12, 1, 0.5))
+        write_hsif(tmp_path / "lrms.hsif", constant_image(5, 6, BANDS, 0.5))
         with pytest.raises(ValueError, match="scale x lrms size"):
             ScenePair.load(tmp_path)
 
     def test_validate_rejects_bad_pairs(self):
-        pan = Image.constant(16, 16, 1, 0.5)
-        lrms = Image.constant(4, 4, BANDS, 0.5)
+        pan = constant_image(16, 16, 1, 0.5)
+        lrms = constant_image(4, 4, BANDS, 0.5)
         ScenePair(pan, lrms).validate()
         with pytest.raises(ValueError):
-            ScenePair(Image.constant(16, 16, 2, 0.5), lrms).validate()
+            ScenePair(constant_image(16, 16, 2, 0.5), lrms).validate()
         with pytest.raises(ValueError):
-            ScenePair(pan, Image.constant(5, 4, BANDS, 0.5)).validate()
+            ScenePair(pan, constant_image(5, 4, BANDS, 0.5)).validate()
         with pytest.raises(ValueError):
-            ScenePair(pan, lrms, gt=Image.constant(8, 8, BANDS, 0.5)).validate()
+            ScenePair(pan, lrms, gt=constant_image(8, 8, BANDS, 0.5)).validate()
 
 
 class TestSynthScene:

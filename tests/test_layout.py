@@ -9,9 +9,9 @@ import m``.  A re-export in ``__init__.py`` does not count, so ``__all__``
 cannot keep alive a function that no command calls.  A class
 member counts as used when an attribute of its name is read in
 ``src/graphpan`` or ``perfbench`` outside its own definition and outside
-every other unused member.  Dunder names are exempt, and so are the members
-of the classes the package exports in ``__all__`` and the members a library
-calls by name.  Code that only the tests call belongs in
+every other unused member; a class exported in ``__all__`` gets no
+exemption either.  Dunder names are exempt, and so are the members a
+library calls by name.  Code that only the tests call belongs in
 ``tests/oracles.py`` or beside its test.  The package also must not load
 ``scipy.signal``, ``scipy.ndimage`` or ``scipy.special``: its filters are
 numpy, and of scipy it uses ``scipy.sparse`` alone.
@@ -73,33 +73,19 @@ def unreferenced_defs(package: Path):
     return sorted(found)
 
 
-def _exported(package: Path):
-    """The names in the package's ``__all__``."""
-    init = package / "__init__.py"
-    if not init.exists():
-        return set()
-    for node in ast.parse(init.read_text()).body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            return set(ast.literal_eval(node.value))
-    return set()
-
-
 def unreferenced_members(package: Path, readers=(), exempt=frozenset()):
     """Sorted ``module.Class.member`` of every method or property of a
     module-level class in ``package`` whose name no attribute read in
     ``package`` or in the ``.py`` files under ``readers`` takes, outside its
     own definition and outside the other members found, so a member read
-    only by unused ones is found too.  Dunders, the members of classes in
-    ``__all__`` and the names in ``exempt`` are skipped."""
-    exported = _exported(package)
+    only by unused ones is found too.  Dunders and the names in ``exempt``
+    are skipped; a class in ``__all__`` is audited like any other."""
     paths = sorted(set(package.glob("*.py")) | {p for r in readers for p in Path(r).rglob("*.py")})
     trees = {p: ast.parse(p.read_text()) for p in paths}
     members = {}  # "module.Class.member" -> the ids of its definition's nodes
     for path in sorted(package.glob("*.py")):
         for c in trees[path].body:
-            if not isinstance(c, ast.ClassDef) or c.name in exported:
+            if not isinstance(c, ast.ClassDef):
                 continue
             for d in c.body:
                 if not isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -178,7 +164,7 @@ def test_member_audit_counts_each_kind_of_read(tmp_path):
     )
     (bench / "b.py").write_text("def f(k):\n    return k.by_bench\n")
     assert unreferenced_members(pkg, [bench], {"a.Kept.library"}) == [
-        "a.Kept.dead", "a.Kept.only_dead", "a.Kept.recursive", "a.Kept.written",
+        "a.Exported.unused", "a.Kept.dead", "a.Kept.only_dead", "a.Kept.recursive", "a.Kept.written",
     ]
     assert "a.Kept.by_bench" in unreferenced_members(pkg)
 

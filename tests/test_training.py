@@ -21,7 +21,7 @@ from scipy import sparse
 
 import graphpan.autodiff as ad
 from graphpan import aggregation, graph, imaging, training
-from graphpan.aggregation import LowRank, ModelParams, run_pipeline
+from graphpan.aggregation import LowRank, ModelParams, forward, run_pipeline
 from graphpan.config import MAX_PARAMS, TrainConfig
 from graphpan.graph import N_RELATIONS
 from graphpan.imaging import BANDS, Image, ScenePair, degrade_image, synth_scene
@@ -295,13 +295,13 @@ class TestLossComposition:
             np.testing.assert_allclose(lhs, rhs, rtol=1e-6, atol=1e-12)
 
 
-    @pytest.mark.parametrize("precision", ["standard", "high"])
-    def test_gradients_keep_parameter_dtype(self, precision):
+    @pytest.mark.parametrize("dt", [np.float32, np.float64], ids=["standard", "high"])
+    def test_gradients_keep_parameter_dtype(self, dt):
         scene = toy_scene(0)
-        cfg = toy_config(gamma=0.01, precision=precision)
-        params = ModelParams.init(cfg, seed=1, zero_recon=False)
+        cfg = toy_config(gamma=0.01)
+        params = ModelParams.init(cfg, seed=1, zero_recon=False).astype(dt)
         bd, grads = backward(scene, params, cfg)
-        assert {g.dtype for g in grads.values()} == {np.dtype(cfg.dtype)}
+        assert {g.dtype for g in grads.values()} == {np.dtype(dt)}
         assert bd.total == pytest.approx(scene_loss(scene, params, cfg)[2], rel=1e-5)
 
 
@@ -841,7 +841,7 @@ def write_blocks(path, blocks, version=CHECKPOINT_VERSION):
 
 class TestCheckpoints:
     def test_round_trip(self, tmp_path):
-        cfg = toy_config(gamma=0.02, tau=0.7)
+        cfg = toy_config(gamma=0.02)
         params = ModelParams.init(cfg, seed=5, zero_recon=False)
         path = tmp_path / "ck.hssn"
         save_checkpoint(path, params, cfg)
@@ -850,8 +850,8 @@ class TestCheckpoints:
             assert n1 == n2
             np.testing.assert_array_equal(np.asarray(a1, dtype=np.float32), a2)
         assert (bcfg.patch, bcfg.stride, bcfg.d, bcfg.k) == (4, 4, 8, 1)
-        # the loss weights are not stored: a loaded model runs without them
-        assert (bcfg.tau, bcfg.gamma) == (TrainConfig.tau, TrainConfig.gamma)
+        # the loss weight is not stored: a loaded model runs without it
+        assert bcfg.gamma == TrainConfig.gamma
 
     def test_header_bytes(self, tmp_path):
         cfg = toy_config()
@@ -885,7 +885,7 @@ class TestCheckpoints:
     def test_checkpoint_without_importance_is_refused(self, tmp_path):
         # a file written before the group existed: the same blocks minus
         # importance_*, laid out as in test_header_bytes
-        cfg = toy_config(gamma=0.02, tau=0.7)
+        cfg = toy_config(gamma=0.02)
         params = ModelParams.init(cfg, seed=5, zero_recon=False)
         blocks = [(n, a) for n, a in params.named_arrays() if not n.startswith("importance")]
         blocks.append(("_config", TOY_META))
@@ -966,6 +966,21 @@ class TestCheckpoints:
             load_checkpoint(path)
         assert err.value.offset == (offsets[at] if at else path.stat().st_size)
 
+    @pytest.mark.parametrize("change", [
+        dict(ablate="local-only"), dict(ablate="global-only"), dict(d=16), dict(k=2),
+        dict(patch=2, stride=1), dict(gamma=0.0), dict(lr0=1e-3), dict(batch=2), dict(seed=3),
+    ], ids=lambda c: ",".join(f"{k}={v}" for k, v in c.items()))
+    def test_trained_model_reloads_as_itself(self, tmp_path, change):
+        # toy_config() with one field changed (patch and stride together)
+        cfg = toy_config(iters=2, **change)
+        scenes = [toy_scene(s, height=8, width=8) for s in (0, 1)]
+        params, _ = train(scenes, cfg, out_dir=tmp_path)
+        back, bcfg = load_checkpoint(tmp_path / "checkpoint_final.hssn")
+        for (n1, a1), (n2, a2) in zip(params.named_arrays(), back.named_arrays()):
+            assert n1 == n2 and a1.dtype == a2.dtype and a1.tobytes() == a2.tobytes(), n1
+        assert forward(scenes[0], back, bcfg).fused.data.tobytes() == \
+            forward(scenes[0], params, cfg).fused.data.tobytes()
+
     @pytest.mark.parametrize("mode", ["full", "local-only", "global-only"])
     def test_round_trip_keeps_ablation_mode(self, tmp_path, mode):
         # gamma = 0.01, the default, has no float32 value: the loaded config
@@ -990,7 +1005,7 @@ class TestCheckpoints:
         # stride, d, layers, k, tau, gamma in a version-1 file.  Version 2
         # also had seven entries, so the header alone keeps it from being
         # read as version 2's patch, stride, d, k, tau, gamma, ablate
-        cfg = toy_config(gamma=0.02, tau=0.7)
+        cfg = toy_config(gamma=0.02)
         params = ModelParams.init(cfg, seed=5, zero_recon=False)
         blocks = params.named_arrays() + [("_config", [4, 4, 8, 2, 1, 0.7, 0.02])]
         path = tmp_path / "old.hssn"
@@ -1172,7 +1187,9 @@ class TestTrainLoop:
         assert len(logs) == 50
         for lb in logs:
             assert np.isfinite(lb.total)
-            assert lb.total == pytest.approx(lb.l1 + 0.01 * lb.lcl, abs=1e-12)
+            # training is float32: the identity holds exactly in float32
+            f32 = np.float32
+            assert f32(lb.total) == f32(lb.l1) + f32(0.01) * f32(lb.lcl)
             assert lb.lcl >= 0.0 and lb.l1 >= 0.0
 
     def test_determinism(self):
@@ -1232,7 +1249,7 @@ class TestTrainLoop:
         scene = toy_scene(0)
         cfg = TrainConfig(
             patch=4, stride=4, d=8, k=1,
-            precision="standard", lr0=1e20, iters=50, seed=0,
+            lr0=1e20, iters=50, seed=0,
         )
         with np.errstate(all="ignore"):
             with pytest.raises(TrainingDiverged) as e:
@@ -1332,7 +1349,6 @@ class TestToyFixtures:
     def test_toy_config_overrides(self):
         cfg = toy_config(gamma=0.5, iters=7)
         assert cfg.patch == 4 and cfg.d == 8 and cfg.k == 1
-        assert cfg.precision == "high"
         assert cfg.gamma == 0.5 and cfg.iters == 7
 
 
@@ -1397,6 +1413,15 @@ class TestTrainConfig:
     def test_non_finite_float_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             TrainConfig(**{field: value}).validate()
+
+    def test_fields(self):
+        # no dtype or temperature knob: init is float32, the dtype a
+        # checkpoint holds, and tau is the constant training.TAU
+        assert TrainConfig.field_names() == [
+            "patch", "stride", "d", "k", "gamma", "lr0", "decay", "decay_every",
+            "iters", "batch", "seed", "ablate",
+        ]
+        assert training.TAU == 0.5
 
     def test_model_size_bound(self):
         # param_count grows with d, so the widest valid model is one d below

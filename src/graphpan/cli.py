@@ -34,7 +34,7 @@ from .aggregation import (
 )
 from .config import ABLATION_MODES, TrainConfig
 from .graph import random_multiplex_graph
-from .imaging import Image, ScenePair, synth_scene, write_hsif, write_ppm
+from .imaging import Image, ScenePair, cs_fusion, synth_scene, write_hsif, write_ppm
 from .metrics import full_reference, no_reference, prior_analysis
 from .patterns import generate_patterns, mask_label
 from .training import (
@@ -73,21 +73,28 @@ def parse_config_file(path) -> dict:
     return out
 
 
-def _add_config_flags(p: argparse.ArgumentParser):
+def _add_config_flags(p: argparse.ArgumentParser, names):
+    """``--config`` and one flag per config field in ``names``: the fields
+    the command reads, so no setting it takes leaves its output unchanged."""
     p.add_argument("--config", type=str, default=None, help="key = value config file")
-    for name in TrainConfig.field_names():
-        flag = "--" + name.replace("_", "-")
-        p.add_argument(flag, type=str, default=None, dest=name)
+    for name in names:
+        p.add_argument("--" + name.replace("_", "-"), type=str, default=None, dest=name)
 
 
-def merge_config(args) -> TrainConfig:
+def merge_config(args, names=None) -> TrainConfig:
+    """Defaults, then ``args.config``'s keys, then the flags, over the
+    config fields in ``names`` (default: every field); a file key outside
+    them is refused with the file's name."""
+    names = names or TrainConfig.field_names()
     given = []  # (key, raw value, the file or flag it came from)
     if getattr(args, "config", None):
         given += [(key, raw, args.config) for key, raw in parse_config_file(args.config).items()]
-    for name in TrainConfig.field_names():
+    for name in names:
         given.append((name, getattr(args, name, None), "--" + name.replace("_", "-")))
     updates = {}
     for key, raw, source in given:
+        if key not in names:
+            raise CliError(f"{source}: unknown config key {key!r}")
         if raw is not None:
             try:
                 updates[key] = TrainConfig.coerce(key, raw)
@@ -155,21 +162,29 @@ def _write_rows(path, header, rows):
 
 
 def cmd_eval(args) -> int:
+    """One row per scene, then ``mean``; then ``bicubic`` and ``cs``, the
+    means of the same metrics for the upsampled LR-MS and for
+    :func:`imaging.cs_fusion` over the same scenes."""
     params, mcfg = load_checkpoint(args.checkpoint)
     dirs = _scene_dirs(args.data)
-    values = []
+
+    def report(fused, scene):
+        if args.mode == "reduced":
+            return full_reference(fused, scene.gt, scale=scene.scale)
+        return no_reference(fused, scene.pan, scene.lrms, scale=scene.scale)
+
+    values, references = [], []
     for d in dirs:
         scene = ScenePair.load(d)
         if args.mode == "reduced" and scene.gt is None:
             raise CliError(f"{d} has no gt.hsif, required for reduced mode")
-        fused = forward(scene, params, mcfg).fused
-        if args.mode == "reduced":
-            rep = full_reference(fused, scene.gt, scale=scene.scale)
-        else:
-            rep = no_reference(fused, scene.pan, scene.lrms, scale=scene.scale)
+        rep = report(forward(scene, params, mcfg).fused, scene)
         values.append(rep.as_row())
-    names = [d.name for d in dirs] + ["mean"]
-    values.append(np.mean(values, axis=0))  # of the values, not of their printed digits
+        references.append([report(scene.lrms_up, scene).as_row(),
+                           report(cs_fusion(scene), scene).as_row()])
+    names = [d.name for d in dirs] + ["mean", "bicubic", "cs"]
+    # means of the values, not of their printed digits
+    values += [np.mean(values, axis=0), *np.mean(references, axis=0)]
     rows = [[name] + [f"{v:.6f}" for v in row] for name, row in zip(names, values)]
     header = ["scene"] + [f.name for f in fields(rep)]
     for r in [header] + rows:
@@ -192,24 +207,35 @@ def cmd_infer(args) -> int:
     return 0
 
 
+# the config fields patterns-dump reads: the graph's geometry and the seed
+# of the parameters; the branch mode and the training settings change
+# nothing it prints
+DUMP_FIELDS = ("patch", "stride", "d", "k", "seed")
+
+
+def _refuse_given(args, owner, what, names):
+    """Refuse each flag of ``names`` given beside ``owner``, which fixes
+    ``what``, instead of ignoring it."""
+    given = [f"--{n.replace('_', '-')}" for n in names if getattr(args, n) is not None]
+    if given:
+        raise CliError(f"{owner} sets {what}; drop {', '.join(given)}")
+
+
 def cmd_patterns_dump(args) -> int:
-    _check_seeds(args, "scene_seed", "param_seed")
+    _check_seeds(args, "scene_seed")
+    if args.scene:
+        _refuse_given(args, "--scene", "the scene", ("scene_seed", "size"))
     if args.checkpoint:
-        # the file fixes the config and the parameters: a flag that would
-        # change either is refused, not ignored
-        given = [f"--{n.replace('_', '-')}" for n in ("config", "param_seed", *TrainConfig.field_names())
-                 if getattr(args, n) is not None]
-        if given:
-            raise CliError(f"--checkpoint sets the model's config and parameters; "
-                           f"drop {', '.join(given)}")
+        _refuse_given(args, "--checkpoint", "the model's config and parameters",
+                      ("config", *DUMP_FIELDS))
         params, cfg = load_checkpoint(args.checkpoint)
     else:
-        cfg = merge_config(args)
-        params = ModelParams.init(cfg, seed=args.param_seed)
+        cfg = merge_config(args, DUMP_FIELDS)
+        params = ModelParams.init(cfg)
     if args.scene:
         scene = ScenePair.load(args.scene)
     else:
-        scene = synth_scene(args.scene_seed, size=args.size)
+        scene = synth_scene(args.scene_seed or 0, size=32 if args.size is None else args.size)
     out = run_pipeline(scene, params, cfg)
     lines = []
     for r in (1, 2, 3):
@@ -430,7 +456,7 @@ def build_parser() -> _Parser:
     s = sub.add_parser("train", help="train on a scene directory")
     s.add_argument("--data", required=True)
     s.add_argument("--out", required=True)
-    _add_config_flags(s)
+    _add_config_flags(s, TrainConfig.field_names())
     s.set_defaults(func=cmd_train)
 
     s = sub.add_parser("eval", help="evaluate a checkpoint")
@@ -448,12 +474,11 @@ def build_parser() -> _Parser:
 
     s = sub.add_parser("patterns-dump", help="dump relations and patterns")
     s.add_argument("--scene", default=None)
-    s.add_argument("--scene-seed", type=int, default=0)
-    s.add_argument("--size", type=int, default=32)
-    s.add_argument("--param-seed", type=int, default=None, help="default: the config seed")
+    s.add_argument("--scene-seed", type=int, default=None, help="default: 0")
+    s.add_argument("--size", type=int, default=None, help="default: 32")
     s.add_argument("--checkpoint", default=None)
     s.add_argument("--out", default=None)
-    _add_config_flags(s)
+    _add_config_flags(s, DUMP_FIELDS)
     s.set_defaults(func=cmd_patterns_dump)
 
     s = sub.add_parser("grad-check", help="compare tape gradients to finite differences")

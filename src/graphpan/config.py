@@ -47,10 +47,12 @@ def param_layout(cfg: TrainConfig) -> dict:
 
 @dataclass
 class TrainConfig:
-    """Every knob of the pipeline, with the defaults used by the experiments.
+    """The settings of the pipeline, with the defaults used by the experiments.
 
     Values merge from three sources: these defaults, then a key = value config
-    file, then explicit command-line flags.
+    file, then explicit command-line flags; each command takes only the
+    fields it reads.  The rate's step decay is not a field: it is
+    ``training.LR_DECAY`` every ``training.LR_DECAY_EVERY`` iterations.
     """
 
     # model geometry
@@ -64,8 +66,6 @@ class TrainConfig:
 
     # optimisation
     lr0: float = 1e-4
-    decay: float = 0.85
-    decay_every: int = 3000
     iters: int = 30000
     batch: int = 4
 
@@ -90,8 +90,8 @@ class TrainConfig:
             raise ValueError(f"the model would hold {self.param_count} parameters, more than {MAX_PARAMS}")
         if self.gamma < 0:
             raise ValueError("gamma must be non-negative")
-        if self.lr0 <= 0 or not (0 < self.decay <= 1) or self.decay_every < 1:
-            raise ValueError("bad learning-rate schedule")
+        if self.lr0 <= 0:
+            raise ValueError("lr0 must be positive")
         if self.iters < 1 or self.batch < 1:
             raise ValueError("iters and batch must be positive")
         if self.seed < 0:
@@ -109,11 +109,9 @@ class TrainConfig:
 
     @classmethod
     def coerce(cls, name: str, raw: str):
-        """Parse a raw string (config file / CLI) into the field's type."""
-        types = {f.name: f.type for f in dataclasses.fields(cls)}
-        if name not in types:
-            raise ValueError(f"unknown config key {name!r}")
-        t = types[name]
+        """Parse a raw string (config file / CLI) into field ``name``'s type;
+        the caller has checked that the field exists."""
+        t = {f.name: f.type for f in dataclasses.fields(cls)}[name]
         try:
             return {"int": int, "float": float}.get(t, str)(raw)
         except ValueError:

@@ -314,6 +314,14 @@ def upsample_bicubic(img: Image, scale: int) -> Image:
     return Image.from_array(out)
 
 
+def cs_fusion(scene: "ScenePair") -> Image:
+    """Component substitution with equal band weights and no parameters:
+    ``clip(up + (pan - mean_b(up)), 0, 1)``, up the scene's bicubic LR-MS.
+    ``eval`` reports it beside the model as a reference method."""
+    up = scene.lrms_up.data.astype(np.float64)
+    return Image.from_array(up + (scene.pan.data - up.mean(axis=2, keepdims=True)))
+
+
 # ---------------------------------------------------------------------------
 # overlapping patch bookkeeping
 

@@ -43,6 +43,10 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
+# the learning rate's step decay (:func:`lr_schedule`), the same for every run
+LR_DECAY = 0.85
+LR_DECAY_EVERY = 3000
+
 
 class TrainingDiverged(RuntimeError):
     def __init__(self, message, checkpoint_path=None):
@@ -301,8 +305,8 @@ def adam_step(params: ModelParams, grads: dict, state: AdamState, lr: float):
 
 
 def lr_schedule(cfg: TrainConfig, iteration: int) -> float:
-    """Stepwise decay: lr0 * decay^(iteration // decay_every)."""
-    return cfg.lr0 * cfg.decay ** (iteration // cfg.decay_every)
+    """Stepwise decay: lr0 * LR_DECAY^(iteration // LR_DECAY_EVERY)."""
+    return cfg.lr0 * LR_DECAY ** (iteration // LR_DECAY_EVERY)
 
 
 # ---------------------------------------------------------------------------

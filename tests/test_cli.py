@@ -4,6 +4,7 @@ A session-scoped fixture synthesises a tiny dataset and trains a 12-iteration
 checkpoint once; the eval/infer tests reuse it.
 """
 
+import argparse
 import os
 import re
 import resource
@@ -18,8 +19,16 @@ from graphpan import cli, graph
 from graphpan.aggregation import ModelParams, forward
 from graphpan.cli import bench_scaling, main, merge_config, parse_config_file
 from graphpan.config import TrainConfig
-from graphpan.imaging import MAX_SCENE_SIZE, MIN_SCENE_SIZE, ScenePair, read_hsif, synth_scene
-from graphpan.metrics import MetricReport, full_reference
+from graphpan.imaging import (
+    MAX_SCENE_SIZE,
+    MIN_SCENE_SIZE,
+    Image,
+    ScenePair,
+    read_hsif,
+    synth_scene,
+    upsample_bicubic,
+)
+from graphpan.metrics import MetricReport, full_reference, no_reference
 from graphpan.training import load_checkpoint, save_checkpoint
 
 from oracles import largest_valid_d
@@ -214,20 +223,45 @@ class TestConfigMerging:
     @pytest.mark.parametrize("argv", [
         ["train", "--data", "x", "--out", "y", "--precision", "high"],
         ["patterns-dump", "--size", "16", "--tau", "0.7"],
-    ], ids=["train --precision", "patterns-dump --tau"])
+        ["train", "--data", "x", "--out", "y", "--decay", "0.5"],
+        ["train", "--data", "x", "--out", "y", "--decay-every", "10"],
+        ["patterns-dump", "--size", "16", "--decay", "0.5"],
+        ["patterns-dump", "--size", "16", "--decay-every", "10"],
+        ["patterns-dump", "--size", "16", "--gamma", "0.5"],
+        ["patterns-dump", "--size", "16", "--lr0", "0.1"],
+        ["patterns-dump", "--size", "16", "--iters", "5"],
+        ["patterns-dump", "--size", "16", "--batch", "2"],
+        ["patterns-dump", "--size", "16", "--ablate", "local-only"],
+        ["patterns-dump", "--size", "16", "--param-seed", "5"],
+    ], ids=lambda argv: f"{argv[0]} {argv[-2]}")
     def test_removed_flags_exit_1(self, argv, capsys):
-        # the model is float32 and tau is training.TAU: neither is a flag
+        # the model is float32, tau is training.TAU and the rate decays by
+        # the constants training.LR_DECAY and LR_DECAY_EVERY; patterns-dump
+        # takes only the fields its pass reads, and --seed draws its
+        # parameters
         assert main(argv) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and argv[-2] in err
+        assert err.startswith("error: unrecognized arguments: ") and argv[-2] in err
 
-    @pytest.mark.parametrize("key", ["precision", "tau"])
-    def test_removed_config_keys_exit_1(self, tmp_path, capsys, key):
+    @pytest.mark.parametrize("command,key,value", [
+        pytest.param("train", "precision", "high", id="precision"),
+        pytest.param("train", "tau", "0.7", id="tau"),
+        pytest.param("train", "decay", "0.5", id="decay"),
+        pytest.param("train", "decay_every", "10", id="decay_every"),
+        *(pytest.param("patterns-dump", key, value, id=f"patterns-dump {key}")
+          for key, value in [("decay", "0.5"), ("gamma", "0.5"), ("lr0", "0.1"), ("iters", "5"),
+                             ("batch", "2"), ("ablate", "local-only"), ("param_seed", "5")]),
+    ])
+    def test_removed_config_keys_exit_1(self, tmp_path, capsys, command, key, value):
         p = tmp_path / "c.cfg"
-        p.write_text(f"{key} = {'high' if key == 'precision' else '0.7'}\n")
-        assert main(["train", "--data", "x", "--out", str(tmp_path / "r"), "--config", str(p)]) == 1
-        assert capsys.readouterr().err == f"error: {p}: unknown config key {key!r}\n"
-        assert not (tmp_path / "r").exists()
+        p.write_text(f"{key} = {value}\n")
+        argv = {"train": ["train", "--data", "x", "--out", str(tmp_path / "r")],
+                "patterns-dump": ["patterns-dump", "--size", "16"]}[command]
+        assert main(argv + ["--config", str(p)]) == 1
+        out, err = capsys.readouterr()
+        assert err == f"error: {p}: unknown config key {key!r}\n"
+        assert out == ""
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["c.cfg"]
 
     @pytest.mark.parametrize("source", ["flag", "file"])
     def test_layers_is_no_longer_a_key(self, tmp_path, capsys, source):
@@ -252,8 +286,6 @@ class TestConfigMerging:
                  "--seed must be non-negative, got -1", id="bench --seed"),
     pytest.param(["patterns-dump", "--size", "16", "--scene-seed", "-2"],
                  "--scene-seed must be non-negative, got -2", id="patterns-dump --scene-seed"),
-    pytest.param(["patterns-dump", "--size", "16", "--param-seed", "-2"],
-                 "--param-seed must be non-negative, got -2", id="patterns-dump --param-seed"),
     pytest.param(["patterns-dump", "--size", "16", "--seed", "-2"],
                  "seed must be non-negative, got -2", id="patterns-dump --seed"),
     pytest.param(["grad-check", "--scene-seed", "-4"],
@@ -285,17 +317,18 @@ class TestEval:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "scene,psnr,ssim,sam,ergas,scc"
         assert lines[1].startswith("scene_000,")
-        assert lines[-1].startswith("mean,")
-        per_scene = [list(map(float, ln.split(",")[1:])) for ln in lines[1:-1]]
-        mean_row = list(map(float, lines[-1].split(",")[1:]))
+        assert [ln.split(",")[0] for ln in lines[-3:]] == ["mean", "bicubic", "cs"]
+        per_scene = [list(map(float, ln.split(",")[1:])) for ln in lines[1:-3]]
+        mean_row = list(map(float, lines[-3].split(",")[1:]))
         np.testing.assert_allclose(mean_row, np.mean(per_scene, axis=0), atol=1e-6)
         assert out_csv.read_bytes().startswith(b"scene,psnr,ssim,sam,ergas,scc\r\n")
         assert out_csv.read_text().splitlines() == lines
 
     def test_mean_row_averages_the_values(self, workdir, monkeypatch, capsys):
         # 1.4e-6 and 4e-7 print as 0.000001 and 0.000000; their mean,
-        # 9e-7, prints as 0.000001, and the mean of the digits as 0.000000
-        small = iter([1.4e-6, 4e-7])
+        # 9e-7, prints as 0.000001, and the mean of the digits as 0.000000.
+        # Each scene is scored three times: the model, bicubic, then CS.
+        small = iter([1.4e-6] * 3 + [4e-7] * 3)
 
         def report(fused, gt, scale):
             v = next(small)
@@ -308,6 +341,8 @@ class TestEval:
             "scene_000,30.000000,0.000001,0.000001,0.000001,0.000001",
             "scene_001,30.000000,0.000000,0.000000,0.000000,0.000000",
             "mean,30.000000,0.000001,0.000001,0.000001,0.000001",
+            "bicubic,30.000000,0.000001,0.000001,0.000001,0.000001",
+            "cs,30.000000,0.000001,0.000001,0.000001,0.000001",
         ]
 
     def test_full_mode_header(self, workdir, tmp_path, capsys):
@@ -324,6 +359,44 @@ class TestEval:
         dl, ds, qnr = map(float, lines[1].split(",")[1:])
         assert qnr == pytest.approx((1 - dl) * (1 - ds), abs=1e-5)
 
+    @pytest.mark.parametrize("mode", ["reduced", "full"])
+    def test_reference_rows(self, workdir, tmp_path, capsys, mode):
+        # bicubic and cs are each the mean, over the scenes, of the metrics
+        # of the upsampled LR-MS and of up + (pan - band mean of up)
+        data = tmp_path / "d"
+        assert main(["synth", "--out", str(data), "--count", "2", "--size", "32", "--seed", "3"]) == 0
+        out_csv = tmp_path / "eval.csv"
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(workdir["ckpt"]), "--data", str(data),
+                     "--mode", mode, "--out", str(out_csv)]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert out_csv.read_text().splitlines() == lines
+        rows = {ln.split(",")[0]: list(map(float, ln.split(",")[1:])) for ln in lines[1:]}
+        assert list(rows) == ["scene_000", "scene_001", "mean", "bicubic", "cs"]
+
+        def score(image, scene):
+            if mode == "reduced":
+                return full_reference(image, scene.gt, scale=scene.scale).as_row()
+            return no_reference(image, scene.pan, scene.lrms, scale=scene.scale).as_row()
+
+        scenes = [ScenePair.load(data / f"scene_00{i}") for i in range(2)]
+        ups = [upsample_bicubic(sc.lrms, sc.scale) for sc in scenes]
+        css = [Image.from_array(up.data.astype(np.float64) + sc.pan.data
+                                - up.data.mean(axis=2, keepdims=True, dtype=np.float64))
+               for sc, up in zip(scenes, ups)]
+        for name, images in (("bicubic", ups), ("cs", css)):
+            want = np.mean([score(im, sc) for im, sc in zip(images, scenes)], axis=0)
+            np.testing.assert_allclose(rows[name], want, atol=1e-6)
+        # the model's rows are the scenes' own, as without the references
+        params, cfg = load_checkpoint(workdir["ckpt"])
+        for i, sc in enumerate(scenes):
+            want = score(forward(sc, params, cfg).fused, sc)
+            np.testing.assert_allclose(rows[f"scene_00{i}"], want, atol=1e-6)
+        if mode == "reduced":
+            # on these scenes pan is the exact band mean of gt, so CS is
+            # far closer to gt than bicubic
+            assert rows["cs"][0] > rows["bicubic"][0] + 10.0
+
     def test_reduced_without_gt_exit_1(self, workdir, tmp_path, capsys):
         scene = synth_scene(0, 16)
         ScenePair(scene.pan, scene.lrms, None, scene.scale).save(tmp_path / "s0")
@@ -338,7 +411,7 @@ class TestEval:
         ckpt = tmp_path / "global.hssn"
         save_checkpoint(ckpt, params, cfg)
         assert main(["eval", "--checkpoint", str(ckpt), "--data", str(workdir["data"])]) == 0
-        got = capsys.readouterr().out.strip().splitlines()[1:-1]
+        got = capsys.readouterr().out.strip().splitlines()[1:-3]
 
         def table(mode_cfg):
             rows = []
@@ -437,10 +510,9 @@ class TestPatternsDump:
             return capsys.readouterr().out
 
         seeded = dump("--seed", "5")
-        assert seeded == dump("--param-seed", "5")
         assert seeded != dump("--seed", "0")
-        # --param-seed wins over the config seed
-        assert dump("--seed", "0", "--param-seed", "5") == seeded
+        assert dump() == dump("--seed", "0")  # the default seed is 0
+        assert dump("--seed", "5") == seeded
 
     def test_k_flag_changes_edges(self, capsys):
         main(["patterns-dump", "--size", "16", "--patch", "4",
@@ -459,7 +531,7 @@ class TestPatternsDump:
     @pytest.mark.parametrize("extra", [
         ["--k", "5"],
         ["--patch", "8", "--stride", "8"],
-        ["--param-seed", "0"],
+        ["--seed", "0"],
         ["--config", "any.cfg"],
     ])
     def test_checkpoint_refuses_model_flags(self, workdir, capsys, extra):
@@ -469,6 +541,25 @@ class TestPatternsDump:
         assert captured.out == ""
         assert captured.err.startswith("error: --checkpoint")
         assert extra[0] in captured.err
+
+    @pytest.mark.parametrize("extra", [["--scene-seed", "0"], ["--size", "32"],
+                                       ["--scene-seed", "1", "--size", "16"]])
+    def test_scene_refuses_synth_flags(self, workdir, capsys, extra):
+        # the directory fixes the scene, so a flag that would draw one is
+        # refused, not ignored
+        code = main(["patterns-dump", "--scene", str(workdir["data"] / "scene_000"), *extra])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        flags = ", ".join(f for f in extra if f.startswith("--"))
+        assert captured.err == f"error: --scene sets the scene; drop {flags}\n"
+
+    def test_scene_dump_matches_its_synth_twin(self, workdir, capsys):
+        # workdir's scene_000 is synth_scene(0, 16): the same dump either way
+        assert main(["patterns-dump", "--scene", str(workdir["data"] / "scene_000")]) == 0
+        from_dir = capsys.readouterr().out
+        assert main(["patterns-dump", "--size", "16"]) == 0
+        assert capsys.readouterr().out == from_dir
 
     def test_out_of_memory_exit_1(self, monkeypatch, capsys):
         # kNN's (m, m) cosine matrix is what runs out first on a large scene
@@ -622,3 +713,58 @@ class TestParsing:
         proc = run_cli("synth", "--out", tmp_path / "s", "--size", "16")
         assert proc.returncode == 0
         assert (tmp_path / "s" / "scene_000" / "pan.hsif").exists()
+
+
+# a two-iteration toy model, and one other value for every config field
+SETTING_BASE = {"patch": "4", "stride": "4", "d": "8", "k": "1", "gamma": "0.01", "lr0": "1e-4",
+                "iters": "2", "batch": "1", "seed": "0", "ablate": "full"}
+SETTING_OTHER = {"patch": "8", "stride": "2", "d": "4", "k": "2", "gamma": "1", "lr0": "1e-2",
+                 "iters": "3", "batch": "2", "seed": "1", "ablate": "local-only"}
+
+
+def config_flags(command):
+    """The config fields a subcommand takes as flags, read from its parser."""
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    names = set(TrainConfig.field_names())
+    return [a.dest for a in sub.choices[command]._actions if a.dest in names]
+
+
+class TestEverySettingActs:
+    @pytest.fixture(scope="class")
+    def output(self, tmp_path_factory):
+        """output(command, **changed): the checkpoint bytes of ``train`` on
+        two 16 px scenes, or the text of ``patterns-dump --size 16``, with
+        every config flag the command takes given: SETTING_BASE's value,
+        or the changed one."""
+        root = tmp_path_factory.mktemp("settings")
+        data = root / "data"
+        assert main(["synth", "--out", str(data), "--count", "2", "--size", "16"]) == 0
+        cache = {}
+
+        def run(command, **changed):
+            flags = [x for name in config_flags(command)
+                     for x in ("--" + name.replace("_", "-"), changed.get(name, SETTING_BASE[name]))]
+            key = (command, *flags)
+            if key not in cache:
+                out = root / f"out{len(cache)}"
+                if command == "train":
+                    assert main(["train", "--data", str(data), "--out", str(out), *flags]) == 0
+                    cache[key] = (out / "checkpoint_final.hssn").read_bytes()
+                else:
+                    assert main(["patterns-dump", "--size", "16", "--out", str(out), *flags]) == 0
+                    cache[key] = out.read_text()
+            return cache[key]
+
+        return run
+
+    def test_flags_are_the_fields_each_command_reads(self):
+        assert config_flags("train") == TrainConfig.field_names()
+        assert config_flags("patterns-dump") == list(cli.DUMP_FIELDS)
+
+    @pytest.mark.parametrize("command,name", [
+        (command, name) for command in ("train", "patterns-dump") for name in config_flags(command)
+    ])
+    def test_flag_changes_the_output(self, output, command, name):
+        assert SETTING_OTHER[name] != SETTING_BASE[name]
+        assert output(command, **{name: SETTING_OTHER[name]}) != output(command)

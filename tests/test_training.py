@@ -1205,13 +1205,18 @@ class TestTrainLoop:
         _, logs = train([scene], cfg)
         assert logs[-1].l1 < logs[0].l1
 
-    def test_lr_follows_schedule(self):
-        scene = toy_scene(0)
-        cfg = toy_config(iters=10, decay_every=4, decay=0.5)
-        _, logs = train([scene], cfg)
-        want = [1e-4 * 0.5 ** (it // 4) for it in range(10)]
-        got = [lb.lr for lb in logs]
-        np.testing.assert_allclose(got, want, rtol=1e-12)
+    def test_lr_follows_schedule(self, monkeypatch):
+        # the decay is the constant pair training.LR_DECAY, LR_DECAY_EVERY:
+        # x0.85 every 3,000 iterations, the floats lr0 * 0.85**steps
+        cfg = toy_config()
+        assert [lr_schedule(cfg, it) for it in (0, 2999, 3000, 6000, 29999)] == [
+            1e-4, 1e-4, 1e-4 * 0.85, 1e-4 * 0.85**2, 1e-4 * 0.85**9,
+        ]
+        # train reads the schedule at every iteration: shorten its period
+        # so that ten iterations cross two steps
+        monkeypatch.setattr(training, "LR_DECAY_EVERY", 4)
+        _, logs = train([toy_scene(0)], cfg.replace(iters=10))
+        assert [lb.lr for lb in logs] == [1e-4 * 0.85 ** (it // 4) for it in range(10)]
 
     def test_batch_clipped_to_dataset(self):
         scene = toy_scene(0)
@@ -1239,11 +1244,13 @@ class TestTrainLoop:
         assert all(float(line.split(",")[5]) > 0.0 for line in lines[1:])
 
     def test_periodic_checkpoints(self, tmp_path):
+        # 4 iterations write no periodic files; lr stays lr0 throughout,
+        # since the rate first decays at iteration LR_DECAY_EVERY = 3,000
         scene = toy_scene(0)
-        cfg = toy_config(iters=4, decay_every=3000)
-        # patch the cadence indirectly: 4 iterations write no periodic files
-        train([scene], cfg, out_dir=tmp_path)
+        cfg = toy_config(iters=4)
+        _, logs = train([scene], cfg, out_dir=tmp_path)
         assert not list(tmp_path.glob("checkpoint_0*.hssn"))
+        assert {lb.lr for lb in logs} == {1e-4}
 
     def test_divergence_aborts_with_checkpoint(self, tmp_path):
         scene = toy_scene(0)
@@ -1415,13 +1422,14 @@ class TestTrainConfig:
             TrainConfig(**{field: value}).validate()
 
     def test_fields(self):
-        # no dtype or temperature knob: init is float32, the dtype a
-        # checkpoint holds, and tau is the constant training.TAU
+        # no dtype, temperature or decay knob: init is float32, the dtype a
+        # checkpoint holds, tau is the constant training.TAU, and the rate
+        # decays by training.LR_DECAY every training.LR_DECAY_EVERY
         assert TrainConfig.field_names() == [
-            "patch", "stride", "d", "k", "gamma", "lr0", "decay", "decay_every",
-            "iters", "batch", "seed", "ablate",
+            "patch", "stride", "d", "k", "gamma", "lr0", "iters", "batch", "seed", "ablate",
         ]
         assert training.TAU == 0.5
+        assert (training.LR_DECAY, training.LR_DECAY_EVERY) == (0.85, 3000)
 
     def test_model_size_bound(self):
         # param_count grows with d, so the widest valid model is one d below
